@@ -34,20 +34,9 @@ class UnboundParameter(KeyError):
     """A specialization left a parameter without a value."""
 
 
-# Parameter names are registered globally in first-seen order.  Monomials
-# are keyed by name, so registering a new parameter never changes the
-# meaning or canonical form of existing scalars.
-_PARAMS: dict[str, int] = {}
-
-
 def declare_param(name: str) -> "RatFun":
-    if name not in _PARAMS:
-        _PARAMS[name] = len(_PARAMS)
+    # monomials are keyed by name, so a parameter needs no registration
     return RatFun({(((name, 1),)): Fraction(1)})
-
-
-def registered_params() -> tuple[str, ...]:
-    return tuple(_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +106,6 @@ def _pmul(f, g):
             else:
                 out.pop(m, None)
     return out
-
-
-def _pscale(f, c):
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in f.items()}
 
 
 def _pnames(*polys):
@@ -454,24 +437,12 @@ class RatFun:
                     inv = 1 / lc
                     num = {m: c * inv for m, c in num.items()}
                     den = {m: c * inv for m, c in den.items()}
-        for m in num:
-            for n, _ in m:
-                if n not in _PARAMS:
-                    _PARAMS[n] = len(_PARAMS)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
-
-    @staticmethod
-    def var(name: str) -> "RatFun":
-        return declare_param(name)
-
-    @staticmethod
-    def const(c) -> "RatFun":
-        return RatFun(c)
 
     # arithmetic -----------------------------------------------------------
 
@@ -567,7 +538,11 @@ class RatFun:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
+            if self.den == _ONE_POLY and set(self.num) <= {()}:
+                # constants hash like the Fraction they compare equal to
+                h = hash(self.num.get((), _ZERO))
+            else:
+                h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -776,7 +751,10 @@ class Field:
         return declare_param(name)
 
     def parse(self, text: str):
-        return parse_scalar(text, p=self.p if self.kind == self.PRIME else None)
+        val = parse_scalar(text, p=self.p if self.kind == self.PRIME else None)
+        if self.kind == self.RATFUN and isinstance(val, Fraction):
+            return RatFun(val)
+        return val
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
@@ -940,3 +918,27 @@ def specialize(x, bindings: dict[str, int | Fraction]):
 
 def is_zero(x) -> bool:
     return not x
+
+
+def echelon_pivots(rows) -> dict:
+    """Sparse Gaussian elimination over a field.  Each row is a dict
+    {column: scalar} with mutually comparable columns.  Returns the reduced
+    rows keyed by their leading (smallest) column; the rank is the number of
+    pivots, and a free column is one that is not a key."""
+    pivots = {}
+    for row in rows:
+        live = {c: v for c, v in row.items() if not is_zero(v)}
+        while live:
+            lead = min(live)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = live
+                break
+            factor = live[lead] / prow[lead]
+            for c, v in prow.items():
+                nv = live.get(c, 0) - factor * v
+                if is_zero(nv):
+                    live.pop(c, None)
+                else:
+                    live[c] = nv
+    return pivots

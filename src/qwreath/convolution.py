@@ -29,13 +29,14 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from .symcomb import (NotARefinement, block_of, check_refines, coset_reps,
+from .symcomb import (block_of, check_refines, coset_reps, coset_shapes,
                       double_coset_decompose, double_coset_reps, identity,
                       inverse, length, matrix_from_triple, matrix_to_perm, mul,
-                      region_L, region_N, region_P, ThetaMatrix,
-                      young_subgroup, increasing_on_blocks)
+                      region_L, region_N, region_P, strip_zeros, ThetaMatrix,
+                      young_subgroup)
 from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
-                          monomial, p_ij, unit_poly, x_var, zero_poly)
+                          monomial, p_ij, permute_factors, unit_poly, x_var,
+                          zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -53,16 +54,8 @@ class InvarianceViolation(ValueError):
 Composition = tuple
 
 
-def strip_comp(lam) -> Composition:
-    """Drop zero parts; compositions differing by zeros name the same block."""
-    out = tuple(int(x) for x in lam if x)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"negative part in {lam!r}")
-    return out
-
-
 def _check_comp(d: int, lam) -> Composition:
-    lam = strip_comp(lam)
+    lam = strip_zeros(lam)
     if sum(lam) != d:
         raise ValueError(f"{lam!r} is not a composition of {d}")
     return lam
@@ -97,19 +90,14 @@ def _e_factors(d: int, lam) -> tuple:
 def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
     """e_lam, or its inverse, optionally moved by the place permutation w,
     kept entirely in factored form so that products cancel syntactically."""
+    tags = Counter(_e_factors(d, _check_comp(d, lam)))
     sign = 1
-    tags = []
-    for (kind, i, j) in _e_factors(d, _check_comp(d, lam)):
-        if w is not None:
-            i, j = w[i], w[j]
-        if kind == "lin" and i > j:
-            i, j = j, i
-            sign = -sign
-        tags.append((kind, i, j))
+    if w is not None:
+        tags, sign = permute_factors(tags, w)
     core = unit_poly(params, d) if sign > 0 else -unit_poly(params, d)
     if invert:
-        return LocalizedElement(core, None, Counter(tags))
-    return LocalizedElement(core, Counter(tags), None)
+        return LocalizedElement(core, None, tags)
+    return LocalizedElement(core, tags, None)
 
 
 # coset bookkeeping -----------------------------------------------------------
@@ -118,19 +106,6 @@ def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
 def _decompose(z, lam, mu):
     x, g, y = double_coset_decompose(z, lam, mu)
     return x, g, y
-
-
-@lru_cache(maxsize=None)
-def _quotient_reps(d: int, mu) -> tuple:
-    """Minimal representatives of the left cosets w S_mu."""
-    return coset_reps(mu, "right")
-
-
-@lru_cache(maxsize=None)
-def _young_over_young(lam, nu) -> tuple:
-    """Minimal representatives of w S_nu inside S_lam, for nu refining lam."""
-    check_refines(nu, lam)
-    return tuple(w for w in young_subgroup(lam) if increasing_on_blocks(w, nu))
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +225,7 @@ class ConvBlock:
                     cur = out.get(y)
                     out[y] = term if cur is None else cur + term
         else:
-            for z in _quotient_reps(d, self.mu):
+            for z in coset_reps(self.mu, "right"):
                 u, g, _ = _decompose(z, self.lam, self.mu)
                 rf = self.xi.get(g)
                 if rf is None:
@@ -407,10 +382,6 @@ class SchurElement:
         return f"SchurElement({self})"
 
 
-def conv_mul(f: SchurElement, g: SchurElement) -> SchurElement:
-    return f * g
-
-
 # generators ------------------------------------------------------------------
 
 def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
@@ -554,9 +525,6 @@ class PolyRepVector:
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
-    def as_polynomial(self) -> TensorPoly:
-        return self.value.as_tensor_poly()
-
     def __add__(self, other):
         if not isinstance(other, PolyRepVector):
             return NotImplemented
@@ -596,7 +564,7 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
                              merge_apply(params, d, blk.lam, blk.mu, v.value),
                              check=False)
     acc = LocalizedElement.zero(params, d)
-    for h in _quotient_reps(d, blk.mu):
+    for h in coset_reps(blk.mu, "right"):
         u, g, _ = _decompose(h, blk.lam, blk.mu)
         r = blk.xi.get(g)
         if r is None:
@@ -734,15 +702,6 @@ def elements_equal(a: SchurElement, b: SchurElement) -> bool:
 
 # crossings -------------------------------------------------------------------
 
-def _coset_data(lam, g, mu):
-    A = matrix_from_triple(lam, g, mu)
-    nu = tuple(x for row in A.rows for x in row if x)
-    nparts = len(A.rows[0]) if A.rows else 0
-    delta = tuple(A.rows[i][j] for j in range(nparts) for i in range(len(A.rows))
-                  if A.rows[i][j])
-    return nu, delta
-
-
 def h_tilde(params, d, lam, mu, g, check=True) -> SchurElement:
     """Thick crossing attached to a double coset: the unique block element x
     with rows nu, columns delta such that x followed by the full merge equals
@@ -752,7 +711,7 @@ def h_tilde(params, d, lam, mu, g, check=True) -> SchurElement:
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, delta = _coset_data(lam, g, mu)
+    nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
     merged = split_merge(params, d, nu, kind="merge") * \
         phi_embed(PqwpElement.h_of_perm(params, d, g))
     cblk = merged.block(nu, (1,) * d)
@@ -784,8 +743,8 @@ def crossing(params, d, lam) -> SchurElement:
     for i in range(min(d1, d2) + 1):
         A = ThetaMatrix([[i, d1 - i], [d2 - i, i]])
         w = matrix_to_perm(A)
-        nu = strip_comp((i, d1 - i, d2 - i, i))
-        delta = strip_comp((i, d2 - i, d1 - i, i))
+        nu = strip_zeros((i, d1 - i, d2 - i, i))
+        delta = strip_zeros((i, d2 - i, d1 - i, i))
         c = unit_poly(params, d)
         for i2 in range(i):
             for j2 in range(i):
@@ -847,7 +806,7 @@ def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, _ = _coset_data(lam, g, mu)
+    nu, _ = coset_shapes(matrix_from_triple(lam, g, mu))
     if isinstance(b, TensorPoly):
         _require_invariant(params, d, nu, b)
         elt = PqwpElement.of_poly(b)
@@ -865,7 +824,7 @@ def laurel_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, delta = _coset_data(lam, g, mu)
+    nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
     bb = _require_invariant(params, d, nu, b)
     out = split_merge(params, d, lam, nu, kind="partial_merge")
     out = out * diagonal_element(params, d, nu, bb)

@@ -10,7 +10,7 @@ straightening rule H_i b = sigma_i(b) H_i + rho_i(b).
 from functools import lru_cache
 
 from .symcomb import (
-    Perm, all_perms, blocks, check_refines, coset_reps, double_coset_reps,
+    Perm, blocks, check_refines, coset_reps, coset_shapes, double_coset_reps,
     identity, increasing_on_blocks, inv_set, inverse, left_reps_in_young,
     length, longest_in_young, matrix_from_triple, mul, reduced_word, region_L,
     region_N, simple, to_one_line, young_subgroup,
@@ -485,9 +485,7 @@ def decompose_k(params, d, lam, g, mu) -> dict:
     """
     lam, mu = tuple(lam), tuple(mu)
     A = matrix_from_triple(lam, g, mu)
-    delta_r = tuple(x for row in A.rows for x in row if x)
-    delta_c = tuple(A.rows[i][j] for j in range(len(mu))
-                    for i in range(len(lam)) if A.rows[i][j])
+    delta_r, delta_c = coset_shapes(A)
     k_mu = k_lambda(params, d, mu)
     k_delta = k_lambda(params, d, delta_c)
     k_mu_delta = k_lambda(params, d, mu, "upper", delta_c)
@@ -501,10 +499,6 @@ def decompose_k(params, d, lam, g, mu) -> dict:
     eigenvector_check(params, d, lam)
     return {"matrix": A, "nu": delta_r, "delta": delta_c,
             "k_lam": k_lam, "k_mu": k_mu}
-
-
-def h_of_perm_element(params, d, w: Perm) -> PqwpElement:
-    return PqwpElement.h_of_perm(params, d, w)
 
 
 def mackey_expansion(params, d, lam, mu) -> PqwpElement:
@@ -522,10 +516,7 @@ def mackey_expansion(params, d, lam, mu) -> PqwpElement:
     n_mu = region_N(mu)
     total = PqwpElement.zero(params, d)
     for g in double_coset_reps(lam, mu):
-        A = matrix_from_triple(lam, g, mu)
-        nu_g = tuple(x for row in A.rows for x in row if x)
-        delta_g = tuple(A.rows[i][j] for j in range(len(mu))
-                        for i in range(len(lam)) if A.rows[i][j])
+        nu_g, delta_g = coset_shapes(matrix_from_triple(lam, g, mu))
         g_n_mu = frozenset((min(g[a], g[b]), max(g[a], g[b]))
                            for (a, b) in n_mu)
         pairs = (n_lam & g_n_mu) - inv_set(inverse(g))

@@ -76,10 +76,6 @@ def length(w: Perm) -> int:
     return len(inv_set(w))
 
 
-def right_descents(w: Perm) -> list[int]:
-    return [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-
-
 @lru_cache(maxsize=None)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word, reading left to right in product order."""
@@ -120,19 +116,14 @@ def to_one_line(w: Perm) -> str:
     return "|" + " ".join(str(x + 1) for x in w) + "|"
 
 
-def act_on_pairs(w: Perm, pairs) -> frozenset[tuple[int, int]]:
-    """Image of a set of unordered position pairs, stored sorted."""
-    out = set()
-    for i, j in pairs:
-        a, b = w[i], w[j]
-        out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
-
-
 # compositions ---------------------------------------------------------------
 
 def strip_zeros(lam) -> Composition:
-    return tuple(p for p in lam if p)
+    """Drop zero parts; compositions differing by zeros name the same
+    Young subgroup.  A negative part raises ValueError."""
+    if any(x < 0 for x in lam):
+        raise ValueError(f"negative part in {lam!r}")
+    return tuple(int(x) for x in lam if x)
 
 
 def compositions(d: int) -> list[Composition]:
@@ -320,13 +311,6 @@ class ThetaMatrix:
     def __repr__(self):
         return f"ThetaMatrix({list(map(list, self.rows))})"
 
-    def stripped(self) -> "ThetaMatrix":
-        rows = [r for r in self.rows if any(r)]
-        if not rows:
-            return ThetaMatrix([])
-        cols = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
-        return ThetaMatrix([[r[j] for j in cols] for r in rows])
-
 
 def theta_matrices(n: int, d: int) -> list[ThetaMatrix]:
     """All n-by-n nonnegative integer matrices with entry sum d."""
@@ -369,6 +353,15 @@ def matrix_from_triple(lam: Composition, g: Perm, mu: Composition) -> ThetaMatri
     return ThetaMatrix(rows)
 
 
+def coset_shapes(A: ThetaMatrix) -> tuple[Composition, Composition]:
+    """(delta_r, delta_c): the nonzero entries of A read along rows and
+    down columns.  For the double coset S_lam g S_mu encoded by A they are
+    the shapes of ``g S_mu g^{-1} & S_lam`` and ``g^{-1} S_lam g & S_mu``."""
+    delta_r = tuple(x for row in A.rows for x in row if x)
+    delta_c = tuple(x for col in zip(*A.rows) for x in col if x)
+    return delta_r, delta_c
+
+
 def double_coset_data(A: ThetaMatrix):
     """Unpack a matrix into (lam, g, mu, delta_c, delta_r, w0A).
 
@@ -380,10 +373,7 @@ def double_coset_data(A: ThetaMatrix):
     """
     lam, mu = A.lam, A.mu
     g = matrix_to_perm(A)
-    delta_c = tuple(A.rows[i][j] for j in range(len(mu)) for i in range(len(lam))
-                    if A.rows[i][j])
-    delta_r = tuple(A.rows[i][j] for i in range(len(lam)) for j in range(len(mu))
-                    if A.rows[i][j])
+    delta_r, delta_c = coset_shapes(A)
     w0A = mul_many(longest_in_young(lam), g,
                    longest_in_young(delta_c), longest_in_young(mu))
     return lam, g, mu, delta_c, delta_r, w0A
@@ -395,9 +385,7 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
     y runs over the shortest representatives of S_{delta_c} \\ S_mu.  The
     images enumerate the double coset S_lam*g*S_mu without repetition.
     """
-    A = matrix_from_triple(lam, g, mu)
-    delta_c = tuple(A.rows[i][j] for j in range(len(mu)) for i in range(len(lam))
-                    if A.rows[i][j])
+    _, delta_c = coset_shapes(matrix_from_triple(lam, g, mu))
     lg = length(g)
     out = {}
     for x in young_subgroup(lam):

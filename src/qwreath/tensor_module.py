@@ -4,12 +4,13 @@ indexed by integer matrices with a partially symmetric coefficient."""
 
 from itertools import product
 
-from .coeff_ring import is_zero
+from .coeff_ring import echelon_pivots
 from .pqwp import IdentityFailed, PqwpElement, k_lambda, pqwp_mul
-from .symcomb import (ThetaMatrix, blocks, coset_reps, double_coset_data,
-                      double_coset_reps, inverse, length, longest_in_young,
-                      matrix_from_triple, mul, reduced_word, strip_zeros,
-                      to_one_line, weak_compositions, young_subgroup)
+from .symcomb import (ThetaMatrix, blocks, coset_reps, coset_shapes,
+                      double_coset_data, double_coset_reps, inverse, length,
+                      longest_in_young, matrix_from_triple, mul, reduced_word,
+                      strip_zeros, to_one_line, weak_compositions,
+                      young_subgroup)
 from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij, s_ij,
                           unit_poly, zero_poly)
 
@@ -301,12 +302,10 @@ class PermutationModule:
 
     def __init__(self, params, lam):
         self.params = params
+        self.strict = strip_zeros(lam)
         self.lam = tuple(int(x) for x in lam)
-        if any(x < 0 for x in self.lam):
-            raise ValueError(f"negative part in {lam}")
         self.n = len(self.lam)
         self.d = sum(self.lam)
-        self.strict = strip_zeros(self.lam)
         self.y = k_lambda(params, self.d, self.strict)
         self.reps = coset_reps(self.strict, "left")
         plus = []
@@ -377,10 +376,6 @@ class PermutationModule:
             idx = tuple(self.i_plus[g[j]] for j in range(self.d))
             terms[idx] = b
         return TensorVector(self.params, n, self.d, terms)
-
-
-def permutation_module(params, lam) -> PermutationModule:
-    return PermutationModule(params, lam)
 
 
 def tensor_components(v: TensorVector) -> dict:
@@ -519,29 +514,6 @@ def invariant_basis(params, d, delta, degree) -> list:
     return out
 
 
-def _rank(rows) -> int:
-    """Row rank of sparse vectors {key: field scalar} by exact elimination."""
-    pivots = []
-    rank = 0
-    for row in rows:
-        row = {k: c for k, c in row.items() if not is_zero(c)}
-        for key, piv in pivots:
-            c = row.get(key)
-            if c is None:
-                continue
-            factor = c / piv[key]
-            for k2, v2 in piv.items():
-                cur = row.pop(k2, None)
-                nxt = (cur - factor * v2) if cur is not None else -(factor * v2)
-                if not is_zero(nxt):
-                    row[k2] = nxt
-        if row:
-            key = sorted(row)[0]
-            pivots.append((key, row))
-            rank += 1
-    return rank
-
-
 def theta_family_rank(params, lam, mu, degree) -> dict:
     """Linear independence of the block maps with fixed source and target
     weights, over the degree-bounded invariant coefficients: returns the
@@ -554,8 +526,7 @@ def theta_family_rank(params, lam, mu, degree) -> dict:
     count = 0
     for g in double_coset_reps(strip_zeros(lam), strip_zeros(mu)):
         A = matrix_from_triple(lam, g, mu)
-        delta = tuple(A.rows[i][j] for j in range(len(mu))
-                      for i in range(len(lam)) if A.rows[i][j])
+        _, delta = coset_shapes(A)
         for P in invariant_basis(params, d, delta, degree):
             theta = ThetaMap(params, A, P)
             vec = {}
@@ -564,4 +535,4 @@ def theta_family_rank(params, lam, mu, degree) -> dict:
                     vec[(w, key)] = c
             rows.append(vec)
             count += 1
-    return {"count": count, "rank": _rank(rows)}
+    return {"count": count, "rank": len(echelon_pivots(rows))}

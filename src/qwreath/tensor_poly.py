@@ -9,7 +9,7 @@ import json
 from collections import Counter
 from functools import lru_cache
 
-from .coeff_ring import is_zero, scalar_str
+from .coeff_ring import echelon_pivots, is_zero, scalar_str
 from .base_algebra import FTensor
 
 
@@ -80,20 +80,14 @@ class TensorPoly:
             return self.scale(other)
         self._same_space(other)
         alg = self.params.algebra
+        one = alg.field.one()
         out = {}
         for (e1, f1), c1 in self.terms.items():
             for (e2, f2), c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                partial = {(): c1 * c2}
-                for s in range(self.d):
-                    nxt = {}
-                    for pk, pc in partial.items():
-                        for (bidx, sc) in alg.table[f1[s]][f2[s]]:
-                            key = pk + (bidx,)
-                            v = nxt.get(key)
-                            nxt[key] = pc * sc if v is None else v + pc * sc
-                    partial = nxt
-                for fkey, c in partial.items():
+                c12 = c1 * c2
+                for fkey, sc in alg.slot_product(f1, f2):
+                    c = c12 if sc == one else c12 * sc
                     k = (exps, fkey)
                     v = out.get(k)
                     out[k] = c if v is None else v + c
@@ -149,12 +143,26 @@ class TensorPoly:
     def demazure(self, i) -> "TensorPoly":
         """Divided difference in x_i, x_{i+1}; F-legs ride along unchanged.
         Valid for negative exponents: the signed geometric sum form."""
+        return self._divided_difference(i, swap_legs=False)
+
+    def twisted_demazure(self, i) -> "TensorPoly":
+        """rho_i: monomial f*x^e goes to sigma_i(f) * (divided difference of
+        x^e) * beta_{i,i+1}.  Only the F-legs are flipped before the
+        difference; flipping the x-part too would negate it."""
+        core = self._divided_difference(i, swap_legs=True)
+        return core * beta_ij(self.params, self.d, i, i + 1)
+
+    def _divided_difference(self, i, swap_legs):
         j = i + 1
         out = {}
         for (exps, fkey), c in self.terms.items():
             k, l = exps[i], exps[j]
             if k == l:
                 continue
+            if swap_legs:
+                nf = list(fkey)
+                nf[i], nf[j] = nf[j], nf[i]
+                fkey = tuple(nf)
             base = list(exps)
             if k > l:
                 for step in range(k - l):
@@ -171,37 +179,6 @@ class TensorPoly:
                     v = out.get(key)
                     out[key] = -c if v is None else v - c
         return self._like(out)
-
-    def twisted_demazure(self, i) -> "TensorPoly":
-        """rho_i: monomial f*x^e goes to sigma_i(f) * (divided difference of
-        x^e) * beta_{i,i+1}.  Only the F-legs are flipped before the
-        difference; flipping the x-part too would negate it."""
-        j = i + 1
-        out = {}
-        for (exps, fkey), c in self.terms.items():
-            k, l = exps[i], exps[j]
-            if k == l:
-                continue
-            nf = list(fkey)
-            nf[i], nf[j] = nf[j], nf[i]
-            nf = tuple(nf)
-            base = list(exps)
-            if k > l:
-                for step in range(k - l):
-                    base[i] = k - 1 - step
-                    base[j] = l + step
-                    key = (tuple(base), nf)
-                    v = out.get(key)
-                    out[key] = c if v is None else v + c
-            else:
-                for step in range(l - k):
-                    base[i] = k + step
-                    base[j] = l - 1 - step
-                    key = (tuple(base), nf)
-                    v = out.get(key)
-                    out[key] = -c if v is None else v - c
-        core = self._like(out)
-        return core * beta_ij(self.params, self.d, i, j)
 
     # rendering
 
@@ -376,6 +353,32 @@ def factor_value(params, d, tag) -> TensorPoly:
     raise ValueError(f"unknown factor tag {tag!r}")
 
 
+def _times_factors(p: TensorPoly, fac) -> TensorPoly:
+    """p times the product of the factors in the tag Counter fac, taken in
+    sorted tag order."""
+    for tag, k in sorted(fac.items()):
+        v = factor_value(p.params, p.d, tag)
+        for _ in range(k):
+            p = p * v
+    return p
+
+
+def permute_factors(fac, w):
+    """Move the tags of fac by the place permutation w.  Returns the moved
+    Counter and the sign picked up by writing each moved linear factor
+    (x_a - x_b) with a < b."""
+    out = Counter()
+    sign = 1
+    for (kind, a, b), k in fac.items():
+        na, nb = w[a], w[b]
+        if kind == "lin" and na > nb:
+            na, nb = nb, na
+            if k % 2:
+                sign = -sign
+        out[(kind, na, nb)] += k
+    return out, sign
+
+
 class LocalizedElement:
     """core * (product of nfac factors) / (product of dfac factors), the
     factors drawn from (x_i - x_j) and P_{ij}.  Numerator factors are kept
@@ -447,11 +450,6 @@ class LocalizedElement:
     def scale(self, c) -> "LocalizedElement":
         return LocalizedElement(self.core.scale(c), self.nfac, self.dfac)
 
-    def times_lin(self, i, j) -> "LocalizedElement":
-        core = self.core if i < j else -self.core
-        tag = ("lin", min(i, j), max(i, j))
-        return LocalizedElement(core, self.nfac + Counter([tag]), self.dfac)
-
     def over_lin(self, i, j) -> "LocalizedElement":
         core = self.core if i < j else -self.core
         tag = ("lin", min(i, j), max(i, j))
@@ -476,16 +474,8 @@ class LocalizedElement:
         lhs_extra = self.nfac - shared_n
         rhs_extra = other.nfac - shared_n
         den = self.dfac | other.dfac
-        lc = self.core
-        for tag, k in (lhs_extra + (den - self.dfac)).items():
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                lc = lc * v
-        rc = other.core
-        for tag, k in (rhs_extra + (den - other.dfac)).items():
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                rc = rc * v
+        lc = _times_factors(self.core, lhs_extra + (den - self.dfac))
+        rc = _times_factors(other.core, rhs_extra + (den - other.dfac))
         return LocalizedElement(lc + rc, shared_n, den)
 
     def __sub__(self, other):
@@ -509,20 +499,10 @@ class LocalizedElement:
         return self.scale(other)
 
     def numerator(self) -> TensorPoly:
-        out = self.core
-        for tag, k in sorted(self.nfac.items()):
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                out = out * v
-        return out
+        return _times_factors(self.core, self.nfac)
 
     def denominator(self) -> TensorPoly:
-        out = unit_poly(self.params, self.d)
-        for tag, k in sorted(self.dfac.items()):
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                out = out * v
-        return out
+        return _times_factors(unit_poly(self.params, self.d), self.dfac)
 
     def as_tensor_poly(self) -> TensorPoly:
         if self.dfac:
@@ -531,24 +511,9 @@ class LocalizedElement:
 
     def place_permute(self, w) -> "LocalizedElement":
         core = self.core.place_permute(w)
-        nfac = Counter()
-        sign = 1
-        for (kind, a, b), k in self.nfac.items():
-            na, nb = w[a], w[b]
-            if kind == "lin" and na > nb:
-                na, nb = nb, na
-                if k % 2:
-                    sign = -sign
-            nfac[(kind, na, nb)] += k
-        dfac = Counter()
-        for (kind, a, b), k in self.dfac.items():
-            na, nb = w[a], w[b]
-            if kind == "lin" and na > nb:
-                na, nb = nb, na
-                if k % 2:
-                    sign = -sign
-            dfac[(kind, na, nb)] += k
-        if sign < 0:
+        nfac, nsign = permute_factors(self.nfac, w)
+        dfac, dsign = permute_factors(self.dfac, w)
+        if nsign != dsign:
             core = -core
         return LocalizedElement(core, nfac, dfac)
 
@@ -556,16 +521,8 @@ class LocalizedElement:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
         self.core._same_space(other.core)
-        lhs = self.numerator()
-        for tag, k in sorted(other.dfac.items()):
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                lhs = lhs * v
-        rhs = other.numerator()
-        for tag, k in sorted(self.dfac.items()):
-            v = factor_value(self.params, self.d, tag)
-            for _ in range(k):
-                rhs = rhs * v
+        lhs = _times_factors(self.numerator(), other.dfac)
+        rhs = _times_factors(other.numerator(), self.dfac)
         return lhs == rhs
 
     def __str__(self):
@@ -615,23 +572,7 @@ def annihilator_certificate(params, degree_bound: int = 3):
         for cidx, col in enumerate(columns):
             for k, c in col.items():
                 rows[row_index[k]][cidx] = c
-        pivots = {}
-        for row in rows:
-            live = {c: v for c, v in row.items() if not is_zero(v)}
-            while live:
-                lead = min(live)
-                if lead in pivots:
-                    prow = pivots[lead]
-                    factor = live[lead] / prow[lead]
-                    for c, v in prow.items():
-                        nv = live.get(c, 0) - factor * v
-                        if is_zero(nv):
-                            live.pop(c, None)
-                        else:
-                            live[c] = nv
-                else:
-                    pivots[lead] = live
-                    break
+        pivots = echelon_pivots(rows)
         if len(pivots) < len(unknowns):
             free = next(c for c in range(len(unknowns)) if c not in pivots)
             sol = {free: params.field.one()}

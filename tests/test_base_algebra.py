@@ -267,3 +267,21 @@ def test_preset_file_errors(tmp_path):
     named = tmp_path / "named.json"
     named.write_text('{"preset": "nil"}')
     assert load_preset_file(str(named)) is preset("nil")
+
+
+def test_c1_skips_when_no_r_is_stated(tmp_path):
+    data = {
+        "name": "zigzag_without_r",
+        "variant": "laurent",
+        "algebra": {"kind": "truncated", "gen": "c", "power": 2},
+        "delta": {"00": [[["c", "1"], "1"], [["1", "c"], "1"]]},
+        "alpha": [[["1", "1"], "1"]],
+    }
+    path = tmp_path / "no_r.json"
+    path.write_text(json.dumps(data))
+    rep = validate_pqwp(load_preset_file(str(path)), degree_bound=1)
+    status = {e["rule"]: e["status"] for e in rep.entries}
+    assert status["C1"] == "skip"
+    assert rep.passed
+    stated = validate_pqwp(preset("zigzag_a1"), degree_bound=1)
+    assert {e["rule"]: e["status"] for e in stated.entries}["C1"] == "pass"

@@ -12,6 +12,7 @@ from qwreath.coeff_ring import (
     RatFun,
     UnboundParameter,
     declare_param,
+    echelon_pivots,
     parse_scalar,
     scalar_str,
     specialize,
@@ -172,3 +173,26 @@ def test_new_parameter_does_not_disturb_existing_scalars():
     declare_param("zz_late")
     assert scalar_str(f) == before
     assert f == (q + 1) / (q - 1)
+
+
+def test_constant_ratfun_hashes_like_its_fraction():
+    assert RatFun(3) == Fraction(3)
+    assert len({RatFun(3), Fraction(3)}) == 1
+    assert len({RatFun(Fraction(1, 2)), Fraction(1, 2), RatFun(0), 0}) == 2
+    assert hash(q / q) == hash(1)
+
+
+def test_ratfun_field_parses_constants_as_ratfun():
+    field = Field.rational_functions()
+    assert isinstance(field.parse("2"), RatFun)
+    assert field.parse("2") == 2
+    assert isinstance(field.parse("q+1"), RatFun)
+
+
+def test_echelon_pivots_rank_and_leads():
+    rows = [{0: Fraction(1), 1: Fraction(2)},
+            {1: Fraction(1), 2: Fraction(3)},
+            {0: Fraction(1), 1: Fraction(3), 2: Fraction(3)}]
+    pivots = echelon_pivots(rows)
+    assert sorted(pivots) == [0, 1]
+    assert echelon_pivots([{0: q}, {0: q * q, 1: q}]).keys() == {0, 1}

@@ -270,3 +270,21 @@ def test_rendering_and_json():
     payload = json.loads(p.to_json())
     assert {"exps", "fslots", "coeff"} <= set(payload["terms"][0])
     assert len(payload["terms"]) == 2
+
+
+@pytest.mark.parametrize("name", ["zigzag_a1", "pro_p", "affine_hecke"])
+def test_twisted_demazure_is_leg_swapped_demazure_times_beta(name):
+    params = preset(name)
+    rng = random.Random(5)
+    d = 3
+    for i in range(d - 1):
+        beta = beta_ij(params, d, i, i + 1)
+        for _ in range(4):
+            f = random_poly(params, d, rng)
+            swapped = {}
+            for (exps, fkey), c in f.terms.items():
+                nf = list(fkey)
+                nf[i], nf[i + 1] = nf[i + 1], nf[i]
+                swapped[(exps, tuple(nf))] = c
+            legs = TensorPoly(params, d, swapped)
+            assert f.twisted_demazure(i) == legs.demazure(i) * beta
