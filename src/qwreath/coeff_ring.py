@@ -751,9 +751,13 @@ class Field:
         return declare_param(name)
 
     def parse(self, text: str):
+        """A scalar of this field; a parameter name raises MixedVariant
+        unless the field is the rational function field."""
         val = parse_scalar(text, p=self.p if self.kind == self.PRIME else None)
-        if self.kind == self.RATFUN and isinstance(val, Fraction):
-            return RatFun(val)
+        if self.kind == self.RATFUN:
+            return RatFun(val) if isinstance(val, Fraction) else val
+        if isinstance(val, RatFun):
+            raise MixedVariant(f"field {self.kind!r} has no formal parameters")
         return val
 
     def __eq__(self, other):

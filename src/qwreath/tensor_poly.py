@@ -297,48 +297,41 @@ def p_ij(params, d, a, b) -> TensorPoly:
 
 def divide_exact_linear(p: TensorPoly, i: int, j: int):
     """Quotient p / (x_i - x_j) if the division is exact, else None.
-    Works for Laurent content by shifting into nonnegative exponents."""
+
+    Grouped synthetic division.  The terms are grouped by their F-key and
+    by their exponent vector with e_i and e_j replaced by e_i + e_j = s;
+    each group is a homogeneous Laurent polynomial sum_k c_k x_i^k x_j^(s-k)
+    in two variables, and the groups are divided independently.  Taken from
+    the top power of x_i down, the quotient coefficient at
+    x_i^(k-1) x_j^(s-k) is the running sum of the c_m with m >= k, and
+    stays at that value down to the next power present in the group.  The
+    division is exact iff every group's coefficients sum to zero.  Each
+    quotient exponent lies within the range of the dividend's group, so
+    Laurent input needs no shift and polynomial input gives a polynomial."""
     if p.is_zero():
         return p
-    shift_i = min(0, min(exps[i] for (exps, _) in p.terms))
-    shift_j = min(0, min(exps[j] for (exps, _) in p.terms))
-    work = {}
+    groups = {}
     for (exps, fkey), c in p.terms.items():
         e = list(exps)
-        e[i] -= shift_i
-        e[j] -= shift_j
-        work[(tuple(e), fkey)] = c
-    quot = {}
-    while work:
-        # peel the term with the highest x_i exponent
-        key = max(work, key=lambda k: (k[0][i], k[0], k[1]))
-        (exps, fkey) = key
-        c = work.pop(key)
-        if exps[i] == 0:
-            return None
-        qe = list(exps)
-        qe[i] -= 1
-        qkey = (tuple(qe), fkey)
-        v = quot.get(qkey)
-        quot[qkey] = c if v is None else v + c
-        # subtract quotient-term * (x_i - x_j): the x_i part cancels exactly
-        re = list(qe)
-        re[j] += 1
-        rkey = (tuple(re), fkey)
-        v = work.get(rkey)
-        v = c if v is None else v + c
-        if is_zero(v):
-            work.pop(rkey, None)
-        else:
-            work[rkey] = v
+        e[i] += e[j]
+        e[j] = 0
+        groups.setdefault((tuple(e), fkey), []).append((exps[i], c))
     out = {}
-    for (exps, fkey), c in quot.items():
-        if is_zero(c):
-            continue
-        e = list(exps)
-        e[i] += shift_i
-        e[j] += shift_j
-        out[(tuple(e), fkey)] = c
+    for (base, fkey), col in groups.items():
+        col.sort(key=lambda kc: kc[0], reverse=True)
+        s = base[i]
+        e = list(base)
+        acc = None
+        for (k, c), (k_next, _) in zip(col, col[1:]):
+            acc = c if acc is None else acc + c
+            if is_zero(acc):
+                continue
+            for t in range(k_next, k):
+                e[i], e[j] = t, s - 1 - t
+                out[(tuple(e), fkey)] = acc
+        last = col[-1][1]
+        if not is_zero(last if acc is None else acc + last):
+            return None
     return TensorPoly(p.params, p.d, out)
 
 
@@ -384,8 +377,13 @@ class LocalizedElement:
     factors drawn from (x_i - x_j) and P_{ij}.  Numerator factors are kept
     unexpanded so that identical factors cancel syntactically; leftover
     linear denominators are removed by exact division when possible.
-    Equality is decided by cross-multiplication, which is sound because
-    the factor set contains no zero divisors."""
+
+    Equality is decided by cross-multiplication: a == b iff
+    a.core * a.nfac * b.dfac == b.core * b.nfac * a.dfac.  The factors the
+    two sides share (a numerator tag of both elements, or a denominator tag
+    of both) are cancelled before anything is multiplied out.  Cancelling,
+    like cross-multiplying, assumes a commutative F and factors that are not
+    zero divisors (condition C3)."""
 
     __slots__ = ("core", "nfac", "dfac")
 
@@ -521,9 +519,11 @@ class LocalizedElement:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
         self.core._same_space(other.core)
-        lhs = _times_factors(self.numerator(), other.dfac)
-        rhs = _times_factors(other.numerator(), self.dfac)
-        return lhs == rhs
+        lhs_fac = self.nfac + other.dfac
+        rhs_fac = other.nfac + self.dfac
+        shared = lhs_fac & rhs_fac
+        return (_times_factors(self.core, lhs_fac - shared)
+                == _times_factors(other.core, rhs_fac - shared))
 
     def __str__(self):
         def fac_str(fac):

@@ -269,6 +269,21 @@ def test_preset_file_errors(tmp_path):
     assert load_preset_file(str(named)) is preset("nil")
 
 
+def test_preset_file_rejects_parameters_over_the_rationals(tmp_path):
+    data = {
+        "name": "hecke_over_q",
+        "variant": "laurent",
+        "field": {"kind": "rational"},
+        "algebra": {"kind": "ground"},
+        "delta": {"10": [[["1", "1"], "q"]]},
+        "alpha": [[["1", "1"], "1"]],
+    }
+    path = tmp_path / "hecke_over_q.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidConfig):
+        load_preset_file(str(path))
+
+
 def test_c1_skips_when_no_r_is_stated(tmp_path):
     data = {
         "name": "zigzag_without_r",

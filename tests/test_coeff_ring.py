@@ -189,6 +189,18 @@ def test_ratfun_field_parses_constants_as_ratfun():
     assert isinstance(field.parse("q+1"), RatFun)
 
 
+def test_only_the_ratfun_field_parses_parameters():
+    with pytest.raises(MixedVariant):
+        Field.rationals().parse("q")
+    with pytest.raises(MixedVariant):
+        Field.rationals().parse("(q^2-1)/(q-1)")
+    with pytest.raises(MixedVariant):
+        Field.prime(5).parse("q+1")
+    assert Field.rationals().parse("5/6") == Fraction(5, 6)
+    assert type(Field.rationals().parse("5/6")) is Fraction
+    assert Field.prime(5).parse("4") == GFElement(5, 4)
+
+
 def test_echelon_pivots_rank_and_leads():
     rows = [{0: Fraction(1), 1: Fraction(2)},
             {1: Fraction(1), 2: Fraction(3)},

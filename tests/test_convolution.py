@@ -470,8 +470,9 @@ def test_dumb_vs_smart_small(name):
         assert report["terms"] == 2
 
 
-def test_dumb_vs_smart_d4():
-    p = preset("affine_hecke")
+@pytest.mark.parametrize("name", ("affine_hecke", "pro_p"))
+def test_dumb_vs_smart_d4(name):
+    p = preset(name)
     report = dumb_vs_smart_identity(p, 4, (2, 2), oracle="values")
     assert report["terms"] == 3
 

@@ -196,6 +196,67 @@ def test_divide_exact_linear():
     assert got == monomial(lau, 2, (0, 0), (-1, -1))
 
 
+@pytest.mark.parametrize("name", ("degenerate", "zero_hecke", "zigzag_a1", "pro_p"))
+def test_divide_exact_linear_inverts_the_product(name):
+    params = preset(name)
+    rng = random.Random(31)
+    for d in (2, 3, 4):
+        top = monomial(params, d, (params.algebra.unit_index,) * d, (1,) * d)
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                q = random_poly(params, d, rng, nterms=4)
+                lin = x_var(params, d, i) - x_var(params, d, j)
+                assert divide_exact_linear(q * lin, i, j) == q, (d, i, j, str(q))
+                assert divide_exact_linear(q * lin + top, i, j) is None, (d, i, j)
+
+
+def _cross_equal(a, b):
+    """Equality by multiplying out every factor of both sides."""
+    return a.numerator() * b.denominator() == b.numerator() * a.denominator()
+
+
+def _random_localized(params, d, rng, tags):
+    el = LocalizedElement(random_poly(params, d, rng))
+    for _ in range(rng.randint(0, 3)):
+        op, a, b = rng.choice(tags)
+        el = getattr(el, op)(a, b)
+    return el
+
+
+@pytest.mark.parametrize("name", ("degenerate", "zigzag_a1", "affine_hecke", "pro_p"))
+def test_localized_eq_matches_full_cross_multiplication(name):
+    params = preset(name)
+    d = 3
+    rng = random.Random(47)
+    tags = [("over_lin", 0, 1), ("over_lin", 2, 1), ("over_p", 0, 2),
+            ("over_p", 1, 2), ("times_p", 0, 1), ("times_p", 1, 2)]
+    zero = LocalizedElement.zero(params, d)
+    p01, p12 = p_ij(params, d, 0, 1), p_ij(params, d, 1, 2)
+    seen = set()
+    for _ in range(6):
+        a = _random_localized(params, d, rng, tags)
+        b = _random_localized(params, d, rng, tags)
+        # elements equal to a and to a*P_23 whose cores carry extra P factors
+        a2 = LocalizedElement(a.core * p01, a.nfac, a.dfac).over_p(0, 1)
+        a3 = LocalizedElement(a.core * p12 * p12, a.nfac, a.dfac).over_p(1, 2)
+        pairs = ((a, b), (a, a2), (a2, a), (a3, a.times_p(1, 2)), (a.times_p(1, 2), a3),
+                 (a + b, b + a), (a - a, zero), (a, zero))
+        for x, y in pairs:
+            expect = _cross_equal(x, y)
+            assert (x == y) == expect, (str(x), str(y))
+            seen.add(expect)
+    assert seen == {True, False}
+    # unequal although the two sides share every denominator tag
+    x1, x2 = x_var(params, d, 0), x_var(params, d, 1)
+    u = LocalizedElement(x1 * x1).over_lin(0, 1).over_p(0, 2).times_p(1, 2)
+    v = LocalizedElement(x2).over_lin(0, 1).over_p(0, 2)
+    assert u.dfac == v.dfac
+    assert u != v and not _cross_equal(u, v)
+    assert (u - v) != zero and zero != u
+
+
 def test_localized_arithmetic():
     params = preset("degenerate")
     x1, x2 = x_var(params, 2, 0), x_var(params, 2, 1)
