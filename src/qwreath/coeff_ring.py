@@ -117,13 +117,18 @@ def _pnames(*polys):
     return sorted(names)
 
 
-def _plead(f, names):
-    # graded lexicographic leading monomial; names must cover f
+def _grlex(names):
+    """Sort key of the graded lexicographic order; names must cover the
+    monomials it is applied to."""
     def key(m):
         d = dict(m)
         return (sum(d.values()), tuple(d.get(n, 0) for n in names))
+    return key
 
-    m = max(f, key=key)
+
+def _plead(f, names):
+    # graded lexicographic leading monomial
+    m = max(f, key=_grlex(names))
     return m, f[m]
 
 
@@ -143,12 +148,7 @@ def _pdiv_exact(f, g):
         raise DivisionByZero("polynomial division by zero")
     if not f:
         return {}
-    names = _pnames(f, g)
-
-    def key(m):
-        d = dict(m)
-        return (sum(d.values()), tuple(d.get(n, 0) for n in names))
-
+    key = _grlex(_pnames(f, g))
     gm = max(g, key=key)
     gc = g[gm]
     q = {}
@@ -250,12 +250,17 @@ def _uni_frac_gcd(a: dict, b: dict) -> dict:
 
 
 def _eval_poly(f, point):
+    """f at point, a dict name -> Fraction; raises UnboundParameter on a
+    name the point does not bind."""
     total = Fraction(0)
-    for m, c in f.items():
-        val = c
-        for name, e in m:
-            val *= point[name] ** e
-        total += val
+    try:
+        for m, c in f.items():
+            val = c
+            for name, e in m:
+                val *= point[name] ** e
+            total += val
+    except KeyError as exc:
+        raise UnboundParameter(exc.args[0]) from None
     return total
 
 
@@ -346,14 +351,8 @@ def _term_str(m, c) -> str:
 def _pstr(f) -> str:
     if not f:
         return "0"
-    names = _pnames(f)
-
-    def key(m):
-        d = dict(m)
-        return (sum(d.values()), tuple(d.get(n, 0) for n in names))
-
     parts = []
-    for m in sorted(f, key=key, reverse=True):
+    for m in sorted(f, key=_grlex(_pnames(f)), reverse=True):
         t = _term_str(m, f[m])
         if parts and not t.startswith("-"):
             parts.append("+" + t)
@@ -903,21 +902,11 @@ def specialize(x, bindings: dict[str, int | Fraction]):
     if not isinstance(x, RatFun):
         raise TypeError(f"not a scalar: {x!r}")
 
-    def ev(poly):
-        total = Fraction(0)
-        for m, c in poly.items():
-            val = c
-            for name, e in m:
-                if name not in bindings:
-                    raise UnboundParameter(name)
-                val *= Fraction(bindings[name]) ** e
-            total += val
-        return total
-
-    den = ev(x.den)
+    point = {name: Fraction(v) for name, v in bindings.items()}
+    den = _eval_poly(x.den, point)
     if den == 0:
         raise DenominatorVanishes(str(x))
-    return ev(x.num) / den
+    return _eval_poly(x.num, point) / den
 
 
 def is_zero(x) -> bool:

@@ -29,14 +29,13 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from .symcomb import (block_of, check_refines, coset_reps, coset_shapes,
-                      double_coset_decompose, double_coset_reps, identity,
-                      inverse, length, matrix_from_triple, matrix_to_perm, mul,
-                      region_L, region_N, region_P, strip_zeros, ThetaMatrix,
-                      young_subgroup)
+from .symcomb import (block_of, blocks, check_refines, coset_reps,
+                      coset_shapes, double_coset_decompose, double_coset_reps,
+                      identity, inverse, length, matrix_from_triple,
+                      matrix_to_perm, mul, region_L, region_N, region_P,
+                      simple, strip_zeros, ThetaMatrix, young_subgroup)
 from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
-                          monomial, p_ij, permute_factors, unit_poly, x_var,
-                          zero_poly)
+                          monomial, permute_factors, unit_poly, zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -67,13 +66,7 @@ def _check_comp(d: int, lam) -> Composition:
 def twist_e(params, d: int, lam) -> TensorPoly:
     """Value of the twist at the base point of Y_lam: linear factors over the
     cross-block pairs N_lam, P factors over the complementary ordered pairs."""
-    lam = _check_comp(d, lam)
-    out = unit_poly(params, d)
-    for (i, j) in sorted(region_N(lam)):
-        out = out * (x_var(params, d, i) - x_var(params, d, j))
-    for (i, j) in sorted(region_P(lam)):
-        out = out * p_ij(params, d, i, j)
-    return out
+    return _e_localized(params, d, lam, False).numerator()
 
 
 @lru_cache(maxsize=None)
@@ -108,12 +101,18 @@ def _decompose(z, lam, mu):
     return x, g, y
 
 
-@lru_cache(maxsize=None)
-def _stabilizer(d: int, lam, mu, g) -> tuple:
-    gi = inverse(g)
-    inner = set(young_subgroup(mu))
-    return tuple(u for u in young_subgroup(lam)
-                 if mul(gi, mul(u, g)) in inner)
+def _require_invariant(value, lam) -> LocalizedElement:
+    """value as a LocalizedElement, after checking that S_lam fixes it.  The
+    simple reflections inside the blocks of lam generate S_lam, so only
+    they are tried."""
+    if isinstance(value, TensorPoly):
+        value = LocalizedElement(value)
+    for blk in blocks(lam):
+        for i in range(blk.start, blk.stop - 1):
+            if value.place_permute(simple(value.d, i)) != value:
+                raise InvarianceViolation(
+                    f"{value} moves under s_{i + 1}, not S_{lam}-invariant")
+    return value
 
 
 # blocks ----------------------------------------------------------------------
@@ -151,14 +150,12 @@ class ConvBlock:
         raise AttributeError("ConvBlock is immutable")
 
     def check_invariance(self):
-        """Stored values must be fixed by the stabilizer of the base pair."""
+        """Stored values must be fixed by the stabilizer of the base pair.
+        For a minimal g it is S_lam & g S_mu g^{-1}, the Young subgroup of
+        the row reading delta_r of the double coset's matrix."""
         for g, r in self.xi.items():
-            for u in _stabilizer(self.d, self.lam, self.mu, g):
-                if u == identity(self.d):
-                    continue
-                if r.place_permute(u) != r:
-                    raise InvarianceViolation(
-                        f"value at {g} moves under {u}: {r}")
+            delta_r, _ = coset_shapes(matrix_from_triple(self.lam, g, self.mu))
+            _require_invariant(r, delta_r)
 
     @staticmethod
     def zero(params, d, lam, mu) -> "ConvBlock":
@@ -420,11 +417,7 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
 def diagonal_element(params, d, lam, t) -> SchurElement:
     """Multiplication by an S_lam-invariant t on the lam component."""
     lam = _check_comp(d, lam)
-    if isinstance(t, TensorPoly):
-        t = LocalizedElement(t)
-    for u in young_subgroup(lam):
-        if t.place_permute(u) != t:
-            raise InvarianceViolation(f"{t} is not S_{lam}-invariant")
+    t = _require_invariant(t, lam)
     blk = ConvBlock(params, d, lam, lam, {identity(d): t}, check=False)
     return SchurElement.from_block(blk)
 
@@ -448,12 +441,10 @@ def k_block(params, d, lam) -> SchurElement:
 def _phi_gen(params, d, i) -> ConvBlock:
     """Image of the i-th braid generator on the full-flag block."""
     omega = (1,) * d
-    e = identity(d)
-    si = tuple(e[:i]) + (i + 1, i) + tuple(e[i + 2:])
     lower = LocalizedElement(beta_ij(params, d, i, i + 1)).over_lin(i, i + 1)
     upper = LocalizedElement.one(params, d).times_p(i, i + 1).over_lin(i, i + 1)
-    return ConvBlock(params, d, omega, omega, {e: lower, si: upper},
-                     check=False)
+    return ConvBlock(params, d, omega, omega,
+                     {identity(d): lower, simple(d, i): upper}, check=False)
 
 
 @lru_cache(maxsize=None)
@@ -466,8 +457,8 @@ def _phi_word(params, d, w) -> ConvBlock:
     wi = inverse(w)
     for i in range(d - 1):
         if wi[i] > wi[i + 1]:
-            si = tuple(identity(d)[:i]) + (i + 1, i) + tuple(identity(d)[i + 2:])
-            return _phi_gen(params, d, i).mul(_phi_word(params, d, mul(si, w)))
+            return _phi_gen(params, d, i).mul(
+                _phi_word(params, d, mul(simple(d, i), w)))
     raise AssertionError("unreachable")
 
 
@@ -506,10 +497,7 @@ class PolyRepVector:
             value = LocalizedElement(value)
         object.__setattr__(self, "value", value)
         if check:
-            for u in young_subgroup(self.lam):
-                if value.place_permute(u) != value:
-                    raise InvarianceViolation(
-                        f"{value} moves under {u}, not invariant for {self.lam}")
+            _require_invariant(value, self.lam)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyRepVector is immutable")
@@ -702,7 +690,7 @@ def elements_equal(a: SchurElement, b: SchurElement) -> bool:
 
 # crossings -------------------------------------------------------------------
 
-def h_tilde(params, d, lam, mu, g, check=True) -> SchurElement:
+def h_tilde(params, d, lam, mu, g) -> SchurElement:
     """Thick crossing attached to a double coset: the unique block element x
     with rows nu, columns delta such that x followed by the full merge equals
     the merge of nu followed by the braid word of g on the full-flag block."""
@@ -720,12 +708,11 @@ def h_tilde(params, d, lam, mu, g, check=True) -> SchurElement:
         val = cblk.xi.get(rep)
         if val is not None:
             xi[rep] = val
-        if check:
-            base = cblk.value_at(rep)
-            for u in young_subgroup(delta):
-                if cblk.value_at(mul(rep, u)) != base:
-                    raise InvarianceViolation(
-                        f"values not constant on columns at {rep}")
+        base = cblk.value_at(rep)
+        for u in young_subgroup(delta):
+            if cblk.value_at(mul(rep, u)) != base:
+                raise InvarianceViolation(
+                    f"values not constant on columns at {rep}")
     blk = ConvBlock(params, d, nu, delta, xi, check=False)
     return SchurElement.from_block(blk)
 
@@ -787,17 +774,6 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
 
 # coil and laurel elements ----------------------------------------------------
 
-def _require_invariant(params, d, nu, b):
-    if isinstance(b, TensorPoly):
-        bb = LocalizedElement(b)
-    else:
-        bb = b
-    for u in young_subgroup(nu):
-        if bb.place_permute(u) != bb:
-            raise InvarianceViolation(f"{b} is not S_{nu}-invariant")
-    return bb
-
-
 def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Merge, braid word with invariant coefficient, split: the spanning
     elements of the block with the given rows and columns."""
@@ -808,7 +784,7 @@ def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
     nu, _ = coset_shapes(matrix_from_triple(lam, g, mu))
     if isinstance(b, TensorPoly):
-        _require_invariant(params, d, nu, b)
+        _require_invariant(b, nu)
         elt = PqwpElement.of_poly(b)
     else:
         elt = b
@@ -825,7 +801,7 @@ def laurel_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
     nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
-    bb = _require_invariant(params, d, nu, b)
+    bb = _require_invariant(b, nu)
     out = split_merge(params, d, lam, nu, kind="partial_merge")
     out = out * diagonal_element(params, d, nu, bb)
     out = out * h_tilde(params, d, lam, mu, g)

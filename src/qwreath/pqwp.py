@@ -2,9 +2,13 @@
 
 Elements are stored as sparse sums sum_w b_w H_w with coefficients b_w on
 the left, w running over permutations, and H_w the word generators.  All
-products are rewritten back into this normal form using the defining
-moves: the quadratic rule H_i^2 = S_i H_i + R_i, the braid moves, and the
-straightening rule H_i b = sigma_i(b) H_i + rho_i(b).
+products are rewritten back into this normal form by two walks.  The
+straightening rule H_i b = sigma_i(b) H_i + rho_i(b) pushes a coefficient
+left past H_w (``_push_left``).  Right multiplication by one generator,
+with the quadratic rule H_i^2 = S_i H_i + R_i when the length drops,
+multiplies a whole element by a word one letter at a time
+(``_times_word``); the braid moves are implicit in indexing by
+permutations.
 """
 
 from functools import lru_cache
@@ -26,16 +30,17 @@ class ParamMismatch(ValueError):
     pass
 
 
-class FormulaMismatch(ArithmeticError):
-    """Two routes to the same product-of-alphas element disagree."""
-
-
 class IdentityFailed(ValueError):
     """A certified identity check found a counterexample; see .witness."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def _check_letter(d, i):
+    if not 0 <= i < d - 1:
+        raise ValueError(f"generator index {i} out of range for d={d}")
 
 
 def _is_xfree(p: TensorPoly) -> bool:
@@ -76,8 +81,7 @@ class PqwpElement:
 
     @staticmethod
     def h_gen(params, d, i) -> "PqwpElement":
-        if not 0 <= i < d - 1:
-            raise ValueError(f"generator index {i} out of range for d={d}")
+        _check_letter(d, i)
         return PqwpElement(params, d, {simple(d, i): unit_poly(params, d)})
 
     @staticmethod
@@ -88,10 +92,11 @@ class PqwpElement:
     def of_word(params, d, letters) -> "PqwpElement":
         """Product of generators H_{i_1} ... H_{i_N}; the word need not be
         reduced (non-reduced steps expand through the quadratic rule)."""
-        out = PqwpElement.one(params, d)
+        letters = tuple(letters)
         for i in letters:
-            out = pqwp_mul(out, PqwpElement.h_gen(params, d, i))
-        return out
+            _check_letter(d, i)
+        return PqwpElement(params, d, _times_word(
+            params, d, {identity(d): unit_poly(params, d)}, letters))
 
     # ring structure ------------------------------------------------------
 
@@ -194,10 +199,11 @@ class PqwpElement:
 
 @lru_cache(maxsize=None)
 def _right_step(params, d, z: Perm, i: int):
-    """H_z * H_i in normal form, as a tuple of (perm, coeff) pairs."""
+    """H_z * H_i in normal form, as a tuple of (perm, coeff) pairs; coeff
+    None marks the length-increasing case, where nothing is multiplied."""
     zi = mul(z, simple(d, i))
     if length(zi) > length(z):
-        return ((zi, unit_poly(params, d)),)
+        return ((zi, None),)
     s_emb = s_ij(params, d, i, i + 1).place_permute(zi)
     r_emb = r_ij(params, d, i, i + 1).place_permute(zi)
     return ((z, s_emb), (zi, r_emb))
@@ -205,10 +211,10 @@ def _right_step(params, d, z: Perm, i: int):
 
 @lru_cache(maxsize=None)
 def _left_step(params, d, i: int, z: Perm):
-    """H_i * H_z in normal form, as a tuple of (perm, coeff) pairs."""
+    """H_i * H_z in normal form, shaped like a _right_step."""
     iz = mul(simple(d, i), z)
     if length(iz) > length(z):
-        return ((iz, unit_poly(params, d)),)
+        return ((iz, None),)
     return ((z, s_ij(params, d, i, i + 1)), (iz, r_ij(params, d, i, i + 1)))
 
 
@@ -217,16 +223,23 @@ def _add_term(acc, w, c):
     acc[w] = c if cur is None else cur + c
 
 
-def _h_times_h(params, d, w: Perm, v: Perm):
-    """H_w * H_v as a dict perm -> left coefficient."""
-    cur = {w: unit_poly(params, d)}
-    for i in reduced_word(v):
+def _add_step(acc, c, step):
+    """Add c * (the normal form in step) into acc."""
+    for y, e in step:
+        _add_term(acc, y, c if e is None else c * e)
+
+
+def _times_word(params, d, terms: dict, letters) -> dict:
+    """(sum_z c_z H_z) * H_{i_1} ... H_{i_N} for terms = {z: c_z}, one
+    letter at a time; the word need not be reduced.  The result may hold
+    zero coefficients."""
+    for i in letters:
         nxt = {}
-        for z, c in cur.items():
-            for y, e in _right_step(params, d, z, i):
-                _add_term(nxt, y, c * e)
-        cur = {y: c for y, c in nxt.items() if not c.is_zero()}
-    return cur
+        for z, c in terms.items():
+            if not c.is_zero():
+                _add_step(nxt, c, _right_step(params, d, z, i))
+        terms = nxt
+    return terms
 
 
 def _push_left(params, d, w: Perm, q: TensorPoly):
@@ -242,31 +255,27 @@ def _push_left(params, d, w: Perm, q: TensorPoly):
                 _add_term(nxt, z, rho)
             sig = c.place_permute_simple(i)
             if not sig.is_zero():
-                for y, e in _left_step(params, d, i, z):
-                    _add_term(nxt, y, sig * e)
+                _add_step(nxt, sig, _left_step(params, d, i, z))
         cur = {y: c for y, c in nxt.items() if not c.is_zero()}
     return cur
 
 
 def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
-    """Product in normal form."""
+    """Product in normal form.  For each term q H_v of b, q is pushed left
+    through every term of a, and the sum is multiplied by H_v along a
+    reduced word of v."""
     if not isinstance(a, PqwpElement) or not isinstance(b, PqwpElement):
         raise ParamMismatch("pqwp_mul needs two algebra elements")
     a._same_space(b)
     params, d = a.params, a.d
     acc = {}
-    for u, p in a.terms.items():
-        for v, q in b.terms.items():
-            mid = _push_left(params, d, u, q)
-            for z, c in mid.items():
-                pc = p * c
-                if pc.is_zero():
-                    continue
-                if v == identity(d):
-                    _add_term(acc, z, pc)
-                    continue
-                for y, e in _h_times_h(params, d, z, v).items():
-                    _add_term(acc, y, pc * e)
+    for v, q in b.terms.items():
+        mid = {}
+        for u, p in a.terms.items():
+            for z, c in _push_left(params, d, u, q).items():
+                _add_term(mid, z, p * c)
+        for y, c in _times_word(params, d, mid, reduced_word(v)).items():
+            _add_term(acc, y, c)
     return PqwpElement(params, d, acc)
 
 
@@ -316,43 +325,17 @@ def _base_factor(params, d, which, a, b) -> TensorPoly:
 
 
 def alpha_family(params, d, w: Perm, which: str = "alpha") -> TensorPoly:
-    """Product of alpha factors over the inversions of w.
+    """Product of alpha factors over the inversions of w, in sorted pair
+    order.
 
     which = 'alpha' or 'abar' multiplies over Inv(w); 'alpha_star' is the
-    same alpha product over Inv(w^{-1}).  The result is computed both as a
-    raw inversion-set product and through the twisted reduced-word product,
-    and the two must agree (they do exactly when the factors are central).
+    same alpha product over Inv(w^{-1}).  With central factors the order
+    does not matter; check C2 of ``validate_pqwp`` rejects a non-central
+    alpha.
     """
-    star = which == "alpha_star"
-    base = "alpha" if star else which
-    target = inverse(w) if star else w
-    out = unit_poly(params, d)
-    for (i, j) in sorted(inv_set(target)):
-        out = out * _base_factor(params, d, base, i, j)
-    check = _alpha_by_word(params, d, w, base, star)
-    if out != check:
-        raise FormulaMismatch(
-            f"inversion product and word product differ for w={to_one_line(w)}"
-            f" family={which}")
-    return out
-
-
-def _alpha_by_word(params, d, w: Perm, base: str, star: bool) -> TensorPoly:
-    """Twisted product along a reduced word.
-
-    For the plain family the factors are read from the right end of the
-    word inward, each twisted by the simple flips consumed so far; the
-    starred family reads from the left end.
-    """
-    word = reduced_word(w)
-    out = unit_poly(params, d)
-    prefix = identity(d)
-    letters = word if star else tuple(reversed(word))
-    for i in letters:
-        factor = _base_factor(params, d, base, i, i + 1).place_permute(prefix)
-        out = out * factor
-        prefix = mul(prefix, simple(d, i))
-    return out
+    if which == "alpha_star":
+        return _alpha_over_pairs(params, d, inv_set(inverse(w)))
+    return _alpha_over_pairs(params, d, inv_set(w), which)
 
 
 def _alpha_over_pairs(params, d, pairs, which="alpha") -> TensorPoly:

@@ -13,11 +13,11 @@ from qwreath.convolution import (
 )
 from qwreath.pqwp import PqwpElement, k_lambda, m_lambda, multinomial, pqwp_mul
 from qwreath.symcomb import (
-    NotARefinement, all_perms, compositions, double_coset_reps, identity, mul,
-    simple, young_subgroup,
+    NotARefinement, all_perms, compositions, coset_shapes, double_coset_reps,
+    identity, inverse, matrix_from_triple, mul, simple, young_subgroup,
 )
 from qwreath.tensor_poly import (
-    LocalizedElement, alpha_ij, monomial, p_ij, unit_poly, x_var,
+    LocalizedElement, alpha_ij, monomial, p_ij, unit_poly, x_var, zero_poly,
 )
 
 PRESETS = shipped_presets()
@@ -72,6 +72,42 @@ def test_invariance_checks():
         blk.check_invariance()
     # the symmetric value passes
     diagonal_element(p, 2, (2,), x_var(p, 2, 0) + x_var(p, 2, 1))
+
+
+def test_stabilizer_is_the_young_subgroup_of_the_row_reading():
+    """S_lam & g S_mu g^{-1}, by brute force, against the Young subgroup of
+    delta_r for every minimal g: what check_invariance relies on."""
+    for d in range(1, 5):
+        for lam in compositions(d):
+            for mu in compositions(d):
+                inner = set(young_subgroup(mu))
+                for g in double_coset_reps(lam, mu):
+                    gi = inverse(g)
+                    stab = {u for u in young_subgroup(lam)
+                            if mul(gi, mul(u, g)) in inner}
+                    delta_r, _ = coset_shapes(matrix_from_triple(lam, g, mu))
+                    assert stab == set(young_subgroup(delta_r))
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "zigzag_a1"))
+def test_block_invariance_under_the_stabilizer_only(name):
+    """lam = (2,2), mu = (3,1): the stabilizers are S_(2,1,1) at the identity
+    and S_(1,1,2) at (0 2 3 1); a value fixed by the stabilizer passes even
+    where S_lam moves it, and a value the stabilizer moves fails."""
+    p = preset(name)
+    d, lam, mu = 4, (2, 2), (3, 1)
+    fkey = tuple(k % p.algebra.dim for k in (0, 1, 0, 1))
+    base = monomial(p, d, fkey, (1, 2, 3, 0))
+    for g in double_coset_reps(lam, mu):
+        delta_r, _ = coset_shapes(matrix_from_triple(lam, g, mu))
+        assert delta_r != lam
+        sym = zero_poly(p, d)
+        for u in young_subgroup(delta_r):
+            sym = sym + base.place_permute(u)
+        assert any(sym.place_permute(u) != sym for u in young_subgroup(lam))
+        ConvBlock(p, d, lam, mu, {g: sym}).check_invariance()
+        with pytest.raises(InvarianceViolation):
+            ConvBlock(p, d, lam, mu, {g: base})
 
 
 def test_zero_parts_are_stripped():

@@ -6,7 +6,7 @@ import pytest
 
 from qwreath.base_algebra import FTensor, preset, shipped_presets
 from qwreath.pqwp import (
-    FormulaMismatch, IdentityFailed, ParamMismatch, PqwpElement, alpha_family,
+    IdentityFailed, ParamMismatch, PqwpElement, alpha_family,
     decompose_k, eigenvector_check, from_right_coefficients, k_lambda,
     m_lambda, mackey_expansion, multinomial, pqwp_mul, right_coefficient_form,
 )
@@ -15,7 +15,8 @@ from qwreath.symcomb import (
     identity, inverse, length, longest_element, mul, reduced_word, simple,
 )
 from qwreath.tensor_poly import (
-    abar_ij, alpha_ij, of_ftensor, r_ij, s_ij, unit_poly, x_var, zero_poly,
+    abar_ij, alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
+    zero_poly,
 )
 
 WORKING = tuple(n for n in shipped_presets() if n != "rees")
@@ -132,14 +133,29 @@ def test_alpha_family_identity_and_scalar_powers():
         assert alpha_family(p, 3, w, "alpha_star") == alpha_family(p, 3, inverse(w))
 
 
+def alpha_by_word(params, d, w, which="alpha"):
+    """Reference for alpha_family: the twisted product along a reduced word.
+    The plain families read the word from its right end inward, the starred
+    one from its left end, each factor moved by the simple flips read so
+    far."""
+    star = which == "alpha_star"
+    factor = abar_ij if which == "abar" else alpha_ij
+    word = reduced_word(w)
+    out = unit_poly(params, d)
+    prefix = identity(d)
+    for i in (word if star else tuple(reversed(word))):
+        out = out * factor(params, d, i, i + 1).place_permute(prefix)
+        prefix = mul(prefix, simple(d, i))
+    return out
+
+
 def test_alpha_family_nonscalar_dual_route():
-    """The inversion-set product must survive the reduced-word cross-check
+    """The inversion-set product agrees with the reduced-word reference
     even when alpha has genuinely different values on different leg pairs."""
     p = preset("pro_p")
     for w in all_perms(3):
-        alpha_family(p, 3, w)
-        alpha_family(p, 3, w, "abar")
-        alpha_family(p, 3, w, "alpha_star")
+        for which in ("alpha", "abar", "alpha_star"):
+            assert alpha_family(p, 3, w, which) == alpha_by_word(p, 3, w, which)
     w0 = longest_element(3)
     prod = alpha_ij(p, 3, 0, 1) * alpha_ij(p, 3, 0, 2) * alpha_ij(p, 3, 1, 2)
     assert alpha_family(p, 3, w0) == prod
@@ -427,3 +443,86 @@ def test_support_order_and_scale():
     two = p.field.from_int(2)
     assert k.scale(two) - k == k
     assert (k - k).is_zero()
+
+
+# the rewriting walk on multi-term elements ------------------------------------
+
+WALK_PRESETS = ("affine_hecke", "zero_hecke", "nil", "pro_p", "zigzag_a1")
+
+
+def random_coeff(params, d, rng):
+    """One or two monomials of x-degree at most 1 with random F-legs."""
+    dim = params.algebra.dim
+    out = zero_poly(params, d)
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * d
+        exps[rng.randrange(d)] = rng.randint(0, 1)
+        fkey = tuple(rng.randrange(dim) for _ in range(d))
+        out = out + monomial(params, d, fkey, exps,
+                             params.field.from_int(rng.choice((-2, -1, 1, 3))))
+    return out
+
+
+def random_element(params, d, rng, nterms=2):
+    perms = list(all_perms(d))
+    terms = {}
+    for w in rng.sample(perms, nterms):
+        terms[w] = random_coeff(params, d, rng)
+    return PqwpElement(params, d, terms)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+def test_product_is_the_sum_over_single_term_pairs(name):
+    p = preset(name)
+    rng = random.Random(7)
+    for d in (3, 4):
+        a = random_element(p, d, rng, 3)
+        b = random_element(p, d, rng, 3)
+        total = PqwpElement.zero(p, d)
+        for u, c in a.terms.items():
+            for v, e in b.terms.items():
+                total = total + pqwp_mul(PqwpElement(p, d, {u: c}),
+                                         PqwpElement(p, d, {v: e}))
+        assert pqwp_mul(a, b) == total
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+@pytest.mark.parametrize("d", (3, 4))
+def test_associativity_multi_term_elements(name, d):
+    """Multi-term elements with x-dependent coefficients: every push and
+    every quadratic step of the walk takes part."""
+    p = preset(name)
+    rng = random.Random(1000 * d + 31)
+    for _ in range(2 if d == 3 else 1):
+        a, b, c = (random_element(p, d, rng) for _ in range(3))
+        assert pqwp_mul(pqwp_mul(a, b), c) == pqwp_mul(a, pqwp_mul(b, c))
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+def test_of_word_matches_generator_products(name):
+    """Random words, mostly non-reduced, against one generator product
+    after another through pqwp_mul."""
+    p = preset(name)
+    rng = random.Random(55)
+    for d in (3, 4):
+        for _ in range(4):
+            letters = tuple(rng.randrange(d - 1) for _ in range(rng.randint(0, 6)))
+            expect = PqwpElement.one(p, d)
+            for i in letters:
+                expect = pqwp_mul(expect, PqwpElement.h_gen(p, d, i))
+            assert PqwpElement.of_word(p, d, letters) == expect
+
+
+def test_of_word_rejects_a_bad_letter():
+    p = preset("degenerate")
+    with pytest.raises(ValueError):
+        PqwpElement.of_word(p, 3, (0, 2))
+
+
+@pytest.mark.parametrize("name", ("pro_p", "qt_hecke", "zigzag_a1"))
+@pytest.mark.parametrize("which", ("alpha", "abar", "alpha_star"))
+def test_alpha_family_matches_the_reduced_word_reference(name, which):
+    p = preset(name)
+    for d in (3, 4):
+        for w in all_perms(d):
+            assert alpha_family(p, d, w, which) == alpha_by_word(p, d, w, which)

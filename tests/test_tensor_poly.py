@@ -5,6 +5,7 @@ import pytest
 
 from qwreath.base_algebra import FTensor, preset, shipped_presets
 from qwreath.coeff_ring import is_zero
+from qwreath.pqwp import PqwpElement
 from qwreath.symcomb import all_perms, mul, simple
 from qwreath.tensor_poly import (
     LocalizedElement, SizeMismatch, TensorPoly, abar_ij, alpha_ij,
@@ -349,3 +350,19 @@ def test_twisted_demazure_is_leg_swapped_demazure_times_beta(name):
                 swapped[(exps, tuple(nf))] = c
             legs = TensorPoly(params, d, swapped)
             assert f.twisted_demazure(i) == legs.demazure(i) * beta
+
+
+@pytest.mark.parametrize("name", ("degenerate", "affine_hecke", "zigzag_a1"))
+def test_poly_times_algebra_and_localized_elements(name):
+    """A TensorPoly on the left of a PqwpElement or a LocalizedElement
+    defers to that type instead of treating it as a scalar."""
+    p = preset(name)
+    rng = random.Random(13)
+    x = random_poly(p, 3, rng)
+    h = PqwpElement.h_gen(p, 3, 0) + PqwpElement.of_poly(random_poly(p, 3, rng))
+    assert x * h == h.poly_left(x)
+    L = LocalizedElement(random_poly(p, 3, rng)).over_lin(0, 1).over_p(1, 2)
+    prod = x * L
+    assert isinstance(prod, LocalizedElement)
+    assert prod == LocalizedElement(x) * L
+    assert x * 3 == 3 * x == x.scale(3)
