@@ -5,8 +5,10 @@ Three variants, all immutable and canonical, so ``==`` is mathematical
 equality and ``bool(x)`` is a zero test:
 
 * plain rationals, represented directly by :class:`fractions.Fraction`;
-* :class:`RatFun`, reduced fractions of sparse polynomials in named
-  parameters with Fraction coefficients and a monic denominator;
+* :class:`RatFun`, fractions of sparse polynomials in named parameters
+  with ``int`` coefficients: a Laurent numerator over a denominator with
+  no monomial factor, so the usual denominator is a positive integer and
+  its arithmetic needs no polynomial gcd;
 * :class:`GFElement`, residues in a prime field.
 
 Ints and Fractions embed into RatFun implicitly; every other cross-variant
@@ -16,6 +18,7 @@ combination raises :class:`MixedVariant`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class MixedVariant(TypeError):
@@ -36,16 +39,17 @@ class UnboundParameter(KeyError):
 
 def declare_param(name: str) -> "RatFun":
     # monomials are keyed by name, so a parameter needs no registration
-    return RatFun({(((name, 1),)): Fraction(1)})
+    return _new({((name, 1),): 1}, _ONE_DEN)
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials: dict monomial -> Fraction, monomial = ((name, exp), ...)
-# sorted by name with all exponents positive; the empty tuple is the constant
-# monomial, the empty dict is zero.
+# sparse polynomials: dict monomial -> nonzero int, monomial = ((name, exp),
+# ...) sorted by name with all exponents nonzero; the empty tuple is the
+# constant monomial, the empty dict is zero.  A RatFun numerator may carry
+# negative exponents (a Laurent polynomial); the gcd and division routines
+# take polynomials only.
 
-_ZERO = Fraction(0)
-_ONE_POLY = {(): Fraction(1)}
+_ONE_DEN = {(): 1}  # shared by every RatFun over 1; never mutated
 
 
 def _mono_mul(a, b):
@@ -53,6 +57,12 @@ def _mono_mul(a, b):
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:
+        (x, e), = a
+        (y, f), = b
+        if x == y:
+            return ((x, e + f),) if e + f else ()
+        return (a[0], b[0]) if x < y else (b[0], a[0])
     d = dict(a)
     for name, e in b:
         ne = d.get(name, 0) + e
@@ -76,14 +86,31 @@ def _mono_div(a, b):
     return tuple(sorted(d.items()))
 
 
+def _mono_inv(m):
+    return tuple((name, -e) for name, e in m)
+
+
+def _mono_gcd(f):
+    """The monomial whose exponent of each name is the least over f's terms
+    (an absent name counts 0); f over it has no monomial factor and no
+    negative exponent."""
+    low = ((n, min(dict(m).get(n, 0) for m in f)) for n in _pnames(f))
+    return tuple((n, e) for n, e in low if e)
+
+
+def _shift(f, m):
+    # f times the monomial m
+    return {_mono_mul(k, m): c for k, c in f.items()} if m else f
+
+
 def _padd(f, g):
     out = dict(f)
     for m, c in g.items():
-        nc = out.get(m, _ZERO) + c
+        nc = out.get(m, 0) + c
         if nc:
             out[m] = nc
         else:
-            out.pop(m, None)
+            del out[m]
     return out
 
 
@@ -95,17 +122,24 @@ def _psub(f, g):
     return _padd(f, _pneg(g))
 
 
+def _pscale(f, k):
+    return {m: c * k for m, c in f.items()} if k != 1 else f
+
+
 def _pmul(f, g):
+    if len(g) == 1:
+        f, g = g, f
+    if len(f) == 1:
+        (m1, c1), = f.items()
+        if not m1:
+            return _pscale(g, c1)
+        return {_mono_mul(m1, m2): c1 * c2 for m2, c2 in g.items()}
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, _ZERO) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _pnames(*polys):
@@ -132,18 +166,9 @@ def _plead(f, names):
     return m, f[m]
 
 
-def _monic(f):
-    if not f:
-        return f
-    _, lc = _plead(f, _pnames(f))
-    if lc == 1:
-        return dict(f)
-    inv = 1 / lc
-    return {m: c * inv for m, c in f.items()}
-
-
 def _pdiv_exact(f, g):
-    """Divide f by g, which must be exact. Raises ValueError otherwise."""
+    """Divide f by g over the integers, which must be exact.  Raises
+    ValueError otherwise."""
     if not g:
         raise DivisionByZero("polynomial division by zero")
     if not f:
@@ -156,18 +181,18 @@ def _pdiv_exact(f, g):
     while r:
         rm = max(r, key=key)
         mq = _mono_div(rm, gm)
-        if mq is None:
+        c, rest = divmod(r[rm], gc)
+        if mq is None or rest:
             raise ValueError("inexact polynomial division")
-        c = r[rm] / gc
-        q[mq] = q.get(mq, _ZERO) + c
+        q[mq] = c  # leading monomials strictly fall, so mq is new
         for m2, c2 in g.items():
             mm = _mono_mul(mq, m2)
-            nc = r.get(mm, _ZERO) - c * c2
+            nc = r.get(mm, 0) - c * c2
             if nc:
                 r[mm] = nc
             else:
                 r.pop(mm, None)
-    return {m: c for m, c in q.items() if c}
+    return q
 
 
 def _as_uni(f, x):
@@ -182,17 +207,17 @@ def _as_uni(f, x):
             else:
                 rest.append((name, e))
         coef = out.setdefault(deg, {})
-        coef[tuple(rest)] = coef.get(tuple(rest), _ZERO) + c
-    return {d: {m: c for m, c in coef.items() if c} for d, coef in out.items() if any(coef.values())}
+        coef[tuple(rest)] = c  # distinct monomials of f stay distinct
+    return out
 
 
 def _from_uni(u, x):
     out = {}
     for deg, coef in u.items():
+        xm = ((x, deg),) if deg else ()
         for m, c in coef.items():
-            mm = _mono_mul(m, ((x, deg),) if deg else ())
-            out[mm] = out.get(mm, _ZERO) + c
-    return {m: c for m, c in out.items() if c}
+            out[_mono_mul(m, xm)] = c
+    return out
 
 
 def _prem(F, G):
@@ -217,42 +242,17 @@ def _prem(F, G):
     return F
 
 
-def _uni_content(u, rec_names):
+def _uni_content(u, rest):
     cont = {}
     for coef in u.values():
-        cont = _gcd_rec(cont, coef, rec_names)
+        cont = _gcd_rec(cont, coef, rest)
     return cont
 
 
-def _uni_frac_gcd(a: dict, b: dict) -> dict:
-    # Euclid on dense Fraction coefficients keyed by degree, monic result
-    def monic(f):
-        lc = f[max(f)]
-        return {d: c / lc for d, c in f.items()} if lc != 1 else f
-
-    while b:
-        n, gl = max(b), b[max(b)]
-        r = dict(a)
-        while r and max(r) >= n:
-            m = max(r)
-            c = r.pop(m) / gl
-            for d2, c2 in b.items():
-                if d2 == n:
-                    continue
-                nd = d2 + m - n
-                nc = r.get(nd, _ZERO) - c * c2
-                if nc:
-                    r[nd] = nc
-                else:
-                    r.pop(nd, None)
-        a, b = b, r
-    return monic(a)
-
-
 def _eval_poly(f, point):
-    """f at point, a dict name -> Fraction; raises UnboundParameter on a
-    name the point does not bind."""
-    total = Fraction(0)
+    """f at point, a dict name -> value; raises UnboundParameter on a name
+    the point does not bind."""
+    total = 0
     try:
         for m, c in f.items():
             val = c
@@ -265,44 +265,43 @@ def _eval_poly(f, point):
 
 
 def _gcd_rec(f, g, names):
+    """A gcd of f and g in Z[names], unique up to sign: the gcd of the
+    contents in the last name times the last remainder of the primitive
+    polynomial remainder sequence (Brown 1971; Knuth, TAOCP vol. 2,
+    4.6.1)."""
     if not f:
         return dict(g)
     if not g:
         return dict(f)
     if not names:
-        return dict(_ONE_POLY)
+        return {(): gcd(f[()], g[()])}
     x = names[-1]
     rest = names[:-1]
     fu = _as_uni(f, x)
     gu = _as_uni(g, x)
     if set(fu) == {0} and set(gu) == {0}:
         return _gcd_rec(f, g, rest)
-    if not rest:
-        a = {d: c[()] for d, c in fu.items()}
-        b = {d: c[()] for d, c in gu.items()}
-        return _from_uni({d: {(): c} for d, c in _uni_frac_gcd(a, b).items()}, x)
     cf = _uni_content(fu, rest)
     cg = _uni_content(gu, rest)
     ppf = {d: _pdiv_exact(c, cf) for d, c in fu.items()}
     ppg = {d: _pdiv_exact(c, cg) for d, c in gu.items()}
     cont = _gcd_rec(cf, cg, rest)
-    # Coprimality filter: evaluate the spectator names at a point keeping
-    # the leading coefficient of ppf nonzero.  A unit gcd of the images
-    # certifies that the primitive parts are coprime.
-    lead = ppf[max(ppf)]
-    for seed in range(1, 8):
-        point = {n: Fraction(seed + i) for i, n in enumerate(rest)}
-        if _eval_poly(lead, point) == 0:
-            continue
-        a = {d: _eval_poly(c, point) for d, c in ppf.items()}
-        a = {d: c for d, c in a.items() if c}
-        b = {d: _eval_poly(c, point) for d, c in gu.items()}
-        b = {d: c for d, c in b.items() if c}
-        if not b:
+    if rest:
+        # Coprimality filter: evaluate the spectator names at a point
+        # keeping the leading coefficient of ppf nonzero.  A gcd of the
+        # images free of x certifies that the primitive parts are coprime.
+        lead = ppf[max(ppf)]
+        for seed in range(1, 8):
+            point = {n: seed + i for i, n in enumerate(rest)}
+            if _eval_poly(lead, point) == 0:
+                continue
+            a = _image(ppf, point, x)
+            b = _image(gu, point, x)
+            if not b:
+                break
+            if not any(_gcd_rec(a, b, [x])):
+                return cont
             break
-        if max(_uni_frac_gcd(a, b)) == 0:
-            return cont
-        break
     A, B = (ppf, ppg) if max(ppf) >= max(ppg) else (ppg, ppf)
     while B:
         R = _prem(A, B)
@@ -313,39 +312,27 @@ def _gcd_rec(f, g, names):
     return _pmul(_from_uni(A, x), cont)
 
 
-def _pgcd(f, g):
-    """Monic gcd of two parameter polynomials over the rationals."""
-    if not f and not g:
-        return {}
-    if not f:
-        return _monic(g)
-    if not g:
-        return _monic(f)
-    if () in f and len(f) == 1:
-        return dict(_ONE_POLY)
-    if () in g and len(g) == 1:
-        return dict(_ONE_POLY)
-    names = _pnames(f, g)
-    if not names:
-        return dict(_ONE_POLY)
-    return _monic(_gcd_rec(f, g, names))
+def _image(u, point, x):
+    # the univariate view u with every name but x evaluated at point
+    out = {}
+    for d, c in u.items():
+        v = _eval_poly(c, point)
+        if v:
+            out[((x, d),) if d else ()] = v
+    return out
 
 
 # rendering ------------------------------------------------------------------
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _term_str(m, c) -> str:
     if not m:
-        return _frac_str(c)
+        return str(c)
     body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
     if c == 1:
         return body
     if c == -1:
         return "-" + body
-    return f"{_frac_str(c)}*{body}"
+    return f"{c}*{body}"
 
 
 def _pstr(f) -> str:
@@ -361,84 +348,114 @@ def _pstr(f) -> str:
     return "".join(parts)
 
 
+# canonical forms ------------------------------------------------------------
+# Each helper returns a (num, den) pair in RatFun's canonical form.
+
+def _over_int(num, n):
+    """num / n for a nonzero int n."""
+    if n == 1:
+        return num, _ONE_DEN
+    g = gcd(n, *num.values())
+    if n < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        num = {m: c // g for m, c in num.items()}
+    return num, (_ONE_DEN if n == 1 else {(): n})
+
+
+def _normalize(num, den):
+    """num / den when gcd(num, den) is a constant and den has no monomial
+    factor: fix the sign of den and divide out the common integer content."""
+    if not num:
+        return {}, _ONE_DEN
+    if len(den) == 1:
+        return _over_int(num, den[()])
+    g = gcd(*num.values(), *den.values())
+    if _plead(den, _pnames(den))[1] < 0:
+        g = -g
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+        den = {m: c // g for m, c in den.items()}
+    return num, den
+
+
+def _cancel(num, den):
+    """Divide num and den, den without monomial factor, by their
+    polynomial gcd."""
+    if len(num) <= 1 or len(den) == 1:
+        return num, den  # a term and a polynomial share only a constant
+    m = _mono_gcd(num)
+    poly = _shift(num, _mono_inv(m))
+    g = _gcd_rec(poly, den, _pnames(poly, den))
+    if not any(g):
+        return num, den
+    return _shift(_pdiv_exact(poly, g), m), _pdiv_exact(den, g)
+
+
+def _reduce(num, den):
+    """num / den for a Laurent num and a nonzero Laurent den."""
+    if not num:
+        return {}, _ONE_DEN
+    inv = _mono_inv(_mono_gcd(den))
+    num, den = _cancel(_shift(num, inv), _shift(den, inv))
+    return _normalize(num, den)
+
+
+def _inverse(num, den):
+    # den / num; the pair is already coprime
+    inv = _mono_inv(_mono_gcd(num))
+    return _normalize(_shift(den, inv), _shift(num, inv))
+
+
+def _int_poly(x):
+    """(f, n) with f an int polynomial and n a positive int, x = f / n; x is
+    an int, a Fraction or a dict of int or Fraction coefficients."""
+    if isinstance(x, (int, Fraction)):
+        x = {(): x}
+    n = lcm(*(Fraction(c).denominator for c in x.values()))
+    return {m: int(c * n) for m, c in x.items() if c}, n
+
+
+def _as_quotient(x):
+    """num and den of x with the monomial denominator folded back out of
+    num: two polynomials without negative exponents."""
+    lift = tuple((n, -e) for n, e in _mono_gcd(x.num) if e < 0)
+    return _shift(x.num, lift), _shift(x.den, lift)
+
+
 # ---------------------------------------------------------------------------
 
-def _cancel_monomial(num, den):
-    """Reduce num/den when one side is a single term: the gcd is then the
-    shared monomial factor, no Euclid needed."""
-    one_sided = num if len(num) == 1 else den
-    other = den if one_sided is num else num
-    (mono, _), = one_sided.items()
-    if not mono:
-        return num, den
-    shared = {}
-    for name, exp in mono:
-        low = exp
-        for m in other:
-            got = 0
-            for n, e in m:
-                if n == name:
-                    got = e
-                    break
-            low = min(low, got)
-            if low == 0:
-                break
-        if low > 0:
-            shared[name] = low
-    if not shared:
-        return num, den
-    g = tuple(sorted(shared.items()))
-
-    def strip(poly):
-        return {_mono_div(m, g): c for m, c in poly.items()}
-
-    return strip(num), strip(den)
-
-
 class RatFun:
-    """Rational function in named parameters, stored in lowest terms.
+    """Rational function in named parameters with rational coefficients.
 
-    The denominator is monic in graded-lex order; a zero value has an empty
-    numerator.  Construction reduces, so structurally equal means equal.
+    Stored as ``num / den``, two sparse polynomials with ``int``
+    coefficients.  ``num`` is a Laurent polynomial: the monomial part of the
+    denominator is folded into its negative exponents.  The form is
+    canonical:
+
+    * num and den have no common factor of positive degree;
+    * den has no monomial factor, so a one-term den is a positive integer;
+    * the graded-lex leading coefficient of den is positive;
+    * the integer contents of num and den are coprime.
+
+    So structurally equal means equal, and zero is ``{}`` over 1.  When
+    both denominators are integers, ``*`` and ``+`` are one sparse product
+    or sum and one integer gcd.  Fractions appear only at the boundary:
+    construction from one, ``str``, ``as_fraction``, ``specialize`` and the
+    hash of a constant, which equals the hash of its Fraction.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = {(): Fraction(num)} if num else {}
-        if den is None:
-            den = dict(_ONE_POLY)
-        elif isinstance(den, (int, Fraction)):
-            if not den:
-                raise DivisionByZero("zero denominator")
-            den = {(): Fraction(den)}
-        if not den:
+        n, a = _int_poly(num)
+        d, b = _int_poly(1 if den is None else den)
+        if not d:
             raise DivisionByZero("zero denominator")
-        num = {m: Fraction(c) for m, c in num.items() if c}
-        den = {m: Fraction(c) for m, c in den.items() if c}
-        if not num:
-            den = dict(_ONE_POLY)
-        else:
-            num_const = len(num) == 1 and () in num
-            den_const = len(den) == 1 and () in den
-            if den != _ONE_POLY and not (num_const or den_const):
-                if len(num) == 1 or len(den) == 1:
-                    num, den = _cancel_monomial(num, den)
-                else:
-                    g = _pgcd(num, den)
-                    if g != _ONE_POLY and g != {}:
-                        num = _pdiv_exact(num, g)
-                        den = _pdiv_exact(den, g)
-            if den != _ONE_POLY:
-                _, lc = _plead(den, _pnames(den))
-                if lc != 1:
-                    inv = 1 / lc
-                    num = {m: c * inv for m, c in num.items()}
-                    den = {m: c * inv for m, c in den.items()}
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        num, den = _reduce(_pscale(n, b), _pscale(d, a))
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -449,30 +466,42 @@ class RatFun:
     def _coerce(x):
         if isinstance(x, RatFun):
             return x
-        if isinstance(x, (int, Fraction)):
-            return RatFun(x)
+        if isinstance(x, int):
+            return _new({(): x} if x else {}, _ONE_DEN)
+        if isinstance(x, Fraction):
+            return _new(*_over_int({(): x.numerator} if x else {}, x.denominator))
         return None
 
+    @staticmethod
+    def _refuse(other):
+        if isinstance(other, GFElement):
+            raise MixedVariant("cannot mix rational-function and prime-field scalars")
+        return NotImplemented
+
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
-            if isinstance(other, GFElement):
-                raise MixedVariant("cannot mix rational-function and prime-field scalars")
-            return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return RatFun(num, _pmul(self.den, o.den))
+            return self._refuse(other)
+        d1, d2 = self.den, o.den
+        if len(d1) == 1 and len(d2) == 1:
+            a, b = d1[()], d2[()]
+            if a == b:
+                return _new(*_over_int(_padd(self.num, o.num), a))
+            g = gcd(a, b)
+            num = _padd(_pscale(self.num, b // g), _pscale(o.num, a // g))
+            return _new(*_over_int(num, a // g * b))
+        num = _padd(_pmul(self.num, d2), _pmul(o.num, d1))
+        return _new(*_reduce(num, _pmul(d1, d2)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(_pneg(self.num), dict(self.den))
+        return _new(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
-            if isinstance(other, GFElement):
-                raise MixedVariant("cannot mix rational-function and prime-field scalars")
-            return NotImplemented
+            return self._refuse(other)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -482,24 +511,20 @@ class RatFun:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
-            if isinstance(other, GFElement):
-                raise MixedVariant("cannot mix rational-function and prime-field scalars")
-            return NotImplemented
-        return RatFun(_pmul(self.num, o.num), _pmul(self.den, o.den))
+            return self._refuse(other)
+        return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
-            if isinstance(other, GFElement):
-                raise MixedVariant("cannot mix rational-function and prime-field scalars")
-            return NotImplemented
+            return self._refuse(other)
         if not o.num:
             raise DivisionByZero("division by zero scalar")
-        return RatFun(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _times(self.num, self.den, *_inverse(o.num, o.den))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -510,12 +535,12 @@ class RatFun:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        base = self
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero scalar")
-            return RatFun(dict(self.den), dict(self.num)) ** (-n)
-        out = RatFun(1)
-        base = self
+            base, n = _new(*_inverse(self.num, self.den)), -n
+        out = _ONE
         while n:
             if n & 1:
                 out = out * base
@@ -529,54 +554,85 @@ class RatFun:
         return bool(self.num)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            if self.den == _ONE_POLY and set(self.num) <= {()}:
-                # constants hash like the Fraction they compare equal to
-                h = hash(self.num.get((), _ZERO))
-            else:
-                h = hash((frozenset(self.num.items()), frozenset(self.den.items())))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        num, den = self.num, self.den
+        if len(den) == 1 and not any(num):
+            # constants hash like the Fraction they compare equal to
+            h = hash(Fraction(num.get((), 0), den[()]))
+        else:
+            h = hash((frozenset(num.items()), frozenset(den.items())))
+        _set_hash(self, h)
         return h
 
     def parameters(self) -> tuple[str, ...]:
-        names = set()
-        for m in (*self.num, *self.den):
-            for n, _ in m:
-                names.add(n)
-        return tuple(sorted(names))
+        return tuple(_pnames(self.num, self.den))
 
     def as_fraction(self) -> Fraction:
         if self.parameters():
             raise UnboundParameter(self.parameters()[0])
-        num = self.num.get((), _ZERO)
-        den = self.den.get((), Fraction(1))
-        return num / den
+        return Fraction(self.num.get((), 0), self.den[()])
 
     def __str__(self):
-        num_s = _pstr(self.num)
-        if self.den == _ONE_POLY:
+        # printed as num/den over Q with den monic in graded-lex order
+        num, den = _as_quotient(self)
+        lc = _plead(den, _pnames(den))[1]
+        if lc != 1:
+            num = {m: Fraction(c, lc) for m, c in num.items()}
+            den = {m: Fraction(c, lc) for m, c in den.items()}
+        num_s = _pstr(num)
+        if den == _ONE_DEN:
             return num_s
-        if len(self.num) > 1:
+        if len(num) > 1:
             num_s = f"({num_s})"
         den_simple = (
-            len(self.den) == 1
-            and next(iter(self.den.values())) == 1
-            and len(next(iter(self.den))) == 1
+            len(den) == 1
+            and next(iter(den.values())) == 1
+            and len(next(iter(den))) == 1
         )
-        den_s = _pstr(self.den)
+        den_s = _pstr(den)
         if not den_simple:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+_set_num = RatFun.num.__set__
+_set_den = RatFun.den.__set__
+_set_hash = RatFun._hash.__set__
+
+
+def _new(num, den):
+    # a RatFun from a pair already in canonical form
+    r = object.__new__(RatFun)
+    _set_num(r, num)
+    _set_den(r, den)
+    return r
+
+
+def _times(n1, d1, n2, d2):
+    """(n1/d1) * (n2/d2) for two canonical pairs."""
+    if len(d1) == 1 and len(d2) == 1:
+        n = d1[()] * d2[()]
+        num = _pmul(n1, n2)
+        return _new(num, _ONE_DEN) if n == 1 else _new(*_over_int(num, n))
+    # each pair is coprime, so only n1 with d2 and n2 with d1 can cancel
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    return _new(*_normalize(_pmul(n1, n2), _pmul(d1, d2)))
+
+
+_ONE = _new({(): 1}, _ONE_DEN)
 
 
 class GFElement:
@@ -698,7 +754,7 @@ class Field:
     RATFUN = "ratfun"
     PRIME = "prime"
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "_zero", "_one")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in (self.RATIONAL, self.RATFUN, self.PRIME):
@@ -708,6 +764,8 @@ class Field:
                 raise ValueError(f"characteristic must be prime, got {p!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_zero", self.from_int(0))
+        object.__setattr__(self, "_one", self.from_int(1))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
@@ -725,23 +783,25 @@ class Field:
         return Field(Field.PRIME, p)
 
     def zero(self):
-        return self.from_int(0)
+        """The field's zero, one shared immutable constant."""
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        """The field's one, one shared immutable constant."""
+        return self._one
 
     def from_int(self, n: int):
         if self.kind == self.RATIONAL:
             return Fraction(n)
         if self.kind == self.RATFUN:
-            return RatFun(n)
+            return RatFun._coerce(n)
         return GFElement(self.p, n)
 
     def from_fraction(self, c: Fraction):
         if self.kind == self.RATIONAL:
             return Fraction(c)
         if self.kind == self.RATFUN:
-            return RatFun(c)
+            return RatFun._coerce(Fraction(c))
         return GFElement(self.p, Fraction(c))
 
     def param(self, name: str):
@@ -754,7 +814,7 @@ class Field:
         unless the field is the rational function field."""
         val = parse_scalar(text, p=self.p if self.kind == self.PRIME else None)
         if self.kind == self.RATFUN:
-            return RatFun(val) if isinstance(val, Fraction) else val
+            return RatFun._coerce(val)
         if isinstance(val, RatFun):
             raise MixedVariant(f"field {self.kind!r} has no formal parameters")
         return val
@@ -881,9 +941,14 @@ def parse_scalar(text: str, p: int | None = None):
     return val
 
 
+# the types a scalar of some field can have; the algebra types multiply
+# these and leave any other operand to its own reflected method
+SCALARS = (int, Fraction, RatFun, GFElement)
+
+
 def scalar_str(x) -> str:
     """Canonical compact string form, inverse to parse_scalar."""
-    if isinstance(x, (int, Fraction, RatFun, GFElement)):
+    if isinstance(x, SCALARS):
         return str(x)
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -903,10 +968,11 @@ def specialize(x, bindings: dict[str, int | Fraction]):
         raise TypeError(f"not a scalar: {x!r}")
 
     point = {name: Fraction(v) for name, v in bindings.items()}
-    den = _eval_poly(x.den, point)
+    num, den = _as_quotient(x)
+    den = _eval_poly(den, point)
     if den == 0:
         raise DenominatorVanishes(str(x))
-    return _eval_poly(x.num, point) / den
+    return Fraction(_eval_poly(num, point)) / den
 
 
 def is_zero(x) -> bool:

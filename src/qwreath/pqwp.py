@@ -19,6 +19,7 @@ from .symcomb import (
     length, longest_in_young, matrix_from_triple, mul, reduced_word, region_L,
     region_N, simple, to_one_line, young_subgroup,
 )
+from .coeff_ring import SCALARS
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
 )
@@ -140,11 +141,15 @@ class PqwpElement:
             return pqwp_mul(self, other)
         if isinstance(other, TensorPoly):
             return pqwp_mul(self, PqwpElement.of_poly(other))
+        if isinstance(other, SCALARS):
+            return self.scale(other)  # scalars are central
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, TensorPoly):
             return self.poly_left(other)
+        if isinstance(other, SCALARS):
+            return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other):

@@ -7,15 +7,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
-from .coeff_ring import GFElement, RatFun, echelon_pivots, is_zero, scalar_str
+from .coeff_ring import SCALARS, echelon_pivots, is_zero, scalar_str
 from .base_algebra import FTensor
-
-# what a TensorPoly multiplies as a scalar; any other operand is left to
-# the other type's reflected method
-_SCALARS = (int, Fraction, RatFun, GFElement)
 
 
 class SizeMismatch(ValueError):
@@ -82,7 +77,7 @@ class TensorPoly:
 
     def __mul__(self, other):
         if not isinstance(other, TensorPoly):
-            return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
+            return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
         self._same_space(other)
         alg = self.params.algebra
         one = alg.field.one()
@@ -99,7 +94,7 @@ class TensorPoly:
         return self._like(out)
 
     def __rmul__(self, other):
-        return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
+        return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:

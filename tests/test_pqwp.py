@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -526,3 +527,19 @@ def test_alpha_family_matches_the_reduced_word_reference(name, which):
     for d in (3, 4):
         for w in all_perms(d):
             assert alpha_family(p, d, w, which) == alpha_by_word(p, d, w, which)
+
+
+def test_field_scalars_multiply_on_either_side():
+    p = preset("affine_hecke")
+    q = p.field.param("q")
+    h = PqwpElement.h_gen(p, 2, 0)
+    qh = PqwpElement(p, 2, {w: c.scale(q) for w, c in h.terms.items()})
+    assert q * h == qh
+    assert h * q == qh
+    assert 2 * h == h + h
+    assert h * Fraction(1, 2) + Fraction(1, 2) * h == h
+    assert (q + 1) * h == h * (q + 1) == q * h + h
+    with pytest.raises(TypeError):
+        h * "q"
+    with pytest.raises(TypeError):
+        "q" * h
