@@ -69,10 +69,13 @@ class FAlgebra:
 
     def slot_product(self, k1, k2):
         """e_{k1} * e_{k2} in F^{tensor r} for basis index tuples k1, k2, as
-        ((key, coeff), ...); computed once per key pair."""
+        ((key, coeff), ...); computed once per key pair.  A coefficient equal
+        to 1 is stored as None, so that product loops skip the scalar
+        multiplication without comparing scalars to one."""
         hit = self._slot_products.get((k1, k2))
         if hit is None:
-            partial = {(): self.field.one()}
+            one = self.field.one()
+            partial = {(): one}
             for a, b in zip(k1, k2):
                 nxt = {}
                 for pk, pc in partial.items():
@@ -81,7 +84,8 @@ class FAlgebra:
                         v = nxt.get(key)
                         nxt[key] = pc * sc if v is None else v + pc * sc
                 partial = nxt
-            hit = tuple((k, c) for k, c in partial.items() if not is_zero(c))
+            hit = tuple((k, None if c == one else c)
+                        for k, c in partial.items() if not is_zero(c))
             self._slot_products[(k1, k2)] = hit
         return hit
 
@@ -277,13 +281,12 @@ def ftensor_mul(a: FTensor, b: FTensor) -> FTensor:
     """Componentwise product in F^{tensor r}."""
     a._same_space(b)
     alg = a.algebra
-    one = alg.field.one()
     out = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             c12 = c1 * c2
             for key, sc in alg.slot_product(k1, k2):
-                c = c12 if sc == one else c12 * sc
+                c = c12 if sc is None else c12 * sc
                 v = out.get(key)
                 out[key] = c if v is None else v + c
     return FTensor(alg, a.arity, out)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
+from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, is_zero, scalar_str
 from .base_algebra import FTensor
@@ -20,7 +21,13 @@ class SizeMismatch(ValueError):
 class TensorPoly:
     """Sparse element of F^{tensor d}[x_1..x_d]; keys are pairs
     (exponent vector, F-basis index vector).  Laurent variant admits
-    negative exponents, polynomial variant rejects them."""
+    negative exponents, polynomial variant rejects them.
+
+    Values are immutable: no operation changes ``terms`` after
+    construction, so results may share their term dict with an operand
+    (a product by the unit returns the other factor itself).  Only the
+    public constructor validates its input; results of ring operations
+    are built by ``_like``, which trusts the keys the operation made."""
 
     __slots__ = ("params", "d", "terms")
 
@@ -43,7 +50,25 @@ class TensorPoly:
     # construction helpers
 
     def _like(self, terms):
-        return TensorPoly(self.params, self.d, terms)
+        """A result in the same ring, taking ownership of the dict terms.
+        Keys made by the ring operations already have arity d and, in the
+        polynomial variant, nonnegative exponents; only zero coefficients
+        (the falsy scalars) are dropped."""
+        out = object.__new__(TensorPoly)
+        out.params = self.params
+        out.d = self.d
+        out.terms = terms if all(terms.values()) else {
+            k: c for k, c in terms.items() if c}
+        return out
+
+    def _unit_coeff(self):
+        """c if self is c times (1⊗…⊗1)·x⁰, else None."""
+        if len(self.terms) != 1:
+            return None
+        ((exps, fkey), c), = self.terms.items()
+        if any(exps) or fkey.count(self.params.algebra.unit_index) != self.d:
+            return None
+        return c
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,15 +104,29 @@ class TensorPoly:
         if not isinstance(other, TensorPoly):
             return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
         self._same_space(other)
-        alg = self.params.algebra
-        one = alg.field.one()
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        # the unit is central, so c·1 on either side is scaling by c
+        one = self.params.field.one()
+        c = other._unit_coeff()
+        if c is not None:
+            return self if c == one else self.scale(c)
+        c = self._unit_coeff()
+        if c is not None:
+            return other if c == one else other.scale(c)
+        # right-hand terms once per call: None stands for x⁰ and for c = 1
+        right = [(e2 if any(e2) else None, f2, None if c2 == one else c2)
+                 for (e2, f2), c2 in other.terms.items()]
+        slot_product = self.params.algebra.slot_product
         out = {}
         for (e1, f1), c1 in self.terms.items():
-            for (e2, f2), c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c12 = c1 * c2
-                for fkey, sc in alg.slot_product(f1, f2):
-                    c = c12 if sc == one else c12 * sc
+            for e2, f2, c2 in right:
+                exps = e1 if e2 is None else tuple(map(add, e1, e2))
+                c12 = c1 if c2 is None else c1 * c2
+                for fkey, sc in slot_product(f1, f2):
+                    c = c12 if sc is None else c12 * sc
                     k = (exps, fkey)
                     v = out.get(k)
                     out[k] = c if v is None else v + c
@@ -332,7 +371,7 @@ def divide_exact_linear(p: TensorPoly, i: int, j: int):
         last = col[-1][1]
         if not is_zero(last if acc is None else acc + last):
             return None
-    return TensorPoly(p.params, p.d, out)
+    return p._like(out)
 
 
 # localized elements ---------------------------------------------------------------

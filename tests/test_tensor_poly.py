@@ -1,10 +1,15 @@
 import json
 import random
+from itertools import product
+from math import prod
 
 import pytest
 
-from qwreath.base_algebra import FTensor, preset, shipped_presets
-from qwreath.coeff_ring import is_zero
+from qwreath.base_algebra import (
+    FAlgebra, FTensor, PqwpParams, preset, rebase_field, shipped_presets,
+    validate_pqwp,
+)
+from qwreath.coeff_ring import Field, is_zero
 from qwreath.pqwp import PqwpElement
 from qwreath.symcomb import all_perms, mul, simple
 from qwreath.tensor_poly import (
@@ -366,3 +371,109 @@ def test_poly_times_algebra_and_localized_elements(name):
     assert isinstance(prod, LocalizedElement)
     assert prod == LocalizedElement(x) * L
     assert x * 3 == 3 * x == x.scale(3)
+
+
+# the product kernel against the generic pair loop ------------------------------
+
+
+def reference_product(a, b):
+    """The generic pair loop with no short cut: every pair of terms, the
+    exponents added and every slot multiplied out through the structure
+    constants of F."""
+    alg = a.params.algebra
+    zero = a.params.field.zero()
+    out = {}
+    for (e1, f1), c1 in a.terms.items():
+        for (e2, f2), c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            for cells in product(*(alg.table[i][j] for i, j in zip(f1, f2))):
+                c = c1 * c2
+                for _, sc in cells:
+                    c = c * sc
+                key = (exps, tuple(k for k, _ in cells))
+                out[key] = out.get(key, zero) + c
+    return TensorPoly(a.params, a.d, out)
+
+
+def rescaled(params, f):
+    """The same pack written in the basis f*e_i for every non-unit basis
+    element e_i of F.  Every shipped F has structure constants 0 and 1;
+    here e.g. t*t = 1 becomes (f t)*(f t) = f^2."""
+    old = params.algebra
+    w = [1 if i == old.unit_index else f for i in range(old.dim)]
+    table = [[tuple((k, c * w[i] * w[j] / w[k]) for k, c in old.table[i][j])
+              for j in range(old.dim)] for i in range(old.dim)]
+    alg = FAlgebra(old.field, old.labels, table, old.unit_index, name=old.name)
+
+    def conv(t):
+        return FTensor(alg, t.arity, {key: c / prod(w[i] for i in key)
+                                      for key, c in t.terms.items()})
+    return PqwpParams(alg, params.variant,
+                      {k: conv(v) for k, v in params.deltas.items()},
+                      conv(params.alpha), name=f"{params.name}_rescaled")
+
+
+def kernel_packs():
+    return {"zigzag_a1": preset("zigzag_a1"), "pro_p": preset("pro_p"),
+            "affine_hecke": preset("affine_hecke"),
+            "zigzag_a1_gf5": rebase_field(preset("zigzag_a1"), Field.prime(5)),
+            "pro_p_rescaled": rescaled(preset("pro_p"), 2)}
+
+
+def test_rescaled_pack_is_a_pack_with_other_structure_constants():
+    params = kernel_packs()["pro_p_rescaled"]
+    assert params.algebra.table[1][1] == ((0, params.field.from_int(4)),)
+    assert validate_pqwp(params, 1).passed
+
+
+@pytest.mark.parametrize("name", sorted(kernel_packs()))
+def test_product_kernel_matches_generic_pair_loop(name):
+    params = kernel_packs()[name]
+    d = 3
+    rng = random.Random(31)
+    unit = unit_poly(params, d)
+    structure = [f(params, d, a, b) for f in (abar_ij, r_ij, s_ij, beta_ij, p_ij)
+                 for a, b in ((0, 1), (1, 2))]
+    q_coeff = max(p_ij(params, d, 0, 1).terms.items())[1]
+    operands = ([random_poly(params, d, rng) for _ in range(3)]
+                + [zero_poly(params, d), unit,
+                   unit.scale(params.field.from_int(3)), unit.scale(q_coeff),
+                   -unit]
+                + structure)
+    for a in operands:
+        for b in operands:
+            got = a * b
+            assert got == reference_product(a, b), (a, b)
+            assert all(not is_zero(c) for c in got.terms.values())
+    # the operands themselves are left as they were
+    assert unit == unit_poly(params, d)
+
+
+def test_public_constructor_keeps_its_checks():
+    params = preset("degenerate")
+    assert params.variant == "polynomial"
+    with pytest.raises(SizeMismatch):
+        TensorPoly(params, 2, {((0, 0, 0), (0, 0)): 1})
+    with pytest.raises(SizeMismatch):
+        TensorPoly(params, 2, {((0, 0), (0,)): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        TensorPoly(params, 2, {((-1, 0), (0, 0)): 1})
+    assert TensorPoly(params, 2, {((1, 0), (0, 0)): 0}).terms == {}
+
+
+def test_internal_results_store_no_zero_coefficient():
+    params = preset("degenerate")
+    x1, x2 = x_var(params, 2, 0), x_var(params, 2, 1)
+    p = random_poly(params, 2, random.Random(2)) + x1
+    assert (p - p).terms == {}
+    assert (p + (-p)).terms == {}
+    # the x1*x2 terms of the pair loop cancel
+    prod = (x1 + x2) * (x1 - x2)
+    assert set(prod.terms) == {((2, 0), (0, 0)), ((0, 2), (0, 0))}
+    assert p.scale(0).terms == {}
+    # (c⊗1)^2 = 0 in the zigzag algebra: every slot product vanishes
+    zz = preset("zigzag_a1")
+    c1 = monomial(zz, 2, (1, 0), (0, 0)) + monomial(zz, 2, (1, 0), (1, 0))
+    assert (c1 * c1).terms == {}
+    swapped_sum = (x1 - x2).place_permute_simple(0) + (x1 - x2)
+    assert swapped_sum.terms == {}
