@@ -34,8 +34,9 @@ from .symcomb import (block_of, blocks, check_refines, coset_reps,
                       identity, inverse, length, matrix_from_triple,
                       matrix_to_perm, mul, region_L, region_N, region_P,
                       simple, strip_zeros, ThetaMatrix, young_subgroup)
-from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
-                          monomial, permute_factors, unit_poly, zero_poly)
+from .tensor_poly import (InvarianceViolation, LocalizedElement, TensorPoly,
+                          alpha_ij, beta_ij, monomial, permute_factors,
+                          require_invariant, unit_poly, zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -44,10 +45,6 @@ class BlockMismatch(ValueError):
 
 class CharacteristicTooSmall(ValueError):
     """Raised when the ground field cannot support the detecting family."""
-
-
-class InvarianceViolation(ValueError):
-    """Raised when a stored value fails its required symmetry."""
 
 
 Composition = tuple
@@ -101,20 +98,6 @@ def _decompose(z, lam, mu):
     return x, g, y
 
 
-def _require_invariant(value, lam) -> LocalizedElement:
-    """value as a LocalizedElement, after checking that S_lam fixes it.  The
-    simple reflections inside the blocks of lam generate S_lam, so only
-    they are tried."""
-    if isinstance(value, TensorPoly):
-        value = LocalizedElement(value)
-    for blk in blocks(lam):
-        for i in range(blk.start, blk.stop - 1):
-            if value.place_permute(simple(value.d, i)) != value:
-                raise InvarianceViolation(
-                    f"{value} moves under s_{i + 1}, not S_{lam}-invariant")
-    return value
-
-
 # blocks ----------------------------------------------------------------------
 
 class ConvBlock:
@@ -155,7 +138,7 @@ class ConvBlock:
         the row reading delta_r of the double coset's matrix."""
         for g, r in self.xi.items():
             delta_r, _ = coset_shapes(matrix_from_triple(self.lam, g, self.mu))
-            _require_invariant(r, delta_r)
+            require_invariant(r, delta_r)
 
     @staticmethod
     def zero(params, d, lam, mu) -> "ConvBlock":
@@ -417,8 +400,8 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
 def diagonal_element(params, d, lam, t) -> SchurElement:
     """Multiplication by an S_lam-invariant t on the lam component."""
     lam = _check_comp(d, lam)
-    t = _require_invariant(t, lam)
-    blk = ConvBlock(params, d, lam, lam, {identity(d): t}, check=False)
+    blk = ConvBlock(params, d, lam, lam,
+                    {identity(d): require_invariant(t, lam)}, check=False)
     return SchurElement.from_block(blk)
 
 
@@ -497,7 +480,7 @@ class PolyRepVector:
             value = LocalizedElement(value)
         object.__setattr__(self, "value", value)
         if check:
-            _require_invariant(value, self.lam)
+            require_invariant(value, self.lam)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyRepVector is immutable")
@@ -784,7 +767,7 @@ def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
     nu, _ = coset_shapes(matrix_from_triple(lam, g, mu))
     if isinstance(b, TensorPoly):
-        _require_invariant(b, nu)
+        require_invariant(b, nu)
         elt = PqwpElement.of_poly(b)
     else:
         elt = b
@@ -801,9 +784,8 @@ def laurel_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
     nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
-    bb = _require_invariant(b, nu)
     out = split_merge(params, d, lam, nu, kind="partial_merge")
-    out = out * diagonal_element(params, d, nu, bb)
+    out = out * diagonal_element(params, d, nu, b)
     out = out * h_tilde(params, d, lam, mu, g)
     out = out * split_merge(params, d, mu, delta, kind="partial_split")
     return out

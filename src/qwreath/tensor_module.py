@@ -1,18 +1,26 @@
 """Tensor powers of the free rank-n module with the Hecke-generator
 action, their weight-slice submodules, and the block maps between slices
-indexed by integer matrices with a partially symmetric coefficient."""
+indexed by integer matrices with a partially symmetric coefficient.
+
+The permutation module y_lam * H and the weight-lam slice are linked by one
+right-linear map, psi_lam(y_lam * a) = v_lam+ * a, where v_lam+ is the basis
+vector of weight lam with sorted index tuple and coefficient one.  For a
+shortest representative w, v_lam+ * H_w is the basis vector indexed by the
+sorted tuple shuffled through w, so a slice vector sum of v_{lam+ . w} * c_w
+is v_lam+ * (sum of H_w c_w): its coefficients are right coefficients."""
 
 from itertools import product
 
 from .coeff_ring import echelon_pivots
-from .pqwp import IdentityFailed, PqwpElement, k_lambda, pqwp_mul
+from .pqwp import (IdentityFailed, PqwpElement, from_right_coefficients,
+                   k_lambda, pqwp_mul)
 from .symcomb import (ThetaMatrix, blocks, coset_reps, coset_shapes,
                       double_coset_data, double_coset_reps, inverse, length,
                       longest_in_young, matrix_from_triple, mul, reduced_word,
                       strip_zeros, to_one_line, weak_compositions,
                       young_subgroup)
-from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij, s_ij,
-                          unit_poly, zero_poly)
+from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij,
+                          require_invariant, s_ij, unit_poly, zero_poly)
 
 
 class ModuleMismatch(ValueError):
@@ -285,6 +293,13 @@ def weight_of(idx, n):
     return tuple(lam)
 
 
+def plus_vector(params, lam) -> TensorVector:
+    """v_lam+: the basis vector of weight lam whose index tuple is sorted,
+    with coefficient one.  psi(y_lam * a) = v_lam+ * a."""
+    idx = [v + 1 for v, part in enumerate(lam) for _ in range(part)]
+    return TensorVector.basis(params, len(lam), len(idx), idx)
+
+
 def module_expand(params, d, lam, elt: PqwpElement) -> dict:
     """Coordinates of an element of the free right module spanned by
     y_lam b H_g over shortest representatives g: returns {g: b_g} with
@@ -322,102 +337,6 @@ def _coset_floor(w, lam):
     return inverse(tuple(gi))
 
 
-class PermutationModule:
-    """Free right module on the translates y_lam H_g of one quasi-idempotent,
-    identified with the span of tensor vectors whose index tuple has a given
-    content.  Elements are dicts {g: coefficient} meaning the sum of
-    y_lam * coefficient * H_g."""
-
-    def __init__(self, params, lam):
-        self.params = params
-        self.strict = strip_zeros(lam)
-        self.lam = tuple(int(x) for x in lam)
-        self.n = len(self.lam)
-        self.d = sum(self.lam)
-        self.y = k_lambda(params, self.d, self.strict)
-        self.reps = coset_reps(self.strict, "left")
-        plus = []
-        for v, part in enumerate(self.lam):
-            plus.extend([v + 1] * part)
-        self.i_plus = tuple(plus)
-        self._structure = {}
-
-    def structure(self, eta, k) -> dict:
-        """Coordinates of y * H_eta * H_k; cached."""
-        key = (eta, k)
-        hit = self._structure.get(key)
-        if hit is None:
-            prod = pqwp_mul(PqwpElement.h_of_perm(self.params, self.d, eta),
-                            PqwpElement.h_gen(self.params, self.d, k))
-            hit = module_expand(self.params, self.d, self.strict,
-                                pqwp_mul(self.y, prod))
-            self._structure[key] = hit
-        return hit
-
-    def check_coords(self, coords):
-        reps = set(self.reps)
-        for g in coords:
-            if g not in reps:
-                raise ModuleMismatch(
-                    f"{to_one_line(g)} is not a shortest representative "
-                    f"for {self.strict}")
-
-    def act_poly(self, coords, q: TensorPoly) -> dict:
-        out = {}
-        for g, b in coords.items():
-            bq = b * q
-            if not bq.is_zero():
-                out[g] = bq
-        return out
-
-    def act_H(self, coords, k: int) -> dict:
-        """One Hecke generator on module coordinates: the twisted-derivation
-        part keeps the translate, the structure part redistributes the
-        flipped coefficient."""
-        self.check_coords(coords)
-        out = {}
-
-        def bump(g, b):
-            if b.is_zero():
-                return
-            cur = out.get(g)
-            total = b if cur is None else cur + b
-            if total.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = total
-
-        for eta, p in coords.items():
-            bump(eta, p.twisted_demazure(k))
-            flipped = p.place_permute_simple(k)
-            for g, b in self.structure(eta, k).items():
-                bump(g, b * flipped)
-        return out
-
-    def to_tensor(self, coords, n=None) -> TensorVector:
-        """The slice embedding: the g-translate with coefficient b becomes
-        the vector indexed by the sorted tuple shuffled through g."""
-        self.check_coords(coords)
-        n = n or self.n
-        terms = {}
-        for g, b in coords.items():
-            idx = tuple(self.i_plus[g[j]] for j in range(self.d))
-            terms[idx] = b
-        return TensorVector(self.params, n, self.d, terms)
-
-
-def tensor_components(v: TensorVector) -> dict:
-    """Split a vector over weight slices: {weight: module coordinates}."""
-    out = {}
-    for idx, b in v.terms.items():
-        plus, w = sort_index(idx)
-        lam = weight_of(idx, v.n)
-        slot = out.setdefault(lam, {})
-        cur = slot.get(w)
-        slot[w] = b if cur is None else cur + b
-    return out
-
-
 # block maps between slices -----------------------------------------------------
 
 
@@ -426,76 +345,74 @@ class ThetaMap:
     matrix A (row sums: target weight, column sums: source weight) and a
     coefficient P invariant under the column-reading Young subgroup.
 
-    The map sends the source generator to y_lam * P * H_g * y_mu^delta and
-    extends by right linearity; the cached expansion holds the normal-form
-    coefficients of P * H_g * y_mu^delta, all supported on shortest
-    representatives."""
+    The map sends y_mu to y_lam * core, where core is the normal form of
+    P * H_g * y_mu^delta, and extends by right linearity; every term of core
+    sits on a shortest representative of the target.  ``source`` and
+    ``target`` are the weights mu and lam, zero parts kept."""
 
     def __init__(self, params, A: ThetaMatrix, P: TensorPoly = None):
         self.params = params
         self.A = A
-        lam_w, g, mu_w, delta_c, _, _ = double_coset_data(A)
-        self.g = g
-        self.delta = delta_c
-        self.n = len(A.rows)
+        self.target, self.g, self.source, self.delta, _, _ = \
+            double_coset_data(A)
         self.d = A.d
-        self.source = PermutationModule(params, mu_w)
-        self.target = PermutationModule(params, lam_w)
         if P is None:
             P = unit_poly(params, self.d)
         if P.params is not params or P.d != self.d:
             raise ModuleMismatch("coefficient lives over different data")
-        for blk in blocks(self.delta):
-            for a in range(blk.start, blk.stop - 1):
-                if P.place_permute_simple(a) != P:
-                    raise ModuleMismatch(
-                        f"coefficient is not invariant under the column "
-                        f"reading {self.delta} of {A!r}")
-        self.P = P
-        self.core = self._expand()
-        bad = [w for w in self.core.terms if w not in set(self.target.reps)]
+        self.P = require_invariant(P, self.delta)
+        rest = pqwp_mul(PqwpElement.h_of_perm(params, self.d, self.g),
+                        k_lambda(params, self.d, strip_zeros(self.source),
+                                 "upper", self.delta))
+        self.core = pqwp_mul(PqwpElement.of_poly(P), rest)
+        reps = set(coset_reps(strip_zeros(self.target), "left"))
+        bad = [w for w in self.core.terms if w not in reps]
         if bad:
             raise IdentityFailed(
                 "block map expansion leaves the shortest representatives",
                 witness={"matrix": repr(A),
                          "perms": [to_one_line(w) for w in bad]})
 
-    def _expand(self) -> PqwpElement:
-        rest = pqwp_mul(PqwpElement.h_of_perm(self.params, self.d, self.g),
-                        k_lambda(self.params, self.d,
-                                 strip_zeros(self.source.lam),
-                                 "upper", self.delta))
-        return pqwp_mul(PqwpElement.of_poly(self.P), rest)
-
-    def coefficients(self) -> dict:
-        """The cached expansion {w: b_w}, also the target coordinates of
-        the image of the source generator."""
-        return dict(self.core.terms)
-
 
 def theta_apply(theta: ThetaMap, coords) -> dict:
-    """Apply a block map to source-slice coordinates; the result is in
-    target-slice coordinates."""
-    theta.source.check_coords(coords)
-    for b in coords.values():
+    """Apply a block map to source-slice coordinates {g: b_g}, meaning the
+    sum of y_mu * b_g * H_g over shortest representatives g; the result is
+    in target-slice coordinates."""
+    reps = set(coset_reps(strip_zeros(theta.source), "left"))
+    for g, b in coords.items():
+        if g not in reps:
+            raise ModuleMismatch(
+                f"{to_one_line(g)} is not a shortest representative "
+                f"for {theta.source}")
         if b.params is not theta.params:
             raise ModuleMismatch("coordinates live over different data")
+    lam = strip_zeros(theta.target)
     w_elt = PqwpElement(theta.params, theta.d, dict(coords))
-    total = pqwp_mul(theta.target.y, pqwp_mul(theta.core, w_elt))
-    return module_expand(theta.params, theta.d, theta.target.strict, total)
+    total = pqwp_mul(k_lambda(theta.params, theta.d, lam),
+                     pqwp_mul(theta.core, w_elt))
+    return module_expand(theta.params, theta.d, lam, total)
 
 
 def theta_on_tensor(theta: ThetaMap, v: TensorVector) -> TensorVector:
-    """The block map as an operator on the whole tensor power: it kills
-    every slice except its source weight."""
-    if v.params is not theta.params or v.d != theta.d or v.n != theta.n:
+    """The block map as an operator on the whole tensor power, through psi:
+    the source slice of v is v_mu+ * a with a = sum of H_w c_w over its
+    terms v_{mu+ . w} * c_w, and its image is v_lam+ * core * a.  Every
+    other slice is killed."""
+    if v.params is not theta.params or v.d != theta.d:
         raise ModuleMismatch("vector and block map live over different data")
-    parts = tensor_components(v)
-    coords = parts.get(tuple(theta.source.lam))
-    if not coords:
+    if len(theta.source) != v.n or len(theta.target) != v.n:
+        raise ModuleMismatch(
+            f"block map from {theta.source} to {theta.target} does not act "
+            f"on the tensor power of rank {v.n}")
+    rights = {}
+    for idx, c in v.terms.items():
+        if weight_of(idx, v.n) == theta.source:
+            rights[sort_index(idx)[1]] = c
+    if not rights:
         return TensorVector.zero(v.params, v.n, v.d)
-    image = theta_apply(theta, coords)
-    return theta.target.to_tensor(image, n=v.n)
+    a = from_right_coefficients(theta.params, theta.d, rights)
+    return act_pqwp(plus_vector(theta.params, theta.target),
+                    pqwp_mul(theta.core, a))
 
 
 def commutant_check(theta: ThetaMap, samples, gens=None) -> bool:
@@ -517,6 +434,8 @@ def invariant_basis(params, d, delta, degree) -> list:
     """Monomial orbit sums under the Young subgroup of delta, with
     nonnegative exponents of total degree at most the bound.  For Laurent
     rings this is the polynomial slice of the invariants."""
+    if sum(strip_zeros(delta)) != d:
+        raise ValueError(f"{tuple(delta)!r} is not a composition of {d}")
     group = young_subgroup(strip_zeros(delta))
     nf = len(params.algebra.labels)
     seen = set()

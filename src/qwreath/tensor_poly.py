@@ -12,10 +12,15 @@ from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, is_zero, scalar_str
 from .base_algebra import FTensor
+from .symcomb import blocks, simple
 
 
 class SizeMismatch(ValueError):
     pass
+
+
+class InvarianceViolation(ValueError):
+    """Raised when a stored value fails its required symmetry."""
 
 
 class TensorPoly:
@@ -581,6 +586,18 @@ class LocalizedElement:
 
     def __repr__(self):
         return f"LocalizedElement({self})"
+
+
+def require_invariant(value, lam):
+    """value, a TensorPoly or LocalizedElement, after checking that the
+    place action of S_lam fixes it.  The simple reflections inside the
+    blocks of lam generate S_lam, so only they are tried."""
+    for blk in blocks(lam):
+        for i in range(blk.start, blk.stop - 1):
+            if value.place_permute(simple(value.d, i)) != value:
+                raise InvarianceViolation(
+                    f"{value} moves under s_{i + 1}, not S_{lam}-invariant")
+    return value
 
 
 # annihilator certificate for the C3 condition --------------------------------------

@@ -73,3 +73,71 @@ def test_terms_mutation_guard_sees_each_form():
         "q = p.terms.get(k)",
     ])
     assert terms_mutations(source) == list(range(1, 9))
+
+
+# Every function, class and method of the library is used somewhere: in the
+# library, its tests or the benchmark harness.
+REPO = SRC.parent.parent
+REFERENCE_ROOTS = [REPO / "src", REPO / "tests", REPO / "perfbench"]
+
+
+def definitions(source):
+    """(qualified name, name) of every function, class and method defined
+    in source, nested ones included; dunders are left out."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((qual, child.name))
+                visit(child, qual + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def references(source):
+    """Every identifier source uses: names, attributes, imported names, and
+    string constants that are one identifier (as getattr-style tables use)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def dead_definitions(library, corpus):
+    """Qualified names defined in the library sources that no source in the
+    corpus references."""
+    used = set()
+    for source in corpus:
+        used |= references(source)
+    return sorted(qual for source in library for qual, name in definitions(source)
+                  if name not in used)
+
+
+def test_every_definition_is_referenced():
+    library = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    corpus = [p.read_text(encoding="utf-8") for root in REFERENCE_ROOTS
+              for p in sorted(root.rglob("*.py"))]
+    assert dead_definitions(library, corpus) == []
+
+
+def test_dead_definition_guard_sees_each_form():
+    library = ["class A:\n    def m(self): pass\n    def __eq__(self, o): pass\n"
+               "def f():\n    def inner(): pass\n"
+               "def g(): pass\ndef h(): pass\ndef k(): pass\ndef unused(): pass\n"]
+    corpus = library + ["A().m\nf()\nfrom mod import g\nx = {'h': 1}\n"
+                        "'k is documented here, not referenced'\n"]
+    assert dead_definitions(library, corpus) == ["f.inner", "k", "unused"]

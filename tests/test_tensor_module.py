@@ -4,15 +4,20 @@ from itertools import product
 import pytest
 
 from qwreath import tensor_module
-from qwreath.base_algebra import preset
-from qwreath.pqwp import IdentityFailed, PqwpElement
-from qwreath.symcomb import ThetaMatrix, all_perms, reduced_word
+from qwreath.base_algebra import preset, shipped_presets
+from qwreath.pqwp import IdentityFailed, PqwpElement, pqwp_mul
+from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, reduced_word,
+                             strip_zeros, theta_matrices)
 from qwreath.tensor_module import (
     ModuleMismatch, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
-    commutant_check, invariant_basis, tensor_relations_check,
-    theta_family_rank,
+    commutant_check, invariant_basis, plus_vector, tensor_relations_check,
+    theta_apply, theta_family_rank, theta_on_tensor,
 )
-from qwreath.tensor_poly import monomial, unit_poly
+from qwreath.tensor_poly import (InvarianceViolation, monomial, unit_poly,
+                                 x_var)
+
+PACKS = list(shipped_presets()) + ["pro_p(4)"]
+MATRICES = theta_matrices(2, 3)
 
 
 def basis_vectors(params, n, d):
@@ -92,3 +97,111 @@ def test_vector_results_store_no_zero_coefficient():
         for k in range(2):
             image = act_H(w, k)
             assert all(not coeff.is_zero() for coeff in image.terms.values())
+
+
+def random_poly(p, d, rng, terms=2, degree=2):
+    """1 plus a few monomials with random F-legs and x-exponents."""
+    nf = len(p.algebra.labels)
+    out = unit_poly(p, d)
+    for _ in range(terms):
+        fkey = tuple(rng.randrange(nf) for _ in range(d))
+        exps = tuple(rng.randrange(degree + 1) for _ in range(d))
+        out = out + monomial(p, d, fkey, exps, rng.randrange(1, 4))
+    return out
+
+
+def commutant_samples(p, n, d, seed=0):
+    """Every basis vector, and basis vectors with x-dependent coefficients."""
+    rng = random.Random(seed)
+    out = basis_vectors(p, n, d)
+    for idx in product(range(1, n + 1), repeat=d):
+        out.append(TensorVector.basis(p, n, d, idx, random_poly(p, d, rng)))
+    return out
+
+
+@pytest.mark.parametrize("A", MATRICES, ids=repr)
+@pytest.mark.parametrize("name", PACKS)
+def test_every_block_map_commutes_with_generators(name, A):
+    p = preset(name)
+    assert commutant_check(ThetaMap(p, A), commutant_samples(p, 2, 3))
+
+
+def test_commutant_check_sees_a_wrong_block_map():
+    """Without the y_mu^delta factor the map is not a module map."""
+    p = preset("pro_p")
+    theta = ThetaMap(p, ThetaMatrix([[1, 1], [0, 1]]))
+    theta.core = pqwp_mul(PqwpElement.of_poly(theta.P),
+                          PqwpElement.h_of_perm(p, 3, theta.g))
+    assert not commutant_check(theta, commutant_samples(p, 2, 3))
+
+
+def psi(p, lam, coords):
+    """The permutation module's coordinates {g: b} as the slice vector
+    v_lam+ * (sum of b H_g)."""
+    return act_pqwp(plus_vector(p, lam), PqwpElement(p, sum(lam), dict(coords)))
+
+
+@pytest.mark.parametrize("name", PACKS)
+def test_theta_apply_and_theta_on_tensor_agree_through_psi(name):
+    p = preset(name)
+    rng = random.Random(7)
+    for A in MATRICES:
+        theta = ThetaMap(p, A)
+        reps = coset_reps(strip_zeros(theta.source), "left")
+        coords = {g: random_poly(p, 3, rng, terms=1) for g in reps
+                  if rng.random() < 0.6}
+        assert psi(p, theta.target, theta_apply(theta, coords)) == \
+            theta_on_tensor(theta, psi(p, theta.source, coords)), A
+
+
+def test_plus_vector_times_a_shortest_representative_is_a_basis_vector():
+    p = preset("pro_p")
+    for lam in ((2, 1), (1, 2), (0, 3), (1, 1, 1)):
+        for g in coset_reps(strip_zeros(lam), "left"):
+            v = act_pqwp(plus_vector(p, lam), PqwpElement.h_of_perm(p, 3, g))
+            plus = plus_vector(p, lam).support()[0]
+            idx = tuple(plus[g[j]] for j in range(3))
+            assert v == TensorVector.basis(p, len(lam), 3, idx)
+
+
+def random_element(p, d, rng, terms=3):
+    perms = list(all_perms(d))
+    return PqwpElement(p, d, {rng.choice(perms): random_poly(p, d, rng, terms=1)
+                              for _ in range(terms)})
+
+
+@pytest.mark.parametrize("name", PACKS)
+def test_algebra_action_is_a_module_action(name):
+    """v * (a b) == (v * a) * b: pqwp_mul is the oracle for act_H."""
+    p = preset(name)
+    rng = random.Random(3)
+    for _ in range(3):
+        idx = tuple(rng.randrange(1, 3) for _ in range(3))
+        v = TensorVector.basis(p, 2, 3, idx, random_poly(p, 3, rng, terms=1))
+        a, b = random_element(p, 3, rng), random_element(p, 3, rng)
+        assert act_pqwp(v, pqwp_mul(a, b)) == act_pqwp(act_pqwp(v, a), b)
+
+
+def test_non_square_block_map_rejects_tensor_vectors():
+    p = preset("zigzag_a1")
+    theta = ThetaMap(p, ThetaMatrix([[1, 1, 1]]))
+    for n in (1, 3):
+        v = TensorVector.basis(p, n, 3, (1,) * 3)
+        with pytest.raises(ModuleMismatch):
+            theta_on_tensor(theta, v)
+    assert theta_family_rank(p, (3,), (1, 1, 1), 0) == {"count": 8, "rank": 8}
+
+
+def test_invariant_basis_needs_a_composition_of_d():
+    p = preset("zigzag_a1")
+    for d, delta in ((3, (1, 1)), (2, (1, 1, 1))):
+        with pytest.raises(ValueError):
+            invariant_basis(p, d, delta, 1)
+
+
+def test_block_map_rejects_a_non_invariant_coefficient():
+    p = preset("zigzag_a1")
+    A = ThetaMatrix([[2, 0], [0, 1]])
+    with pytest.raises(InvarianceViolation):
+        ThetaMap(p, A, x_var(p, 3, 0))
+    ThetaMap(p, A, x_var(p, 3, 0) + x_var(p, 3, 1))
