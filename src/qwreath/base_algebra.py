@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import wraps
 from itertools import product as iproduct
 
 from .coeff_ring import Field, is_zero, scalar_str
@@ -330,10 +331,12 @@ class PqwpParams:
     r_elt = alpha * alpha_bar.  A preset may also carry the R it intends
     (stated_r); the C1 check compares the two.
 
-    Instances hash by identity so downstream caches can key on them."""
+    The pack owns ``memo``, the cache of everything computed from it (one
+    dict per ``pack_cached`` function), so the cache dies with the pack and
+    ``memo.clear()`` empties it."""
 
     __slots__ = ("algebra", "variant", "deltas", "alpha", "name",
-                 "s_elt", "alpha_bar", "r_elt", "stated_r")
+                 "s_elt", "alpha_bar", "r_elt", "stated_r", "memo")
 
     POLYNOMIAL = "polynomial"
     LAURENT = "laurent"
@@ -360,6 +363,7 @@ class PqwpParams:
         self.alpha_bar = alpha.flip() + self.s_elt
         self.r_elt = alpha * self.alpha_bar
         self.stated_r = stated_r
+        self.memo = {}
 
     @property
     def field(self):
@@ -367,6 +371,18 @@ class PqwpParams:
 
     def __repr__(self):
         return f"PqwpParams({self.name})"
+
+
+def pack_cached(fn):
+    """Memoize fn(params, *args) in params.memo, under fn's own dict."""
+    @wraps(fn)
+    def cached(params, *args):
+        try:
+            return params.memo[cached][args]
+        except KeyError:
+            out = params.memo.setdefault(cached, {})[args] = fn(params, *args)
+            return out
+    return cached
 
 
 # validation reports ------------------------------------------------------------

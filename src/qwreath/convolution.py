@@ -28,6 +28,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
+from .base_algebra import pack_cached
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
 from .symcomb import (block_of, blocks, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
@@ -59,7 +60,6 @@ def _check_comp(d: int, lam) -> Composition:
 
 # twists ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def twist_e(params, d: int, lam) -> TensorPoly:
     """Value of the twist at the base point of Y_lam: linear factors over the
     cross-block pairs N_lam, P factors over the complementary ordered pairs."""
@@ -88,14 +88,6 @@ def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
     if invert:
         return LocalizedElement(core, None, tags)
     return LocalizedElement(core, tags, None)
-
-
-# coset bookkeeping -----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _decompose(z, lam, mu):
-    x, g, y = double_coset_decompose(z, lam, mu)
-    return x, g, y
 
 
 # blocks ----------------------------------------------------------------------
@@ -181,7 +173,7 @@ class ConvBlock:
 
     def value_at(self, z) -> LocalizedElement:
         """Normalized value at ([1],[z]) for an arbitrary group element z."""
-        u, g, _ = _decompose(tuple(z), self.lam, self.mu)
+        u, g, _ = double_coset_decompose(tuple(z), self.lam, self.mu)
         r = self.xi.get(g)
         if r is None:
             return LocalizedElement.zero(self.params, self.d)
@@ -206,14 +198,14 @@ class ConvBlock:
                     out[y] = term if cur is None else cur + term
         else:
             for z in coset_reps(self.mu, "right"):
-                u, g, _ = _decompose(z, self.lam, self.mu)
+                u, g, _ = double_coset_decompose(z, self.lam, self.mu)
                 rf = self.xi.get(g)
                 if rf is None:
                     continue
                 left = rf.place_permute(u)
                 zi = inverse(z)
                 for y in double_coset_reps(self.lam, other.mu):
-                    u2, g2, _ = _decompose(mul(zi, y), other.lam, other.mu)
+                    u2, g2, _ = double_coset_decompose(mul(zi, y), other.lam, other.mu)
                     rh = other.xi.get(g2)
                     if rh is None:
                         continue
@@ -420,7 +412,7 @@ def k_block(params, d, lam) -> SchurElement:
 
 # the embedding of the wreath Hecke algebra -----------------------------------
 
-@lru_cache(maxsize=None)
+@pack_cached
 def _phi_gen(params, d, i) -> ConvBlock:
     """Image of the i-th braid generator on the full-flag block."""
     omega = (1,) * d
@@ -430,7 +422,7 @@ def _phi_gen(params, d, i) -> ConvBlock:
                      {identity(d): lower, simple(d, i): upper}, check=False)
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def _phi_word(params, d, w) -> ConvBlock:
     omega = (1,) * d
     if w == identity(d):
@@ -536,7 +528,7 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
                              check=False)
     acc = LocalizedElement.zero(params, d)
     for h in coset_reps(blk.mu, "right"):
-        u, g, _ = _decompose(h, blk.lam, blk.mu)
+        u, g, _ = double_coset_decompose(h, blk.lam, blk.mu)
         r = blk.xi.get(g)
         if r is None:
             continue
@@ -629,7 +621,7 @@ def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
 
 # the faithfulness oracle -----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@pack_cached
 def _detecting_family(params, d, mu) -> tuple:
     """Symmetrized products (staircase monomial) x (basis tensor), enough to
     separate every block with column composition mu."""

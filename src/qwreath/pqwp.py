@@ -11,14 +11,13 @@ multiplies a whole element by a word one letter at a time
 permutations.
 """
 
-from functools import lru_cache
-
 from .symcomb import (
     Perm, blocks, check_refines, coset_reps, coset_shapes, double_coset_reps,
     identity, increasing_on_blocks, inv_set, inverse, left_reps_in_young,
     length, longest_in_young, matrix_from_triple, mul, reduced_word, region_L,
     region_N, simple, to_one_line, young_subgroup,
 )
+from .base_algebra import pack_cached
 from .coeff_ring import SCALARS
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
@@ -202,7 +201,7 @@ class PqwpElement:
 # rewriting core ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def _right_step(params, d, z: Perm, i: int):
     """H_z * H_i in normal form, as a tuple of (perm, coeff) pairs; coeff
     None marks the length-increasing case, where nothing is multiplied."""
@@ -214,7 +213,7 @@ def _right_step(params, d, z: Perm, i: int):
     return ((z, s_emb), (zi, r_emb))
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def _left_step(params, d, i: int, z: Perm):
     """H_i * H_z in normal form, shaped like a _right_step."""
     iz = mul(simple(d, i), z)

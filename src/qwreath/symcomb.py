@@ -402,6 +402,7 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def double_coset_decompose(z: Perm, lam: Composition, mu: Composition):
     """Write z = x * g0 * y with x in S_lam, g0 minimal, y in S_mu."""
     d = len(z)

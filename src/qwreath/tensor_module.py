@@ -300,32 +300,6 @@ def plus_vector(params, lam) -> TensorVector:
     return TensorVector.basis(params, len(lam), len(idx), idx)
 
 
-def module_expand(params, d, lam, elt: PqwpElement) -> dict:
-    """Coordinates of an element of the free right module spanned by
-    y_lam b H_g over shortest representatives g: returns {g: b_g} with
-    elt = sum of y_lam * b_g * H_g.  Raises SpanViolation otherwise."""
-    lam = strip_zeros(lam)
-    w0 = longest_in_young(lam)
-    y = k_lambda(params, d, lam)
-    by_coset = {}
-    for w, c in elt.terms.items():
-        by_coset.setdefault(_coset_floor(w, lam), {})[w] = c
-    out = {}
-    recon = PqwpElement.zero(params, d)
-    for g, part in sorted(by_coset.items(), key=lambda kv: (length(kv[0]), kv[0])):
-        top = part.get(mul(w0, g))
-        if top is None:
-            raise SpanViolation(
-                f"no leading term over the coset of {to_one_line(g)}")
-        b = top.place_permute(w0)
-        out[g] = b
-        recon = recon + pqwp_mul(pqwp_mul(y, PqwpElement.of_poly(b)),
-                                 PqwpElement.h_of_perm(params, d, g))
-    if recon != elt:
-        raise SpanViolation("element is not in the span of the y-translates")
-    return out
-
-
 def _coset_floor(w, lam):
     """Shortest element of the left Young-subgroup translate containing w."""
     wi = inverse(w)
@@ -377,7 +351,9 @@ class ThetaMap:
 def theta_apply(theta: ThetaMap, coords) -> dict:
     """Apply a block map to source-slice coordinates {g: b_g}, meaning the
     sum of y_mu * b_g * H_g over shortest representatives g; the result is
-    in target-slice coordinates."""
+    in target-slice coordinates, read from the leading terms: the term of
+    y_lam * b * H_g on w0 * g is w0(b), for w0 the longest element of S_lam.
+    A coset without its leading term raises SpanViolation."""
     reps = set(coset_reps(strip_zeros(theta.source), "left"))
     for g, b in coords.items():
         if g not in reps:
@@ -390,7 +366,16 @@ def theta_apply(theta: ThetaMap, coords) -> dict:
     w_elt = PqwpElement(theta.params, theta.d, dict(coords))
     total = pqwp_mul(k_lambda(theta.params, theta.d, lam),
                      pqwp_mul(theta.core, w_elt))
-    return module_expand(theta.params, theta.d, lam, total)
+    w0 = longest_in_young(lam)
+    out = {}
+    for g in sorted({_coset_floor(w, lam) for w in total.terms},
+                    key=lambda g: (length(g), g)):
+        top = total.terms.get(mul(w0, g))
+        if top is None:
+            raise SpanViolation(
+                f"no leading term over the coset of {to_one_line(g)}")
+        out[g] = top.place_permute(w0)
+    return out
 
 
 def theta_on_tensor(theta: ThetaMap, v: TensorVector) -> TensorVector:

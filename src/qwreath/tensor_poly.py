@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
 from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, is_zero, scalar_str
-from .base_algebra import FTensor
+from .base_algebra import FTensor, pack_cached
 from .symcomb import blocks, simple
 
 
@@ -295,29 +294,29 @@ def of_ftensor(params, d, ft: FTensor) -> TensorPoly:
     return TensorPoly(params, d, {(zero_exps, key): c for key, c in ft.terms.items()})
 
 
-# named elements, cached per (params, d, i, j) ------------------------------------
+# named elements, cached in the pack's memo per (d, i, j) --------------------------
 
-@lru_cache(maxsize=None)
+@pack_cached
 def alpha_ij(params, d, a, b) -> TensorPoly:
     return of_ftensor(params, d, params.alpha.embed((a, b), d))
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def abar_ij(params, d, a, b) -> TensorPoly:
     return of_ftensor(params, d, params.alpha_bar.embed((a, b), d))
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def s_ij(params, d, a, b) -> TensorPoly:
     return of_ftensor(params, d, params.s_elt.embed((a, b), d))
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def r_ij(params, d, a, b) -> TensorPoly:
     return of_ftensor(params, d, params.r_elt.embed((a, b), d))
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def beta_ij(params, d, a, b) -> TensorPoly:
     out = zero_poly(params, d)
     for (r, s), delta in params.deltas.items():
@@ -331,7 +330,7 @@ def beta_ij(params, d, a, b) -> TensorPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@pack_cached
 def p_ij(params, d, a, b) -> TensorPoly:
     lin = x_var(params, d, a) - x_var(params, d, b)
     return alpha_ij(params, d, a, b) * lin + beta_ij(params, d, a, b)

@@ -141,3 +141,47 @@ def test_dead_definition_guard_sees_each_form():
     corpus = library + ["A().m\nf()\nfrom mod import g\nx = {'h': 1}\n"
                         "'k is documented here, not referenced'\n"]
     assert dead_definitions(library, corpus) == ["f.inner", "k", "unused"]
+
+
+# A cache keyed by a parameter pack lives in the pack's memo (pack_cached),
+# so it is freed with the pack; module-level caches take pack-free keys only.
+MODULE_CACHES = {"lru_cache", "cache"}
+
+
+def pack_keyed_module_caches(source):
+    """Names of the functions decorated with ``lru_cache`` or
+    ``functools.cache``, bare or called, whose first parameter is
+    ``params``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        if not args or args[0].arg != "params":
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else \
+                getattr(target, "id", None)
+            if name in MODULE_CACHES:
+                out.append(node.name)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_cache_keyed_by_a_pack(path):
+    assert pack_keyed_module_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_pack_cache_guard_sees_each_form():
+    source = "\n".join([
+        "@lru_cache(maxsize=None)\ndef a(params, d): pass",
+        "@functools.lru_cache\ndef b(params): pass",
+        "@cache\ndef c(params, *, k=1): pass",
+        "@functools.cache\ndef e(params, /, d): pass",
+        "@lru_cache(maxsize=None)\ndef f(d, lam): pass",
+        "@pack_cached\ndef g(params, d): pass",
+        "def h(params): pass",
+        "class K:\n    @lru_cache\n    def m(self, params): pass",
+    ])
+    assert pack_keyed_module_caches(source) == ["a", "b", "c", "e"]

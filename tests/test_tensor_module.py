@@ -9,7 +9,7 @@ from qwreath.pqwp import IdentityFailed, PqwpElement, pqwp_mul
 from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, reduced_word,
                              strip_zeros, theta_matrices)
 from qwreath.tensor_module import (
-    ModuleMismatch, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
+    ModuleMismatch, SpanViolation, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
     commutant_check, invariant_basis, plus_vector, tensor_relations_check,
     theta_apply, theta_family_rank, theta_on_tensor,
 )
@@ -152,6 +152,18 @@ def test_theta_apply_and_theta_on_tensor_agree_through_psi(name):
                   if rng.random() < 0.6}
         assert psi(p, theta.target, theta_apply(theta, coords)) == \
             theta_on_tensor(theta, psi(p, theta.source, coords)), A
+
+
+def test_theta_apply_rejects_a_result_without_leading_terms(monkeypatch):
+    """Without the y_lam factor the image of y_mu is the core, which sits on
+    shortest representatives and not on their w0-translates, so the
+    leading-term read finds nothing."""
+    p = preset("affine_hecke")
+    theta = ThetaMap(p, ThetaMatrix([[1, 1], [0, 1]]))
+    monkeypatch.setattr(tensor_module, "k_lambda",
+                        lambda params, d, lam: PqwpElement.one(params, d))
+    with pytest.raises(SpanViolation):
+        theta_apply(theta, {(0, 1, 2): unit_poly(p, 3)})
 
 
 def test_plus_vector_times_a_shortest_representative_is_a_basis_vector():
