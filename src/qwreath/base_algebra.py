@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
@@ -26,6 +27,11 @@ class InvalidConfig(ValueError):
 
 
 # algebras --------------------------------------------------------------------
+
+def _power_label(gen, i):
+    """The label of gen^i: 1, gen, gen^2, ..."""
+    return "1" if i == 0 else gen if i == 1 else f"{gen}^{i}"
+
 
 class FAlgebra:
     """Unital algebra over a field, multiplication stored as sparse
@@ -124,7 +130,7 @@ class FAlgebra:
         if power < 2:
             raise ValueError("power must be at least 2")
         one = field.one()
-        labels = tuple("1" if i == 0 else gen if i == 1 else f"{gen}^{i}" for i in range(power))
+        labels = tuple(_power_label(gen, i) for i in range(power))
         table = [[(((i + j, one),) if i + j < power else ()) for j in range(power)]
                  for i in range(power)]
         return FAlgebra(field, labels, table, 0, name=f"{gen}-trunc{power}")
@@ -135,7 +141,7 @@ class FAlgebra:
         if order < 1:
             raise ValueError("order must be positive")
         one = field.one()
-        labels = tuple("1" if i == 0 else gen if i == 1 else f"{gen}^{i}" for i in range(order))
+        labels = tuple(_power_label(gen, i) for i in range(order))
         table = [[(((i + j) % order, one),) for j in range(order)]
                  for i in range(order)]
         return FAlgebra(field, labels, table, 0, name=f"{gen}-cyclic{order}")
@@ -336,7 +342,7 @@ class PqwpParams:
     ``memo.clear()`` empties it."""
 
     __slots__ = ("algebra", "variant", "deltas", "alpha", "name",
-                 "s_elt", "alpha_bar", "r_elt", "stated_r", "memo")
+                 "s_elt", "alpha_bar", "r_elt", "stated_r", "memo", "__weakref__")
 
     POLYNOMIAL = "polynomial"
     LAURENT = "laurent"
@@ -645,170 +651,96 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
 
 
 # presets -------------------------------------------------------------------------
+# The shipped presets are preset-file data (see load_preset_file), built by the
+# same loader as a file.
 
-def _scalar_delta(alg, c):
-    return FTensor(alg, 2, {(alg.unit_index, alg.unit_index): c})
-
-
-def _build_wreath():
-    field = Field.rationals()
-    alg = FAlgebra.cyclic(field, "t", 2)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {}, one,
-                      name="wreath", stated_r=one)
+def _at_unit(coeff):
+    """Entry list of coeff * 1⊗1."""
+    return ((("1", "1"), coeff),)
 
 
-def _build_degenerate():
-    field = Field.rationals()
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(0, 0): one}, one,
-                      name="degenerate", stated_r=one)
+_ONE = _at_unit("1")
+_DUAL_NUMBERS = {"kind": "truncated", "gen": "c", "power": 2}
+_DUAL_PAIR = ((("c", "1"), "1"), (("1", "c"), "1"))  # c⊗1 + 1⊗c
 
 
-def _build_graded_affine():
-    field = Field.rational_functions()
-    h = field.param("h")
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(0, 0): _scalar_delta(alg, h)}, one,
-                      name="graded_affine", stated_r=one)
-
-
-def _build_nil():
-    field = Field.rationals()
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(0, 0): one}, FTensor.zero(alg, 2),
-                      name="nil", stated_r=FTensor.zero(alg, 2))
-
-
-def _build_opposite_nil():
-    field = Field.rationals()
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(1, 1): one}, FTensor.zero(alg, 2),
-                      name="opposite_nil", stated_r=FTensor.zero(alg, 2))
-
-
-def _build_affine_hecke():
-    field = Field.rational_functions()
-    q = field.param("q")
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.LAURENT, {(1, 0): _scalar_delta(alg, q - 1)}, one,
-                      name="affine_hecke", stated_r=_scalar_delta(alg, q))
-
-
-def _build_zero_hecke():
-    field = Field.rationals()
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.LAURENT, {(1, 0): _scalar_delta(alg, field.from_int(-1))}, one,
-                      name="zero_hecke", stated_r=FTensor.zero(alg, 2))
-
-
-def _build_qt_hecke():
-    field = Field.rational_functions()
-    q = field.param("q")
-    t = field.param("t")
-    alg = FAlgebra.ground(field)
-    return PqwpParams(alg, PqwpParams.LAURENT, {(1, 0): _scalar_delta(alg, t - q)},
-                      _scalar_delta(alg, q),
-                      name="qt_hecke", stated_r=_scalar_delta(alg, q * t))
-
-
-def _dual_pair_delta(alg):
-    # c⊗1 + 1⊗c in k[c]/(c^2)
-    one = alg.field.one()
-    return FTensor(alg, 2, {(1, 0): one, (0, 1): one})
-
-
-def _build_zigzag_a1():
-    field = Field.rationals()
-    alg = FAlgebra.truncated(field, "c", 2)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.LAURENT, {(0, 0): _dual_pair_delta(alg)}, one,
-                      name="zigzag_a1", stated_r=one)
-
-
-def _build_savage_frobenius():
-    field = Field.rationals()
-    alg = FAlgebra.truncated(field, "c", 2)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(0, 0): _dual_pair_delta(alg)}, one,
-                      name="savage_frobenius", stated_r=one)
-
-
-def _build_pro_p(m=3):
+def _pro_p_spec(m):
+    """Vignéras' pro-p Iwahori Hecke algebra, F = k[t]/(t^n - 1) with n = m - 1:
+    for e = (1/n) sum_j t^j ⊗ t^(n-j), alpha = (1 + q^-1) e - 1⊗1 and
+    delta10 = (q - q^-1) e."""
     if m < 3:
         raise InvalidConfig("pro_p needs m >= 3")
-    field = Field.rational_functions()
-    q = field.param("q")
-    alg = FAlgebra.cyclic(field, "t", m - 1)
     n = m - 1
-    inv = field.from_fraction(Fraction(1, n))
-    e_terms = {}
-    for j in range(1, n + 1):
-        key = (j % n, (n - j) % n)
-        e_terms[key] = e_terms.get(key, field.zero()) + inv
-    e = FTensor(alg, 2, e_terms)
-    qinv = field.one() / q
-    alpha = e.scale(1 + qinv) - FTensor.unit(alg, 2)
-    delta10 = e.scale(q - qinv)
-    return PqwpParams(alg, PqwpParams.LAURENT, {(1, 0): delta10}, alpha,
-                      name=f"pro_p({m})" if m != 3 else "pro_p",
-                      stated_r=FTensor.unit(alg, 2))
+    keys = [(_power_label("t", j % n), _power_label("t", -j % n)) for j in range(1, n + 1)]
+    return {"name": f"pro_p({m})" if m != 3 else "pro_p", "variant": "laurent",
+            "field": {"kind": "ratfun"}, "algebra": {"kind": "cyclic", "gen": "t", "order": n},
+            "delta": {"10": [(key, f"(q-q^-1)/{n}") for key in keys]},
+            "alpha": [(key, f"(1+q^-1)/{n}") for key in keys] + [(("1", "1"), "-1")],
+            "r": _ONE}
 
 
-def _build_rees():
-    raise NotImplementedError(
-        "the rees preset is not shipped: its S parameter depends on extra data "
-        "(eta, tau) with no definition available here; load explicit coordinates "
-        "with a preset file instead")
+_PRESETS = {spec["name"]: spec for spec in (
+    {"name": "wreath", "algebra": {"kind": "cyclic", "gen": "t", "order": 2},
+     "alpha": _ONE, "r": _ONE},
+    {"name": "graded_affine", "field": {"kind": "ratfun"}, "delta": {"00": _at_unit("h")},
+     "alpha": _ONE, "r": _ONE},
+    {"name": "degenerate", "delta": {"00": _ONE}, "alpha": _ONE, "r": _ONE},
+    {"name": "nil", "delta": {"00": _ONE}, "alpha": (), "r": ()},
+    {"name": "opposite_nil", "delta": {"11": _ONE}, "alpha": (), "r": ()},
+    {"name": "affine_hecke", "variant": "laurent", "field": {"kind": "ratfun"},
+     "delta": {"10": _at_unit("q-1")}, "alpha": _ONE, "r": _at_unit("q")},
+    {"name": "zero_hecke", "variant": "laurent", "delta": {"10": _at_unit("-1")},
+     "alpha": _ONE, "r": ()},
+    {"name": "qt_hecke", "variant": "laurent", "field": {"kind": "ratfun"},
+     "delta": {"10": _at_unit("t-q")}, "alpha": _at_unit("q"), "r": _at_unit("q*t")},
+    {"name": "zigzag_a1", "variant": "laurent", "algebra": _DUAL_NUMBERS,
+     "delta": {"00": _DUAL_PAIR}, "alpha": _ONE, "r": _ONE},
+    {"name": "savage_frobenius", "algebra": _DUAL_NUMBERS, "delta": {"00": _DUAL_PAIR},
+     "alpha": _ONE, "r": _ONE},
+    _pro_p_spec(3),
+)}
 
-
-_PRESET_BUILDERS = {
-    "wreath": _build_wreath,
-    "graded_affine": _build_graded_affine,
-    "degenerate": _build_degenerate,
-    "nil": _build_nil,
-    "opposite_nil": _build_opposite_nil,
-    "affine_hecke": _build_affine_hecke,
-    "zero_hecke": _build_zero_hecke,
-    "qt_hecke": _build_qt_hecke,
-    "zigzag_a1": _build_zigzag_a1,
-    "savage_frobenius": _build_savage_frobenius,
-    "pro_p": _build_pro_p,
-    "rees": _build_rees,
-}
-
-_PRESET_CACHE = {}
-
-
-def preset_names() -> tuple[str, ...]:
-    return tuple(_PRESET_BUILDERS)
+_PRESET_CACHE = weakref.WeakValueDictionary()
 
 
 def shipped_presets() -> tuple[str, ...]:
-    """The presets every verification suite must fully pass (rees is a stub)."""
-    return tuple(n for n in _PRESET_BUILDERS if n != "rees")
+    """The names of the shipped presets, which every verification suite must
+    fully pass."""
+    return tuple(_PRESETS)
 
 
-def preset(name: str, **kwargs) -> PqwpParams:
-    base = name
+def preset(name: str) -> PqwpParams:
+    """The shipped parameter pack of that name: one of ``shipped_presets()``
+    (wreath, graded_affine, degenerate, nil, opposite_nil, affine_hecke,
+    zero_hecke, qt_hecke, zigzag_a1, savage_frobenius, pro_p), or
+    ``pro_p(m)`` for m >= 3, whose F has dimension m - 1 (pro_p is m = 3).
+    Any other name raises PresetNotFound, and pro_p(m) with m < 3 raises
+    InvalidConfig.
+
+    The Rees-type example is not shipped: its S parameter depends on data
+    (eta, tau) that is defined nowhere here; give its coordinates in a
+    preset file instead.
+
+    A pack is cached only while it is in use: preset(n) is preset(n) as long
+    as either result is alive, and a dropped pack is freed with its memo."""
+    params = _PRESET_CACHE.get(name)
+    if params is None:
+        params = _pack_from_spec(_preset_spec(name), f"preset {name!r}")
+        _PRESET_CACHE[name] = params
+    return params
+
+
+def _preset_spec(name):
+    spec = _PRESETS.get(name)
+    if spec is not None:
+        return spec
     if name.startswith("pro_p(") and name.endswith(")"):
-        base = "pro_p"
         try:
-            kwargs.setdefault("m", int(name[6:-1]))
+            m = int(name[6:-1])
         except ValueError:
-            raise PresetNotFound(name)
-    if base not in _PRESET_BUILDERS:
-        raise PresetNotFound(name)
-    cache_key = (base, tuple(sorted(kwargs.items())))
-    if cache_key not in _PRESET_CACHE:
-        _PRESET_CACHE[cache_key] = _PRESET_BUILDERS[base](**kwargs)
-    return _PRESET_CACHE[cache_key]
+            raise PresetNotFound(name) from None
+        return _pro_p_spec(m)
+    raise PresetNotFound(name)
 
 
 def rebase_field(params: PqwpParams, field: Field) -> PqwpParams:
@@ -849,11 +781,8 @@ def corrupted_beta_params() -> PqwpParams:
     """Parameter pack that deliberately breaks the mixed-component condition
     on beta (delta00 and delta11 both 1⊗1, off-diagonal components zero);
     the basis checker must reject it at P6/P7."""
-    field = Field.rationals()
-    alg = FAlgebra.ground(field)
-    one = FTensor.unit(alg, 2)
-    return PqwpParams(alg, PqwpParams.POLYNOMIAL, {(0, 0): one, (1, 1): one}, one,
-                      name="corrupted", stated_r=one)
+    return _pack_from_spec({"name": "corrupted", "delta": {"00": _ONE, "11": _ONE},
+                            "alpha": _ONE, "r": _ONE}, "preset 'corrupted'")
 
 
 # preset files ---------------------------------------------------------------------
@@ -863,10 +792,7 @@ def _field_from_spec(spec) -> Field:
     if kind == "rational":
         return Field.rationals()
     if kind == "ratfun":
-        field = Field.rational_functions()
-        for name in spec.get("params", ()):
-            field.param(name)
-        return field
+        return Field.rational_functions()
     if kind == "prime":
         try:
             return Field.prime(int(spec["p"]))
@@ -907,28 +833,9 @@ def _tensor_from_spec(entries, alg) -> FTensor:
     return FTensor(alg, 2, terms)
 
 
-def load_preset_file(path: str) -> PqwpParams:
-    """Read a parameter pack from JSON or TOML.  Top-level keys: name,
-    variant, field, algebra, delta (map from '00'/'01'/'10'/'11' to entry
-    lists), alpha, and optional r."""
-    text_mode_json = str(path).endswith(".json")
-    try:
-        if text_mode_json:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            try:
-                import tomllib
-            except ModuleNotFoundError:
-                import tomli as tomllib
-            with open(path, "rb") as fh:
-                data = tomllib.load(fh)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise InvalidConfig(f"cannot parse preset file {path}: {exc}")
-    if "preset" in data:
-        return preset(data["preset"])
+def _pack_from_spec(data, source: str) -> PqwpParams:
+    """The pack that parsed preset-file data describes; source names where
+    the data came from in the InvalidConfig message."""
     try:
         field = _field_from_spec(data.get("field", {}))
         alg = _algebra_from_spec(data.get("algebra", {}), field)
@@ -947,4 +854,33 @@ def load_preset_file(path: str) -> PqwpParams:
     except InvalidConfig:
         raise
     except Exception as exc:
-        raise InvalidConfig(f"bad preset file {path}: {exc}")
+        raise InvalidConfig(f"bad {source}: {exc}")
+
+
+def load_preset_file(path: str) -> PqwpParams:
+    """Read a parameter pack from JSON or TOML, in the format the shipped
+    presets are written in.  Top-level keys: name, variant ("polynomial",
+    the default, or "laurent"), field (kind "rational", the default,
+    "ratfun" or "prime" with p), algebra (kind "ground", the default,
+    "truncated", "cyclic" or "table"), delta (map from '00'/'01'/'10'/'11'
+    to entry lists [[label, label], scalar]), alpha (zero when missing) and
+    optional r.  A file {"preset": name} names a shipped preset instead."""
+    text_mode_json = str(path).endswith(".json")
+    try:
+        if text_mode_json:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            try:
+                import tomllib
+            except ModuleNotFoundError:
+                import tomli as tomllib
+            with open(path, "rb") as fh:
+                data = tomllib.load(fh)
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise InvalidConfig(f"cannot parse preset file {path}: {exc}")
+    if isinstance(data, dict) and "preset" in data:
+        return preset(str(data["preset"]))
+    return _pack_from_spec(data, f"preset file {path}")

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         parser.error("--degree must be non-negative")
     try:
         params = _load(args.preset)
-    except (PresetNotFound, InvalidConfig, OSError, NotImplementedError) as exc:
+    except (PresetNotFound, InvalidConfig, OSError) as exc:
         print(f"qwreath: cannot load preset {args.preset!r}: {exc}", file=sys.stderr)
         return 2
     check, _ = _COMMANDS[args.command]

@@ -30,7 +30,7 @@ from itertools import combinations, product as iproduct
 
 from .base_algebra import pack_cached
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from .symcomb import (block_of, blocks, check_refines, coset_reps,
+from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_from_triple,
                       matrix_to_perm, mul, region_L, region_N, region_P,
@@ -46,16 +46,6 @@ class BlockMismatch(ValueError):
 
 class CharacteristicTooSmall(ValueError):
     """Raised when the ground field cannot support the detecting family."""
-
-
-Composition = tuple
-
-
-def _check_comp(d: int, lam) -> Composition:
-    lam = strip_zeros(lam)
-    if sum(lam) != d:
-        raise ValueError(f"{lam!r} is not a composition of {d}")
-    return lam
 
 
 # twists ----------------------------------------------------------------------
@@ -80,7 +70,7 @@ def _e_factors(d: int, lam) -> tuple:
 def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
     """e_lam, or its inverse, optionally moved by the place permutation w,
     kept entirely in factored form so that products cancel syntactically."""
-    tags = Counter(_e_factors(d, _check_comp(d, lam)))
+    tags = Counter(_e_factors(d, check_comp(d, lam)))
     sign = 1
     if w is not None:
         tags, sign = permute_factors(tags, w)
@@ -104,8 +94,8 @@ class ConvBlock:
     def __init__(self, params, d, lam, mu, xi=None, check=True):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "lam", _check_comp(d, lam))
-        object.__setattr__(self, "mu", _check_comp(d, mu))
+        object.__setattr__(self, "lam", check_comp(d, lam))
+        object.__setattr__(self, "mu", check_comp(d, mu))
         reps = set(double_coset_reps(self.lam, self.mu))
         clean = {}
         for g, r in (xi or {}).items():
@@ -272,7 +262,7 @@ class SchurElement:
 
     @staticmethod
     def idempotent(params, d, lam) -> "SchurElement":
-        lam = _check_comp(d, lam)
+        lam = check_comp(d, lam)
         blk = ConvBlock(params, d, lam, lam,
                         {identity(d): LocalizedElement.one(params, d)},
                         check=False)
@@ -282,8 +272,8 @@ class SchurElement:
         return not self.blocks
 
     def block(self, lam, mu) -> ConvBlock:
-        lam = _check_comp(self.d, lam)
-        mu = _check_comp(self.d, mu)
+        lam = check_comp(self.d, lam)
+        mu = check_comp(self.d, mu)
         blk = self.blocks.get((lam, mu))
         if blk is None:
             return ConvBlock.zero(self.params, self.d, lam, mu)
@@ -364,18 +354,18 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
     partial_split:  rows nu, columns lam, for nu refining lam.
     partial_merge:  rows lam, columns nu, for nu refining lam.
     """
-    lam = _check_comp(d, lam)
+    lam = check_comp(d, lam)
     omega = (1,) * d
     e = identity(d)
     one = LocalizedElement.one(params, d)
     if kind in ("split", "merge"):
-        if nu is not None and _check_comp(d, nu) != omega:
+        if nu is not None and check_comp(d, nu) != omega:
             raise ValueError("full split/merge take no refinement")
         nu = omega
     elif kind in ("partial_split", "partial_merge"):
         if nu is None:
             raise ValueError(f"{kind} needs a refinement")
-        nu = _check_comp(d, nu)
+        nu = check_comp(d, nu)
         check_refines(nu, lam)
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -391,7 +381,7 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
 
 def diagonal_element(params, d, lam, t) -> SchurElement:
     """Multiplication by an S_lam-invariant t on the lam component."""
-    lam = _check_comp(d, lam)
+    lam = check_comp(d, lam)
     blk = ConvBlock(params, d, lam, lam,
                     {identity(d): require_invariant(t, lam)}, check=False)
     return SchurElement.from_block(blk)
@@ -399,7 +389,7 @@ def diagonal_element(params, d, lam, t) -> SchurElement:
 
 def k_block(params, d, lam) -> SchurElement:
     """The full-flag block of merge-then-split: value e_lam on all of S_lam."""
-    lam = _check_comp(d, lam)
+    lam = check_comp(d, lam)
     one = LocalizedElement.one(params, d)
     ratio = one
     for (i, j) in sorted(region_L(lam)):
@@ -467,7 +457,7 @@ class PolyRepVector:
     def __init__(self, params, d, lam, value, check=True):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "lam", _check_comp(d, lam))
+        object.__setattr__(self, "lam", check_comp(d, lam))
         if isinstance(value, TensorPoly):
             value = LocalizedElement(value)
         object.__setattr__(self, "value", value)
@@ -546,8 +536,8 @@ def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
 
     over shuffles of the two sub-blocks, which always collapses to a
     polynomial."""
-    lam = _check_comp(d, lam)
-    nu = _check_comp(d, nu)
+    lam = check_comp(d, lam)
+    nu = check_comp(d, nu)
     check_refines(nu, lam)
     if isinstance(value, TensorPoly):
         value = LocalizedElement(value)
@@ -669,8 +659,8 @@ def h_tilde(params, d, lam, mu, g) -> SchurElement:
     """Thick crossing attached to a double coset: the unique block element x
     with rows nu, columns delta such that x followed by the full merge equals
     the merge of nu followed by the braid word of g on the full-flag block."""
-    lam = _check_comp(d, lam)
-    mu = _check_comp(d, mu)
+    lam = check_comp(d, lam)
+    mu = check_comp(d, mu)
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
@@ -696,7 +686,7 @@ def crossing(params, d, lam) -> SchurElement:
     """Sum of thick-crossing sandwiches dual to merging through the full
     block: for a two-part shape this rewrites split-after-merge as crossings
     of the two sub-blocks with explicit coefficients."""
-    lam = _check_comp(d, lam)
+    lam = check_comp(d, lam)
     if len(lam) != 2:
         raise ValueError(f"need a two-part composition, got {lam}")
     d1, d2 = lam
@@ -724,7 +714,7 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
     a two-part shape and its reversal.  oracle='values' compares stored block
     values; oracle='family' additionally runs the polynomial representation.
     Returns a summary dict; raises IdentityFailed on mismatch."""
-    lam = _check_comp(d, lam)
+    lam = check_comp(d, lam)
     if len(lam) != 2:
         raise ValueError(f"need a two-part composition, got {lam}")
     d1, d2 = lam
@@ -752,8 +742,8 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
 def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Merge, braid word with invariant coefficient, split: the spanning
     elements of the block with the given rows and columns."""
-    lam = _check_comp(d, lam)
-    mu = _check_comp(d, mu)
+    lam = check_comp(d, lam)
+    mu = check_comp(d, mu)
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
@@ -770,8 +760,8 @@ def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
 
 def laurel_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Partial merge, invariant diagonal, thick crossing, partial split."""
-    lam = _check_comp(d, lam)
-    mu = _check_comp(d, mu)
+    lam = check_comp(d, lam)
+    mu = check_comp(d, mu)
     g = tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")

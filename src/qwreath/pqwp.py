@@ -12,10 +12,10 @@ permutations.
 """
 
 from .symcomb import (
-    Perm, blocks, check_refines, coset_reps, coset_shapes, double_coset_reps,
-    identity, increasing_on_blocks, inv_set, inverse, left_reps_in_young,
-    length, longest_in_young, matrix_from_triple, mul, reduced_word, region_L,
-    region_N, simple, to_one_line, young_subgroup,
+    Perm, blocks, check_comp, check_refines, coset_reps, coset_shapes,
+    double_coset_reps, identity, increasing_on_blocks, inv_set, inverse,
+    left_reps_in_young, length, longest_in_young, matrix_from_triple, mul,
+    reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
 from .base_algebra import pack_cached
 from .coeff_ring import SCALARS
@@ -361,9 +361,7 @@ def k_lambda(params, d, lam, flavor: str = "full", nu=None) -> PqwpElement:
     tilde: sum over shortest representatives of S_lam / S_nu of
            alpha_{w0'' w^{-1}} H_w.
     """
-    lam = tuple(lam)
-    if sum(lam) != d:
-        raise ValueError(f"composition {lam} does not sum to {d}")
+    lam = check_comp(d, lam)
     if flavor == "full":
         w0 = longest_in_young(lam)
         terms = {}
@@ -397,9 +395,7 @@ def m_lambda(params, d, lam) -> TensorPoly:
     """Symmetric scalar with K_lam^2 = m_lam K_lam: sum over the Young
     subgroup of alpha products over missed inversions times abar products
     over taken ones, inside the same-block region."""
-    lam = tuple(lam)
-    if sum(lam) != d:
-        raise ValueError(f"composition {lam} does not sum to {d}")
+    lam = check_comp(d, lam)
     ell = region_L(lam)
     out = zero_poly(params, d)
     for w in young_subgroup(lam):
@@ -413,9 +409,7 @@ def m_lambda(params, d, lam) -> TensorPoly:
 def multinomial(params, d, lam) -> TensorPoly:
     """Generalized binomial sum over shortest coset representatives, with
     alpha over missed cross-block pairs and abar over inverted ones."""
-    lam = tuple(lam)
-    if sum(lam) != d:
-        raise ValueError(f"composition {lam} does not sum to {d}")
+    lam = check_comp(d, lam)
     enn = region_N(lam)
     out = zero_poly(params, d)
     for w in coset_reps(lam, "right"):
@@ -496,9 +490,7 @@ def mackey_expansion(params, d, lam, mu) -> PqwpElement:
     both sides and not inverted by g inverse.  Certifies equality with
     K_{(d)} and returns it.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != d or sum(mu) != d:
-        raise ValueError("both compositions must sum to d")
+    lam, mu = check_comp(d, lam), check_comp(d, mu)
     n_lam = region_N(lam)
     n_mu = region_N(mu)
     total = PqwpElement.zero(params, d)

@@ -126,6 +126,15 @@ def strip_zeros(lam) -> Composition:
     return tuple(int(x) for x in lam if x)
 
 
+def check_comp(d: int, lam) -> Composition:
+    """lam without its zero parts; ValueError on a negative part or when the
+    parts do not sum to d."""
+    lam = strip_zeros(lam)
+    if sum(lam) != d:
+        raise ValueError(f"{lam!r} is not a composition of {d}")
+    return lam
+
+
 def compositions(d: int) -> list[Composition]:
     """All compositions of d with positive parts."""
     if d == 0:

@@ -14,11 +14,11 @@ from itertools import product
 from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, PqwpElement, from_right_coefficients,
                    k_lambda, pqwp_mul)
-from .symcomb import (ThetaMatrix, blocks, coset_reps, coset_shapes,
-                      double_coset_data, double_coset_reps, inverse, length,
-                      longest_in_young, matrix_from_triple, mul, reduced_word,
-                      strip_zeros, to_one_line, weak_compositions,
-                      young_subgroup)
+from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
+                      coset_shapes, double_coset_data, double_coset_reps,
+                      inverse, length, longest_in_young, matrix_from_triple,
+                      mul, reduced_word, strip_zeros, to_one_line,
+                      weak_compositions, young_subgroup)
 from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij,
                           require_invariant, s_ij, unit_poly, zero_poly)
 
@@ -419,9 +419,7 @@ def invariant_basis(params, d, delta, degree) -> list:
     """Monomial orbit sums under the Young subgroup of delta, with
     nonnegative exponents of total degree at most the bound.  For Laurent
     rings this is the polynomial slice of the invariants."""
-    if sum(strip_zeros(delta)) != d:
-        raise ValueError(f"{tuple(delta)!r} is not a composition of {d}")
-    group = young_subgroup(strip_zeros(delta))
+    group = young_subgroup(check_comp(d, delta))
     nf = len(params.algebra.labels)
     seen = set()
     out = []

@@ -5,7 +5,7 @@ import pytest
 from qwreath.base_algebra import (
     ArityMismatch, FAlgebra, FTensor, InvalidConfig, PqwpParams, PresetNotFound,
     corrupted_beta_params, ftensor_mul, is_weak_frobenius, load_preset_file,
-    preset, preset_names, shipped_presets, two_frobs_commute_check,
+    preset, shipped_presets, two_frobs_commute_check,
     validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
@@ -113,12 +113,11 @@ def test_two_frobenius_elements_commute():
 
 
 def test_preset_catalog():
-    names = preset_names()
-    assert "affine_hecke" in names and "rees" in names
+    assert "affine_hecke" in shipped_presets()
     assert "rees" not in shipped_presets()
     with pytest.raises(PresetNotFound):
         preset("no_such_thing")
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(PresetNotFound):
         preset("rees")
     p4 = preset("pro_p(4)")
     assert p4.algebra.dim == 3
@@ -267,6 +266,14 @@ def test_preset_file_errors(tmp_path):
     named = tmp_path / "named.json"
     named.write_text('{"preset": "nil"}')
     assert load_preset_file(str(named)) is preset("nil")
+
+
+@pytest.mark.parametrize("text", ['"preset"', '[1, 2]', '{"preset": 5}', '{"preset": ["nil"]}'])
+def test_preset_file_of_the_wrong_shape(text, tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    with pytest.raises((InvalidConfig, PresetNotFound)):
+        load_preset_file(str(path))
 
 
 def test_preset_file_rejects_parameters_over_the_rationals(tmp_path):

@@ -185,3 +185,49 @@ def test_pack_cache_guard_sees_each_form():
         "class K:\n    @lru_cache\n    def m(self, params): pass",
     ])
     assert pack_keyed_module_caches(source) == ["a", "b", "c", "e"]
+
+
+# Every parameter pack comes from preset-file data through _pack_from_spec;
+# rebase_field, which converts a built pack to another field, is the one
+# other place that constructs PqwpParams.
+PACK_CONSTRUCTORS = {"_pack_from_spec", "rebase_field"}
+
+
+def pack_constructions(source):
+    """The function around each call of ``PqwpParams(...)``, by name or as
+    an attribute: the innermost enclosing def, or ``<module>``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                target = child.func
+                name = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if name == "PqwpParams":
+                    out.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_packs_are_built_from_preset_data(path):
+    calls = pack_constructions(path.read_text(encoding="utf-8"))
+    assert [owner for owner in calls if owner not in PACK_CONSTRUCTORS] == []
+
+
+def test_pack_construction_guard_sees_each_form():
+    source = "\n".join([
+        "def a(): return PqwpParams(alg, v, {}, al)",
+        "def b():\n    def inner(): return base_algebra.PqwpParams(alg)\n    return inner",
+        "p = PqwpParams(alg)",
+        "class K:\n    def m(self): return [PqwpParams(alg) for _ in ()]",
+        "def c(): return PqwpParams.LAURENT",
+        "def e(): return make(PqwpParams)",
+    ])
+    assert pack_constructions(source) == ["<module>", "a", "inner", "m"]

@@ -84,6 +84,27 @@ def test_dropped_packs_are_freed(tmp_path):
     assert alive == []
 
 
+def _preset_square_and_drop():
+    p = preset("pro_p(5)")
+    K = k_lambda(p, 3, (3,))
+    assert pqwp_mul(K, K) == K.poly_left(m_lambda(p, 3, (3,)))
+    assert p.memo
+
+
+def test_dropped_preset_pack_is_freed():
+    _preset_square_and_drop()
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, PqwpParams) and o.name == "pro_p(5)"]
+    assert alive == []
+
+
+def test_preset_is_cached_while_in_use():
+    p = preset("pro_p(5)")
+    gc.collect()
+    assert preset("pro_p(5)") is p
+
+
 def test_memo_holds_only_its_own_pack(tmp_path):
     p = load_preset_file(hecke_file(tmp_path))
     work(p)

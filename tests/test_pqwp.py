@@ -20,7 +20,7 @@ from qwreath.tensor_poly import (
     zero_poly,
 )
 
-WORKING = tuple(n for n in shipped_presets() if n != "rees")
+WORKING = shipped_presets()
 
 
 def scaled_unit(params, d, c):
@@ -367,6 +367,17 @@ def test_double_coset_expansion_rejects_bad_sums():
     p = preset("affine_hecke")
     with pytest.raises(ValueError):
         mackey_expansion(p, 3, (2, 2), (3,))
+
+
+def test_a_negative_part_is_rejected():
+    # (4, -1) sums to 3, so only the sign check catches it
+    p = preset("affine_hecke")
+    bad = (4, -1)
+    for build in (lambda: m_lambda(p, 3, bad), lambda: k_lambda(p, 3, bad),
+                  lambda: multinomial(p, 3, bad), lambda: mackey_expansion(p, 3, bad, (3,)),
+                  lambda: mackey_expansion(p, 3, (3,), bad)):
+        with pytest.raises(ValueError, match="negative part"):
+            build()
 
 
 @pytest.mark.parametrize("name", ("affine_hecke", "qt_hecke", "pro_p"))
