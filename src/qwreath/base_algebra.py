@@ -721,12 +721,16 @@ def preset(name: str) -> PqwpParams:
     (eta, tau) that is defined nowhere here; give its coordinates in a
     preset file instead.
 
-    A pack is cached only while it is in use: preset(n) is preset(n) as long
-    as either result is alive, and a dropped pack is freed with its memo."""
-    params = _PRESET_CACHE.get(name)
+    A pack is cached under its canonical name, and only while it is in use:
+    preset(n) is preset(n) as long as either result is alive, as are the
+    spellings of one pack (pro_p, pro_p(3), pro_p(03)), and a dropped pack
+    is freed with its memo."""
+    spec = _preset_spec(name)
+    key = spec["name"]
+    params = _PRESET_CACHE.get(key)
     if params is None:
-        params = _pack_from_spec(_preset_spec(name), f"preset {name!r}")
-        _PRESET_CACHE[name] = params
+        params = _pack_from_spec(spec, f"preset {name!r}")
+        _PRESET_CACHE[key] = params
     return params
 
 

@@ -18,7 +18,9 @@ combination raises :class:`MixedVariant`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
+from operator import eq
 
 
 class MixedVariant(TypeError):
@@ -747,6 +749,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _fraction_is_one(c) -> bool:
+    return c.numerator == 1 and c.denominator == 1
+
+
 class Field:
     """Handle naming the ground field; builds scalars of a single variant."""
 
@@ -754,7 +760,7 @@ class Field:
     RATFUN = "ratfun"
     PRIME = "prime"
 
-    __slots__ = ("kind", "p", "_zero", "_one")
+    __slots__ = ("kind", "p", "_zero", "_one", "is_one")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in (self.RATIONAL, self.RATFUN, self.PRIME):
@@ -766,6 +772,10 @@ class Field:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_zero", self.from_int(0))
         object.__setattr__(self, "_one", self.from_int(1))
+        # is_one(c): whether the scalar c is one.  Fraction.__eq__ takes an
+        # abstract-class check on every call; numerator and denominator do not
+        object.__setattr__(self, "is_one", _fraction_is_one
+                           if kind == self.RATIONAL else partial(eq, self._one))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")

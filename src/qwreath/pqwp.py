@@ -6,9 +6,10 @@ products are rewritten back into this normal form by two walks.  The
 straightening rule H_i b = sigma_i(b) H_i + rho_i(b) pushes a coefficient
 left past H_w (``_push_left``).  Right multiplication by one generator,
 with the quadratic rule H_i^2 = S_i H_i + R_i when the length drops,
-multiplies a whole element by a word one letter at a time
-(``_times_word``); the braid moves are implicit in indexing by
-permutations.
+multiplies a whole element by H_i (``_times_letter``); the braid moves are
+implicit in indexing by permutations.  ``pqwp_mul`` shares these right
+factors between the terms of its right operand: it sums them in Horner
+form over a tree of the weak order, one generator step per tree edge.
 """
 
 from .symcomb import (
@@ -233,15 +234,21 @@ def _add_step(acc, c, step):
         _add_term(acc, y, c if e is None else c * e)
 
 
+def _times_letter(params, d, acc: dict, terms: dict, i: int) -> None:
+    """Add (sum_z c_z H_z) * H_i into acc, for terms = {z: c_z}; zero
+    coefficients in terms are skipped."""
+    for z, c in terms.items():
+        if not c.is_zero():
+            _add_step(acc, c, _right_step(params, d, z, i))
+
+
 def _times_word(params, d, terms: dict, letters) -> dict:
     """(sum_z c_z H_z) * H_{i_1} ... H_{i_N} for terms = {z: c_z}, one
     letter at a time; the word need not be reduced.  The result may hold
     zero coefficients."""
     for i in letters:
         nxt = {}
-        for z, c in terms.items():
-            if not c.is_zero():
-                _add_step(nxt, c, _right_step(params, d, z, i))
+        _times_letter(params, d, nxt, terms, i)
         terms = nxt
     return terms
 
@@ -264,23 +271,52 @@ def _push_left(params, d, w: Perm, q: TensorPoly):
     return cur
 
 
+def _weak_order_tree(d, support) -> dict:
+    """The support closed under v -> s*v, with s = reduced_word(v)[0] a
+    left descent of v, as a map u -> [(v, s)] from each node to the
+    children v = s*u; every node is a key and the root is the identity."""
+    kids = {identity(d): []}
+    edges = []
+    for v in support:
+        while v not in kids:
+            kids[v] = []
+            s = reduced_word(v)[0]
+            u = mul(simple(d, s), v)
+            edges.append((u, v, s))
+            v = u
+    for u, v, s in edges:
+        kids[u].append((v, s))
+    return kids
+
+
 def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
-    """Product in normal form.  For each term q H_v of b, q is pushed left
-    through every term of a, and the sum is multiplied by H_v along a
-    reduced word of v."""
+    """Product in normal form, in Horner form over the weak order.
+
+    For each term q H_v of b, X_v = a * q is found by pushing q left through
+    every term of a; the product is sum_v X_v H_v.  With H_v = H_s H_u for
+    the tree parent u = s*v of v (``_weak_order_tree``), the partial sums
+    W_u = X_u + sum over children v of W_v H_s, taken from the leaves up,
+    end in W_e, the product.  That costs one generator step per tree edge,
+    at most |W| - 1, instead of one per letter of every v.  The tree is
+    walked depth first, so at most one partial sum per length is alive."""
     if not isinstance(a, PqwpElement) or not isinstance(b, PqwpElement):
         raise ParamMismatch("pqwp_mul needs two algebra elements")
     a._same_space(b)
     params, d = a.params, a.d
-    acc = {}
-    for v, q in b.terms.items():
-        mid = {}
-        for u, p in a.terms.items():
-            for z, c in _push_left(params, d, u, q).items():
-                _add_term(mid, z, p * c)
-        for y, c in _times_word(params, d, mid, reduced_word(v)).items():
-            _add_term(acc, y, c)
-    return PqwpElement(params, d, acc)
+    kids = _weak_order_tree(d, b.terms)
+
+    def partial_sum(u):
+        acc = {}
+        for v, s in kids[u]:
+            _times_letter(params, d, acc, partial_sum(v), s)
+        q = b.terms.get(u)
+        if q is not None:
+            for w, p in a.terms.items():
+                for z, c in _push_left(params, d, w, q).items():
+                    _add_term(acc, z, p * c)
+        return acc
+
+    return PqwpElement(params, d, partial_sum(identity(d)))
 
 
 def right_coefficient_form(elt: PqwpElement) -> dict:

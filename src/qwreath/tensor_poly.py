@@ -113,15 +113,15 @@ class TensorPoly:
         if not other.terms:
             return other
         # the unit is central, so c·1 on either side is scaling by c
-        one = self.params.field.one()
+        is_one = self.params.field.is_one
         c = other._unit_coeff()
         if c is not None:
-            return self if c == one else self.scale(c)
+            return self if is_one(c) else self.scale(c)
         c = self._unit_coeff()
         if c is not None:
-            return other if c == one else other.scale(c)
+            return other if is_one(c) else other.scale(c)
         # right-hand terms once per call: None stands for x⁰ and for c = 1
-        right = [(e2 if any(e2) else None, f2, None if c2 == one else c2)
+        right = [(e2 if any(e2) else None, f2, None if is_one(c2) else c2)
                  for (e2, f2), c2 in other.terms.items()]
         slot_product = self.params.algebra.slot_product
         out = {}

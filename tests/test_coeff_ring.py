@@ -167,6 +167,17 @@ def test_field_handles():
         Field.prime(6)
 
 
+@pytest.mark.parametrize("field", (Field.rationals(), Field.rational_functions(),
+                                   Field.prime(5)))
+def test_is_one_agrees_with_equality_to_one(field):
+    values = [field.from_int(n) for n in (-1, 0, 1, 2, 6)]
+    values += [field.from_fraction(Fraction(n, 3)) for n in (1, 3, -3)]
+    if field.kind == Field.RATFUN:
+        values += [q, q / q, (q + 1) / (q + 1), q / (q + 1)]
+    for c in values:
+        assert field.is_one(c) == (c == field.one())
+
+
 def test_new_parameter_does_not_disturb_existing_scalars():
     f = (q + 1) / (q - 1)
     before = scalar_str(f)

@@ -105,6 +105,19 @@ def test_preset_is_cached_while_in_use():
     assert preset("pro_p(5)") is p
 
 
+@pytest.mark.parametrize("names", (
+    ("pro_p", "pro_p(3)", "pro_p(03)", "pro_p( 3)"),
+    ("pro_p(5)", "pro_p(05)", "pro_p(+5)"),
+))
+def test_spellings_of_one_preset_share_the_pack(names):
+    """The cache keys a pack by its canonical name, so every spelling of it
+    returns the one pack (and its memo) while that pack is alive."""
+    p = preset(names[0])
+    gc.collect()
+    for name in names[1:]:
+        assert preset(name) is p
+
+
 def test_memo_holds_only_its_own_pack(tmp_path):
     p = load_preset_file(hecke_file(tmp_path))
     work(p)

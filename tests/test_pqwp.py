@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qwreath import pqwp
 from qwreath.base_algebra import FTensor, preset, shipped_presets
 from qwreath.pqwp import (
     IdentityFailed, ParamMismatch, PqwpElement, alpha_family,
@@ -554,3 +555,119 @@ def test_field_scalars_multiply_on_either_side():
         h * "q"
     with pytest.raises(TypeError):
         "q" * h
+
+
+# the Horner walk of pqwp_mul against the per-term walk -------------------------
+
+
+def random_reduced_word(v, rng):
+    """A reduced word of v, read off from the right by a random right
+    descent at each step."""
+    letters = []
+    while length(v):
+        i = rng.choice([i for i in range(len(v) - 1) if v[i] > v[i + 1]])
+        letters.append(i)
+        v = mul(v, simple(len(v), i))
+    return tuple(reversed(letters))
+
+
+def per_term_product(a, b, words):
+    """sum_v (a q_v) H_v with each term q_v H_v of b taken on its own: a q_v
+    through pqwp_mul with an x-only right operand, then times H_v one letter
+    at a time along words[v]."""
+    p, d = a.params, a.d
+    total = PqwpElement.zero(p, d)
+    for v, q in b.terms.items():
+        aq = pqwp_mul(a, PqwpElement.of_poly(q))
+        total = total + PqwpElement(p, d, pqwp._times_word(p, d, aq.terms, words[v]))
+    return total
+
+
+def assert_matches_per_term_walk(a, b, rng):
+    words = {v: random_reduced_word(v, rng) for v in b.terms}
+    for v, word in words.items():
+        assert PqwpElement.of_word(a.params, a.d, word) == PqwpElement.h_of_perm(
+            a.params, a.d, v)
+    assert pqwp_mul(a, b) == per_term_product(a, b, words)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+@pytest.mark.parametrize("d", (3, 4))
+def test_horner_walk_over_supports_with_gaps(name, d):
+    """Long elements only, so the tree holds nodes outside the support."""
+    p = preset(name)
+    rng = random.Random(100 * d + 7)
+    top = length(longest_element(d))
+    long_ones = [w for w in all_perms(d) if length(w) >= top - 2]
+    for _ in range(2):
+        a = random_element(p, d, rng, 3)
+        b = PqwpElement(p, d, {w: random_coeff(p, d, rng)
+                               for w in rng.sample(long_ones, 3)})
+        assert set(pqwp._weak_order_tree(d, b.terms)) - set(b.terms) - {identity(d)}
+        assert_matches_per_term_walk(a, b, rng)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+@pytest.mark.parametrize("d", (3, 4))
+def test_horner_walk_on_the_longest_element_alone(name, d):
+    p = preset(name)
+    rng = random.Random(200 * d + 1)
+    a = random_element(p, d, rng, 3)
+    b = PqwpElement(p, d, {longest_element(d): random_coeff(p, d, rng)})
+    assert_matches_per_term_walk(a, b, rng)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+@pytest.mark.parametrize("d", (3, 4))
+def test_horner_walk_through_a_cancelling_partial_sum(name, d):
+    """b = q_u H_u + q_v H_v with v = s u a tree edge, and q_u chosen so that
+    the coefficient of H_s in the partial sum W_u = a q_u + (a q_v) H_s is 0."""
+    p = preset(name)
+    rng = random.Random(300 * d + 5)
+    v = mul(simple(d, 0), simple(d, 1))
+    s = reduced_word(v)[0]
+    u = mul(simple(d, s), v)
+    assert pqwp._weak_order_tree(d, [v])[u] == [(v, s)]
+    a = PqwpElement(p, d, {simple(d, s): unit_poly(p, d),
+                           identity(d): random_coeff(p, d, rng)})
+    q_v = random_coeff(p, d, rng)
+    child = PqwpElement(p, d, pqwp._times_word(
+        p, d, pqwp_mul(a, PqwpElement.of_poly(q_v)).terms, (s,)))
+    r = child.coefficient(simple(d, s))
+    assert not r.is_zero()
+    q_u = (-r).place_permute_simple(s)
+    partial = pqwp_mul(a, PqwpElement.of_poly(q_u)) + child
+    assert simple(d, s) not in partial.terms and partial.terms
+    assert_matches_per_term_walk(a, PqwpElement(p, d, {u: q_u, v: q_v}), rng)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS)
+def test_horner_walk_with_an_empty_operand(name):
+    p = preset(name)
+    rng = random.Random(11)
+    for d in (3, 4):
+        a = random_element(p, d, rng, 3)
+        zero = PqwpElement.zero(p, d)
+        assert pqwp_mul(a, zero) == zero == per_term_product(a, zero, {})
+        assert pqwp_mul(zero, a).is_zero()
+
+
+def test_horner_walk_takes_one_step_per_tree_edge(monkeypatch):
+    """K_(4)^2: one generator step per edge of the tree on S_4, 4! - 1 = 23,
+    where one pass per letter of every v takes sum l(v) = 72."""
+    p = preset("zigzag_a1")
+    k = k_lambda(p, 4, (4,))
+    steps = []
+    step = pqwp._times_letter
+
+    def counted(params, d, acc, terms, i):
+        steps.append(i)
+        step(params, d, acc, terms, i)
+
+    monkeypatch.setattr(pqwp, "_times_letter", counted)
+    square = pqwp_mul(k, k)
+    assert len(steps) == 23
+    steps.clear()
+    assert per_term_product(k, k, {v: reduced_word(v) for v in k.terms}) == square
+    assert len(steps) == sum(length(v) for v in k.terms) == 72
+    assert square == k.poly_left(m_lambda(p, 4, (4,)))
