@@ -37,12 +37,29 @@ class FAlgebra:
     """Unital algebra over a field, multiplication stored as sparse
     structure constants: table[i][j] = ((k, coeff), ...) meaning
     e_i * e_j = sum coeff * e_k.  Associativity and unitality are
-    rejected at construction time, not discovered later."""
+    rejected at construction time, not discovered later.  The quotients of
+    k[g] built by ``truncated`` and ``cyclic`` are associative by
+    construction and skip the dim^3 associativity check."""
 
     __slots__ = ("field", "labels", "dim", "unit_index", "name", "table",
                  "_slot_products")
 
     def __init__(self, field, labels, table, unit_index=0, name="F"):
+        self._store(field, labels, table, unit_index, name)
+        self._check_unital()
+        self._check_associative()
+
+    @classmethod
+    def _quotient_of_polynomials(cls, field, labels, table, name):
+        """The algebra of a table e_i * e_j = e_(i+j) reduced modulo a
+        relation in g, associative because k[g] is; only unitality is
+        checked."""
+        alg = object.__new__(cls)
+        alg._store(field, labels, table, 0, name)
+        alg._check_unital()
+        return alg
+
+    def _store(self, field, labels, table, unit_index, name):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "dim", len(self.labels))
@@ -57,8 +74,6 @@ class FAlgebra:
             rows.append(tuple(row))
         object.__setattr__(self, "table", tuple(rows))
         object.__setattr__(self, "_slot_products", {})
-        self._check_unital()
-        self._check_associative()
 
     def __setattr__(self, *a):
         raise AttributeError("FAlgebra is immutable")
@@ -133,7 +148,7 @@ class FAlgebra:
         labels = tuple(_power_label(gen, i) for i in range(power))
         table = [[(((i + j, one),) if i + j < power else ()) for j in range(power)]
                  for i in range(power)]
-        return FAlgebra(field, labels, table, 0, name=f"{gen}-trunc{power}")
+        return FAlgebra._quotient_of_polynomials(field, labels, table, f"{gen}-trunc{power}")
 
     @staticmethod
     def cyclic(field, gen="t", order=2) -> "FAlgebra":
@@ -144,7 +159,7 @@ class FAlgebra:
         labels = tuple(_power_label(gen, i) for i in range(order))
         table = [[(((i + j) % order, one),) for j in range(order)]
                  for i in range(order)]
-        return FAlgebra(field, labels, table, 0, name=f"{gen}-cyclic{order}")
+        return FAlgebra._quotient_of_polynomials(field, labels, table, f"{gen}-cyclic{order}")
 
     def __repr__(self):
         return f"FAlgebra({self.name}, dim={self.dim})"

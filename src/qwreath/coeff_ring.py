@@ -52,6 +52,7 @@ def declare_param(name: str) -> "RatFun":
 # take polynomials only.
 
 _ONE_DEN = {(): 1}  # shared by every RatFun over 1; never mutated
+_ONE_NUM = {(): 1}  # the numerator of one; never mutated
 
 
 def _mono_mul(a, b):
@@ -516,6 +517,11 @@ class RatFun:
         o = other if type(other) is RatFun else self._coerce(other)
         if o is None:
             return self._refuse(other)
+        # values are immutable, so a product by one may return the other factor
+        if o.num == _ONE_NUM and o.den == _ONE_DEN:
+            return self
+        if self.num == _ONE_NUM and self.den == _ONE_DEN:
+            return o
         return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__

@@ -221,6 +221,11 @@ def tensor_relations_check(params, n, d, rng=None, extra=20, degree=3) -> int:
         idx = tuple(rng.randrange(1, n + 1) for _ in range(d))
         samples.append(TensorVector.basis(params, n, d, idx, q))
 
+    # sigma_k(q) and rho_k(q) of each random coefficient, shared by the
+    # pass-through identities of every pure vector
+    passes = [[(q, q.place_permute_simple(k), q.twisted_demazure(k)) for q in polys]
+              for k in range(d - 1)]
+
     def demand(lhs, rhs, label):
         if lhs != rhs:
             raise IdentityFailed(f"tensor action breaks {label}",
@@ -248,9 +253,9 @@ def tensor_relations_check(params, n, d, rng=None, extra=20, degree=3) -> int:
             continue
         for k in range(d - 1):
             vk = image((k,))
-            for q in polys:
-                rhs = act_H(v.times_poly(q.place_permute_simple(k)), k)
-                rhs = rhs + v.times_poly(q.twisted_demazure(k))
+            for q, swapped, rho in passes[k]:
+                rhs = act_H(v.times_poly(swapped), k)
+                rhs = rhs + v.times_poly(rho)
                 demand(vk.times_poly(q), rhs,
                        f"coefficient pass-through k={k + 1}")
                 count += 1

@@ -1,7 +1,13 @@
 """Polynomials and Laurent polynomials over tensor powers of F: the ring
 B^{tensor d} = F^{tensor d}[x_1..x_d], the place permutation action, plain
 and twisted divided differences, and a localized wrapper whose denominators
-are products of (x_i - x_j) and P_{ij} factors."""
+are products of (x_i - x_j) and P_{ij} factors.
+
+The twisted divided difference rho_i(f*x^e) = sigma_i(f) * d_i(x^e) *
+beta_{i,i+1} is local: beta_{i,i+1} is the unit outside slots i and i+1, so
+rho_i changes a monomial only there.  It is read from a per-pack table of
+rho_1 on two-slot monomials, each entry built once from the definition,
+with no TensorPoly product per call."""
 
 from __future__ import annotations
 
@@ -186,26 +192,12 @@ class TensorPoly:
     def demazure(self, i) -> "TensorPoly":
         """Divided difference in x_i, x_{i+1}; F-legs ride along unchanged.
         Valid for negative exponents: the signed geometric sum form."""
-        return self._divided_difference(i, swap_legs=False)
-
-    def twisted_demazure(self, i) -> "TensorPoly":
-        """rho_i: monomial f*x^e goes to sigma_i(f) * (divided difference of
-        x^e) * beta_{i,i+1}.  Only the F-legs are flipped before the
-        difference; flipping the x-part too would negate it."""
-        core = self._divided_difference(i, swap_legs=True)
-        return core * beta_ij(self.params, self.d, i, i + 1)
-
-    def _divided_difference(self, i, swap_legs):
         j = i + 1
         out = {}
         for (exps, fkey), c in self.terms.items():
             k, l = exps[i], exps[j]
             if k == l:
                 continue
-            if swap_legs:
-                nf = list(fkey)
-                nf[i], nf[j] = nf[j], nf[i]
-                fkey = tuple(nf)
             base = list(exps)
             if k > l:
                 for step in range(k - l):
@@ -221,6 +213,33 @@ class TensorPoly:
                     key = (tuple(base), fkey)
                     v = out.get(key)
                     out[key] = -c if v is None else v - c
+        return self._like(out)
+
+    def twisted_demazure(self, i) -> "TensorPoly":
+        """rho_i: monomial f*x^e goes to sigma_i(f) * (divided difference of
+        x^e) * beta_{i,i+1}.  Only the F-legs are flipped before the
+        difference; flipping the x-part too would negate it.
+
+        Every factor is the unit outside slots i and i+1 and the unit of F is
+        two-sided, so each term changes only in those two slots: its image
+        is the term with slots i, i+1 replaced by the terms of rho_1 of the
+        two-slot monomial (e_a x1^k) ⊗ (e_b x2^l), read from the pack's
+        table ``_two_slot_rho`` and scaled by the term's coefficient."""
+        j = i + 1
+        params = self.params
+        out = {}
+        for (exps, fkey), c in self.terms.items():
+            k, l = exps[i], exps[j]
+            if k == l:
+                continue
+            ne, nf = list(exps), list(fkey)
+            for (ke, le), (a, b), c2 in _two_slot_rho(params, k, l, fkey[i], fkey[j]):
+                ne[i], ne[j] = ke, le
+                nf[i], nf[j] = a, b
+                key = (tuple(ne), tuple(nf))
+                c12 = c if c2 is None else c * c2
+                v = out.get(key)
+                out[key] = c12 if v is None else v + c12
         return self._like(out)
 
     # rendering
@@ -328,6 +347,18 @@ def beta_ij(params, d, a, b) -> TensorPoly:
         part = {(tuple(exps), key): c for key, c in delta.embed((a, b), d).terms.items()}
         out = out + TensorPoly(params, d, part)
     return out
+
+
+@pack_cached
+def _two_slot_rho(params, k, l, a, b):
+    """rho_1 of (e_a x1^k) ⊗ (e_b x2^l) at d = 2, from the definition: flip
+    the legs, take the divided difference, multiply by beta_12.  The terms
+    as ((k', l'), (a', b'), coeff) triples, a coefficient 1 stored as None."""
+    legs = monomial(params, 2, (b, a), (k, l))
+    image = legs.demazure(0) * beta_ij(params, 2, 0, 1)
+    is_one = params.field.is_one
+    return tuple((exps, fkey, None if is_one(c) else c)
+                 for (exps, fkey), c in image.terms.items())
 
 
 @pack_cached

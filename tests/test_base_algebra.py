@@ -70,6 +70,31 @@ def test_algebra_construction_rejects_bad_tables():
         FAlgebra(field, ("1", "g", "h"), nonassoc)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_polynomial_quotients_pass_the_associativity_check(n):
+    """truncated and cyclic skip the dim^3 check at construction, being
+    quotients of k[g]; their tables must still pass it."""
+    for field in (Field.rationals(), Field.prime(5)):
+        FAlgebra.cyclic(field, "t", n)._check_associative()
+        if n >= 2:
+            FAlgebra.truncated(field, "c", n)._check_associative()
+
+
+def test_table_algebra_from_a_file_is_checked_for_associativity(tmp_path):
+    """The non-associative table above, given in a preset file, is rejected
+    when the file loads."""
+    rows = [[[[0, "1"]], [[1, "1"]], [[2, "1"]]],
+            [[[1, "1"]], [[2, "1"]], [[0, "1"]]],
+            [[[2, "1"]], [[1, "1"]], [[1, "1"]]]]
+    data = {"name": "nonassoc", "algebra": {"kind": "table", "labels": ["1", "g", "h"],
+                                            "table": rows},
+            "alpha": [[["1", "1"], "1"]]}
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidConfig, match="not associative"):
+        load_preset_file(str(path))
+
+
 def test_weak_frobenius_examples():
     field = Field.rationals()
     # truncated polynomial algebra k[c]/(c^3) with the full diagonal element

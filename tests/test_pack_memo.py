@@ -18,7 +18,8 @@ from qwreath.tensor_poly import TensorPoly, x_var
 
 PACK_CACHED = {
     tensor_poly.alpha_ij, tensor_poly.abar_ij, tensor_poly.s_ij, tensor_poly.r_ij,
-    tensor_poly.beta_ij, tensor_poly.p_ij, pqwp._right_step, pqwp._left_step,
+    tensor_poly.beta_ij, tensor_poly.p_ij, tensor_poly._two_slot_rho,
+    pqwp._right_step, pqwp._left_step,
     convolution._phi_gen, convolution._phi_word, convolution._detecting_family,
 }
 
