@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import time
 import weakref
-from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 
@@ -354,10 +353,15 @@ class PqwpParams:
 
     The pack owns ``memo``, the cache of everything computed from it (one
     dict per ``pack_cached`` function), so the cache dies with the pack and
-    ``memo.clear()`` empties it."""
+    ``memo.clear()`` empties it.
+
+    ``spec`` is the preset-file data a pack loaded by ``_pack_from_spec``
+    was built from, which ``rebase_field`` reloads over another field; a
+    pack built directly has None."""
 
     __slots__ = ("algebra", "variant", "deltas", "alpha", "name",
-                 "s_elt", "alpha_bar", "r_elt", "stated_r", "memo", "__weakref__")
+                 "s_elt", "alpha_bar", "r_elt", "stated_r", "memo", "spec",
+                 "__weakref__")
 
     POLYNOMIAL = "polynomial"
     LAURENT = "laurent"
@@ -385,6 +389,7 @@ class PqwpParams:
         self.r_elt = alpha * self.alpha_bar
         self.stated_r = stated_r
         self.memo = {}
+        self.spec = None
 
     @property
     def field(self):
@@ -763,37 +768,19 @@ def _preset_spec(name):
 
 
 def rebase_field(params: PqwpParams, field: Field) -> PqwpParams:
-    """Rebuild a parameter pack over another coefficient field.  Only packs
-    whose structure constants are parameter-free rationals embed; a formal
-    parameter, or a denominator divisible by the target characteristic,
-    raises InvalidConfig."""
-    from .coeff_ring import RatFun, UnboundParameter, DenominatorVanishes
-
+    """The pack reloaded from the preset-file data it was built from, with
+    the field replaced.  Only packs whose structure constants are
+    parameter-free rationals embed; a formal parameter, or a denominator
+    divisible by the target characteristic, raises InvalidConfig, as does
+    a pack that was not loaded from data."""
     if field == params.field:
         return params
-
-    def conv(c):
-        try:
-            if isinstance(c, RatFun):
-                c = c.as_fraction()
-            return field.from_fraction(Fraction(c))
-        except (UnboundParameter, DenominatorVanishes, TypeError, ValueError) as exc:
-            raise InvalidConfig(
-                f"preset {params.name!r} does not embed over {field!r}: {exc}")
-
-    old = params.algebra
-    table = [[tuple((k, conv(c)) for (k, c) in cell) for cell in row]
-             for row in old.table]
-    alg = FAlgebra(field, old.labels, table, old.unit_index, name=old.name)
-
-    def conv_tensor(t):
-        if t is None:
-            return None
-        return FTensor(alg, t.arity, {k: conv(c) for k, c in t.terms.items()})
-
-    deltas = {key: conv_tensor(val) for key, val in params.deltas.items()}
-    return PqwpParams(alg, params.variant, deltas, conv_tensor(params.alpha),
-                      name=params.name, stated_r=conv_tensor(params.stated_r))
+    if params.spec is None:
+        raise InvalidConfig(f"pack {params.name!r} was not loaded from preset "
+                            "data and cannot be rebased")
+    field_spec = {"kind": field.kind, "p": field.p}
+    return _pack_from_spec({**params.spec, "field": field_spec},
+                           f"rebase of {params.name!r} onto {field!r}")
 
 
 def corrupted_beta_params() -> PqwpParams:
@@ -869,11 +856,13 @@ def _pack_from_spec(data, source: str) -> PqwpParams:
             stated_r = _tensor_from_spec(data["r"], alg)
         variant = data.get("variant", "polynomial")
         name = data.get("name", "custom")
-        return PqwpParams(alg, variant, deltas, alpha, name=name, stated_r=stated_r)
+        params = PqwpParams(alg, variant, deltas, alpha, name=name, stated_r=stated_r)
     except InvalidConfig:
         raise
     except Exception as exc:
         raise InvalidConfig(f"bad {source}: {exc}")
+    params.spec = data
+    return params
 
 
 def load_preset_file(path: str) -> PqwpParams:

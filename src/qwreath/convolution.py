@@ -34,10 +34,10 @@ from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_from_triple,
                       matrix_to_perm, mul, region_L, region_N, region_P,
-                      simple, strip_zeros, ThetaMatrix, young_subgroup)
-from .tensor_poly import (InvarianceViolation, LocalizedElement, TensorPoly,
-                          alpha_ij, beta_ij, monomial, permute_factors,
-                          require_invariant, unit_poly, zero_poly)
+                      simple, ThetaMatrix, young_subgroup)
+from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
+                          monomial, permute_factors, require_invariant,
+                          unit_poly, zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -82,37 +82,65 @@ def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
 
 # blocks ----------------------------------------------------------------------
 
-class ConvBlock:
+class _Frozen:
+    """Immutable slots, filled once: by the public constructor after it has
+    validated its input, or by ``_make``, which trusts its caller."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *values):
+        out = object.__new__(cls)
+        out._store(*values)
+        return out
+
+
+class ConvBlock(_Frozen):
     """One block of the convolution algebra: rows indexed by Y_lam, columns by
     Y_mu.  ``xi[g]`` holds the normalized value at ([1],[g]) for each minimal
     double coset representative g; missing keys mean zero.  Composition pairs
     the column composition of the left factor with the row composition of the
-    right factor."""
+    right factor.
+
+    Only the public constructor validates its input: every key a minimal
+    representative, every value over the same (params, d) and invariant
+    under the stabilizer of its base pair.  Results of the block operations
+    and of the generators are built by ``_make``, which trusts them."""
 
     __slots__ = ("params", "d", "lam", "mu", "xi")
 
-    def __init__(self, params, d, lam, mu, xi=None, check=True):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "lam", check_comp(d, lam))
-        object.__setattr__(self, "mu", check_comp(d, mu))
-        reps = set(double_coset_reps(self.lam, self.mu))
+    def __init__(self, params, d, lam, mu, xi=None):
+        d = int(d)
+        lam, mu = check_comp(d, lam), check_comp(d, mu)
+        reps = set(double_coset_reps(lam, mu))
         clean = {}
         for g, r in (xi or {}).items():
             g = tuple(g)
             if g not in reps:
                 raise ValueError(f"{g} is not a minimal representative for "
-                                 f"({self.lam}, {self.mu})")
+                                 f"({lam}, {mu})")
             if isinstance(r, TensorPoly):
                 r = LocalizedElement(r)
+            if r.params is not params or r.d != d:
+                raise BlockMismatch(f"value at {g} lives over different data")
             if not r.is_zero():
                 clean[g] = r
-        object.__setattr__(self, "xi", clean)
-        if check:
-            self.check_invariance()
+        self._store(params, d, lam, mu, clean)
+        self.check_invariance()
 
-    def __setattr__(self, *a):
-        raise AttributeError("ConvBlock is immutable")
+    @classmethod
+    def _make(cls, params, d, lam, mu, xi) -> "ConvBlock":
+        """A block with checked lam and mu, and keys and values right by
+        construction; only zero values are dropped."""
+        return super()._make(params, d, lam, mu,
+                             {g: r for g, r in xi.items() if not r.is_zero()})
 
     def check_invariance(self):
         """Stored values must be fixed by the stabilizer of the base pair.
@@ -124,7 +152,8 @@ class ConvBlock:
 
     @staticmethod
     def zero(params, d, lam, mu) -> "ConvBlock":
-        return ConvBlock(params, d, lam, mu, {}, check=False)
+        return ConvBlock._make(params, int(d), check_comp(d, lam),
+                               check_comp(d, mu), {})
 
     def is_zero(self) -> bool:
         return not self.xi
@@ -144,12 +173,11 @@ class ConvBlock:
         for g, r in other.xi.items():
             cur = xi.get(g)
             xi[g] = r if cur is None else cur + r
-        return ConvBlock(self.params, self.d, self.lam, self.mu, xi,
-                         check=False)
+        return ConvBlock._make(self.params, self.d, self.lam, self.mu, xi)
 
     def __neg__(self):
-        return ConvBlock(self.params, self.d, self.lam, self.mu,
-                         {g: -r for g, r in self.xi.items()}, check=False)
+        return ConvBlock._make(self.params, self.d, self.lam, self.mu,
+                               {g: -r for g, r in self.xi.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ConvBlock):
@@ -157,17 +185,8 @@ class ConvBlock:
         return self + (-other)
 
     def scale(self, c) -> "ConvBlock":
-        return ConvBlock(self.params, self.d, self.lam, self.mu,
-                         {g: r.scale(c) for g, r in self.xi.items()},
-                         check=False)
-
-    def value_at(self, z) -> LocalizedElement:
-        """Normalized value at ([1],[z]) for an arbitrary group element z."""
-        u, g, _ = double_coset_decompose(tuple(z), self.lam, self.mu)
-        r = self.xi.get(g)
-        if r is None:
-            return LocalizedElement.zero(self.params, self.d)
-        return r.place_permute(u)
+        return ConvBlock._make(self.params, self.d, self.lam, self.mu,
+                               {g: r.scale(c) for g, r in self.xi.items()})
 
     def mul(self, other: "ConvBlock") -> "ConvBlock":
         if (self.params, self.d) != (other.params, other.d):
@@ -202,7 +221,7 @@ class ConvBlock:
                     term = left * rh.place_permute(mul(z, u2))
                     cur = out.get(y)
                     out[y] = term if cur is None else cur + term
-        return ConvBlock(self.params, d, self.lam, other.mu, out, check=False)
+        return ConvBlock._make(self.params, d, self.lam, other.mu, out)
 
     def leading(self):
         """(g, value) with g of maximal length in the support."""
@@ -233,24 +252,19 @@ class ConvBlock:
         return f"ConvBlock({self})"
 
 
-class SchurElement:
+class SchurElement(_Frozen):
     """Sparse sum of blocks, keyed by (row composition, column composition)."""
 
     __slots__ = ("params", "d", "blocks")
 
     def __init__(self, params, d, blocks=None):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "d", int(d))
         clean = {}
         for key, blk in (blocks or {}).items():
             if (blk.lam, blk.mu) != tuple(map(tuple, key)):
                 raise ValueError(f"block filed under {key} is ({blk.lam},{blk.mu})")
             if not blk.is_zero():
                 clean[(blk.lam, blk.mu)] = blk
-        object.__setattr__(self, "blocks", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SchurElement is immutable")
+        self._store(params, int(d), clean)
 
     @staticmethod
     def zero(params, d) -> "SchurElement":
@@ -263,9 +277,8 @@ class SchurElement:
     @staticmethod
     def idempotent(params, d, lam) -> "SchurElement":
         lam = check_comp(d, lam)
-        blk = ConvBlock(params, d, lam, lam,
-                        {identity(d): LocalizedElement.one(params, d)},
-                        check=False)
+        blk = ConvBlock._make(params, d, lam, lam,
+                              {identity(d): LocalizedElement.one(params, d)})
         return SchurElement.from_block(blk)
 
     def is_zero(self) -> bool:
@@ -346,6 +359,15 @@ class SchurElement:
 
 # generators ------------------------------------------------------------------
 
+def _p_over_lin(params, d, pairs) -> LocalizedElement:
+    """The product of P_ij / (x_i - x_j) over the pairs i < j, built as one
+    localized element."""
+    pairs = tuple(pairs)
+    return LocalizedElement(unit_poly(params, d),
+                            Counter(("P", i, j) for i, j in pairs),
+                            Counter(("lin", i, j) for i, j in pairs))
+
+
 def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
     """The four splitting and merging generators.
 
@@ -357,7 +379,6 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
     lam = check_comp(d, lam)
     omega = (1,) * d
     e = identity(d)
-    one = LocalizedElement.one(params, d)
     if kind in ("split", "merge"):
         if nu is not None and check_comp(d, nu) != omega:
             raise ValueError("full split/merge take no refinement")
@@ -369,35 +390,28 @@ def split_merge(params, d, lam, nu=None, kind="split") -> SchurElement:
         check_refines(nu, lam)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    ratio = one
-    for (i, j) in sorted(region_L(lam) - region_L(nu)):
-        ratio = ratio.times_p(i, j).over_lin(i, j)
     if kind in ("split", "partial_split"):
-        blk = ConvBlock(params, d, nu, lam, {e: ratio}, check=False)
+        ratio = _p_over_lin(params, d, region_L(lam) - region_L(nu))
+        blk = ConvBlock._make(params, d, nu, lam, {e: ratio})
     else:
-        blk = ConvBlock(params, d, lam, nu, {e: one}, check=False)
+        blk = ConvBlock._make(params, d, lam, nu,
+                              {e: LocalizedElement.one(params, d)})
     return SchurElement.from_block(blk)
 
 
 def diagonal_element(params, d, lam, t) -> SchurElement:
     """Multiplication by an S_lam-invariant t on the lam component."""
-    lam = check_comp(d, lam)
-    blk = ConvBlock(params, d, lam, lam,
-                    {identity(d): require_invariant(t, lam)}, check=False)
+    blk = ConvBlock(params, d, lam, lam, {identity(d): t})
     return SchurElement.from_block(blk)
 
 
 def k_block(params, d, lam) -> SchurElement:
     """The full-flag block of merge-then-split: value e_lam on all of S_lam."""
     lam = check_comp(d, lam)
-    one = LocalizedElement.one(params, d)
-    ratio = one
-    for (i, j) in sorted(region_L(lam)):
-        ratio = ratio.times_p(i, j).over_lin(i, j)
+    ratio = _p_over_lin(params, d, region_L(lam))
     omega = (1,) * d
     xi = {w: ratio for w in young_subgroup(lam)}
-    blk = ConvBlock(params, d, omega, omega, xi, check=False)
-    return SchurElement.from_block(blk)
+    return SchurElement.from_block(ConvBlock._make(params, d, omega, omega, xi))
 
 
 # the embedding of the wreath Hecke algebra -----------------------------------
@@ -407,18 +421,17 @@ def _phi_gen(params, d, i) -> ConvBlock:
     """Image of the i-th braid generator on the full-flag block."""
     omega = (1,) * d
     lower = LocalizedElement(beta_ij(params, d, i, i + 1)).over_lin(i, i + 1)
-    upper = LocalizedElement.one(params, d).times_p(i, i + 1).over_lin(i, i + 1)
-    return ConvBlock(params, d, omega, omega,
-                     {identity(d): lower, simple(d, i): upper}, check=False)
+    upper = _p_over_lin(params, d, ((i, i + 1),))
+    return ConvBlock._make(params, d, omega, omega,
+                           {identity(d): lower, simple(d, i): upper})
 
 
 @pack_cached
 def _phi_word(params, d, w) -> ConvBlock:
     omega = (1,) * d
     if w == identity(d):
-        return ConvBlock(params, d, omega, omega,
-                         {identity(d): LocalizedElement.one(params, d)},
-                         check=False)
+        return ConvBlock._make(params, d, omega, omega,
+                               {identity(d): LocalizedElement.one(params, d)})
     wi = inverse(w)
     for i in range(d - 1):
         if wi[i] > wi[i + 1]:
@@ -436,9 +449,9 @@ def phi_embed(a: PqwpElement) -> SchurElement:
     out = None
     for w, b in a.terms.items():
         blk = _phi_word(params, d, w)
-        piece = ConvBlock(params, d, omega, omega,
-                          {g: LocalizedElement(b * r.core, r.nfac, r.dfac)
-                           for g, r in blk.xi.items()}, check=False)
+        piece = ConvBlock._make(params, d, omega, omega,
+                                {g: LocalizedElement(b * r.core, r.nfac, r.dfac)
+                                 for g, r in blk.xi.items()})
         out = piece if out is None else out + piece
     if out is None:
         out = ConvBlock.zero(params, d, omega, omega)
@@ -447,33 +460,33 @@ def phi_embed(a: PqwpElement) -> SchurElement:
 
 # polynomial representation ---------------------------------------------------
 
-class PolyRepVector:
+class PolyRepVector(_Frozen):
     """Element of the lam component of the polynomial representation: an
     S_lam-invariant value, polynomial in practice but allowed to carry
-    denominators transiently."""
+    denominators transiently.
+
+    Only the public constructor validates its input: a value over the same
+    (params, d), invariant under S_lam.  Results of the action are built
+    by ``_make``, which trusts them."""
 
     __slots__ = ("params", "d", "lam", "value")
 
-    def __init__(self, params, d, lam, value, check=True):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "lam", check_comp(d, lam))
+    def __init__(self, params, d, lam, value):
+        d = int(d)
+        lam = check_comp(d, lam)
         if isinstance(value, TensorPoly):
             value = LocalizedElement(value)
-        object.__setattr__(self, "value", value)
-        if check:
-            require_invariant(value, self.lam)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyRepVector is immutable")
+        if value.params is not params or value.d != d:
+            raise BlockMismatch("vector value lives over different data")
+        self._store(params, d, lam, require_invariant(value, lam))
 
     @staticmethod
-    def of_poly(params, d, lam, p: TensorPoly, check=True) -> "PolyRepVector":
-        return PolyRepVector(params, d, lam, p, check=check)
+    def of_poly(params, d, lam, p: TensorPoly) -> "PolyRepVector":
+        return PolyRepVector(params, d, lam, p)
 
     @staticmethod
     def one(params, d, lam) -> "PolyRepVector":
-        return PolyRepVector(params, d, lam, unit_poly(params, d), check=False)
+        return PolyRepVector(params, d, lam, LocalizedElement.one(params, d))
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -483,8 +496,8 @@ class PolyRepVector:
             return NotImplemented
         if (self.params, self.d, self.lam) != (other.params, other.d, other.lam):
             raise BlockMismatch("cannot add vectors of different components")
-        return PolyRepVector(self.params, self.d, self.lam,
-                             self.value + other.value, check=False)
+        return PolyRepVector._make(self.params, self.d, self.lam,
+                                   self.value + other.value)
 
     def __eq__(self, other):
         if not isinstance(other, PolyRepVector):
@@ -513,9 +526,8 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
     one = LocalizedElement.one(params, d)
     if set(blk.xi) == {e} and blk.xi[e] == one and \
             region_L(blk.mu) <= region_L(blk.lam):
-        return PolyRepVector(params, d, blk.lam,
-                             merge_apply(params, d, blk.lam, blk.mu, v.value),
-                             check=False)
+        return PolyRepVector._make(params, d, blk.lam,
+                                   merge_apply(params, d, blk.lam, blk.mu, v.value))
     acc = LocalizedElement.zero(params, d)
     for h in coset_reps(blk.mu, "right"):
         u, g, _ = double_coset_decompose(h, blk.lam, blk.mu)
@@ -525,7 +537,7 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
         term = r.place_permute(u) * v.value.place_permute(h)
         acc = acc + term * _e_localized(params, d, blk.mu, True, w=h)
     result = acc * _e_localized(params, d, blk.lam, False)
-    return PolyRepVector(params, d, blk.lam, result, check=False)
+    return PolyRepVector._make(params, d, blk.lam, result)
 
 
 def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
@@ -557,10 +569,7 @@ def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
     fused = nu[:step] + (nu[step] + nu[step + 1],) + nu[step + 2:]
     a = list(range(cuts[step], cuts[step + 1]))
     b = list(range(cuts[step + 1], cuts[step + 2]))
-    arg = value
-    for i in a:
-        for j in b:
-            arg = arg.times_p(i, j).over_lin(i, j)
+    arg = value * _p_over_lin(params, d, ((i, j) for i in a for j in b))
     acc = None
     for w in _two_block_shuffles(d, tuple(a), tuple(b)):
         term = arg.place_permute(w)
@@ -601,8 +610,8 @@ def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
         results[lam] = piece if cur is None else cur + piece
     results = {lam: r for lam, r in results.items() if not r.is_zero()}
     if not results:
-        return PolyRepVector(v.params, v.d, v.lam,
-                             LocalizedElement.zero(v.params, v.d), check=False)
+        return PolyRepVector._make(v.params, v.d, v.lam,
+                                   LocalizedElement.zero(v.params, v.d))
     if len(results) > 1:
         raise BlockMismatch(
             f"result spans components {sorted(results)}; apply blockwise")
@@ -642,7 +651,7 @@ def zero_test_via_poly_rep(s: SchurElement) -> bool:
         if blk.is_zero():
             continue
         for b in _detecting_family(s.params, s.d, mu):
-            v = PolyRepVector(s.params, s.d, mu, b, check=False)
+            v = PolyRepVector._make(s.params, s.d, mu, LocalizedElement(b))
             if not _block_apply(blk, v).is_zero():
                 return False
     return True
@@ -655,56 +664,59 @@ def elements_equal(a: SchurElement, b: SchurElement) -> bool:
 
 # crossings -------------------------------------------------------------------
 
+def _coset_datum(d, lam, mu, g):
+    """(lam, mu, g, nu, delta) for a minimal representative g of
+    S_lam \\ S_d / S_mu, with nu and delta the row and column readings of
+    its matrix."""
+    lam, mu, g = check_comp(d, lam), check_comp(d, mu), tuple(g)
+    if g not in double_coset_reps(lam, mu):
+        raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
+    return (lam, mu, g) + coset_shapes(matrix_from_triple(lam, g, mu))
+
+
+def _two_part(d, lam):
+    """lam as a checked two-part composition (d1, d2), and (d2, d1)."""
+    lam = check_comp(d, lam)
+    if len(lam) != 2:
+        raise ValueError(f"need a two-part composition, got {lam}")
+    return lam, lam[::-1]
+
+
 def h_tilde(params, d, lam, mu, g) -> SchurElement:
     """Thick crossing attached to a double coset: the unique block element x
     with rows nu, columns delta such that x followed by the full merge equals
-    the merge of nu followed by the braid word of g on the full-flag block."""
-    lam = check_comp(d, lam)
-    mu = check_comp(d, mu)
-    g = tuple(g)
-    if g not in double_coset_reps(lam, mu):
-        raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
+    the merge of nu followed by the braid word of g on the full-flag block.
+    The (nu, 1^d) block of that product is constant on S_delta columns, so x
+    keeps its values at the minimal (nu, delta) representatives."""
+    lam, mu, g, nu, delta = _coset_datum(d, lam, mu, g)
     merged = split_merge(params, d, nu, kind="merge") * \
         phi_embed(PqwpElement.h_of_perm(params, d, g))
     cblk = merged.block(nu, (1,) * d)
-    xi = {}
-    for rep in double_coset_reps(nu, delta):
-        val = cblk.xi.get(rep)
-        if val is not None:
-            xi[rep] = val
-        base = cblk.value_at(rep)
-        for u in young_subgroup(delta):
-            if cblk.value_at(mul(rep, u)) != base:
-                raise InvarianceViolation(
-                    f"values not constant on columns at {rep}")
-    blk = ConvBlock(params, d, nu, delta, xi, check=False)
-    return SchurElement.from_block(blk)
+    xi = {rep: cblk.xi[rep] for rep in double_coset_reps(nu, delta)
+          if rep in cblk.xi}
+    return SchurElement.from_block(ConvBlock._make(params, d, nu, delta, xi))
 
 
 def crossing(params, d, lam) -> SchurElement:
     """Sum of thick-crossing sandwiches dual to merging through the full
-    block: for a two-part shape this rewrites split-after-merge as crossings
-    of the two sub-blocks with explicit coefficients."""
-    lam = check_comp(d, lam)
-    if len(lam) != 2:
-        raise ValueError(f"need a two-part composition, got {lam}")
+    block: for a two-part shape lam = (d1, d2) this rewrites
+    split-after-merge as the laurel elements
+
+        sum_i laurel(lam, mu, g_i, c_i),   mu = (d2, d1),
+
+    for i = 0..min(d1, d2), where g_i is the permutation of the matrix
+    [[i, d1 - i], [d2 - i, i]] and c_i the product of alpha_{a, d-i+b} over
+    a, b < i: alpha between the first i strands and the last i."""
+    lam, mu = _two_part(d, lam)
     d1, d2 = lam
-    mu = (d2, d1)
     total = None
     for i in range(min(d1, d2) + 1):
-        A = ThetaMatrix([[i, d1 - i], [d2 - i, i]])
-        w = matrix_to_perm(A)
-        nu = strip_zeros((i, d1 - i, d2 - i, i))
-        delta = strip_zeros((i, d2 - i, d1 - i, i))
+        g = matrix_to_perm(ThetaMatrix([[i, d1 - i], [d2 - i, i]]))
         c = unit_poly(params, d)
-        for i2 in range(i):
-            for j2 in range(i):
-                c = c * alpha_ij(params, d, i2, d - i + j2)
-        term = split_merge(params, d, lam, nu, kind="partial_merge")
-        term = term * diagonal_element(params, d, nu, c)
-        term = term * h_tilde(params, d, lam, mu, w)
-        term = term * split_merge(params, d, mu, delta, kind="partial_split")
+        for a in range(i):
+            for b in range(i):
+                c = c * alpha_ij(params, d, a, d - i + b)
+        term = laurel_basis_element(params, d, lam, mu, g, c)
         total = term if total is None else total + term
     return total
 
@@ -714,16 +726,12 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
     a two-part shape and its reversal.  oracle='values' compares stored block
     values; oracle='family' additionally runs the polynomial representation.
     Returns a summary dict; raises IdentityFailed on mismatch."""
-    lam = check_comp(d, lam)
-    if len(lam) != 2:
-        raise ValueError(f"need a two-part composition, got {lam}")
-    d1, d2 = lam
-    mu = (d2, d1)
+    lam, mu = _two_part(d, lam)
     full = (d,)
     left = split_merge(params, d, full, lam, kind="partial_split") * \
         split_merge(params, d, full, mu, kind="partial_merge")
     right = crossing(params, d, lam)
-    terms = min(d1, d2) + 1
+    terms = min(lam) + 1
     if oracle not in ("values", "family", "both"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle in ("values", "both"):
@@ -742,12 +750,7 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
 def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Merge, braid word with invariant coefficient, split: the spanning
     elements of the block with the given rows and columns."""
-    lam = check_comp(d, lam)
-    mu = check_comp(d, mu)
-    g = tuple(g)
-    if g not in double_coset_reps(lam, mu):
-        raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, _ = coset_shapes(matrix_from_triple(lam, g, mu))
+    lam, mu, g, nu, _ = _coset_datum(d, lam, mu, g)
     if isinstance(b, TensorPoly):
         require_invariant(b, nu)
         elt = PqwpElement.of_poly(b)
@@ -760,12 +763,7 @@ def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
 
 def laurel_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Partial merge, invariant diagonal, thick crossing, partial split."""
-    lam = check_comp(d, lam)
-    mu = check_comp(d, mu)
-    g = tuple(g)
-    if g not in double_coset_reps(lam, mu):
-        raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
+    lam, mu, g, nu, delta = _coset_datum(d, lam, mu, g)
     out = split_merge(params, d, lam, nu, kind="partial_merge")
     out = out * diagonal_element(params, d, nu, b)
     out = out * h_tilde(params, d, lam, mu, g)

@@ -15,7 +15,7 @@ form over a tree of the weak order, one generator step per tree edge.
 from .symcomb import (
     Perm, blocks, check_comp, check_refines, coset_reps, coset_shapes,
     double_coset_reps, identity, increasing_on_blocks, inv_set, inverse,
-    left_reps_in_young, length, longest_in_young, matrix_from_triple, mul,
+    left_reps_in_young, length, matrix_from_triple, mul,
     reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
 from .base_algebra import pack_cached
@@ -391,7 +391,8 @@ def _alpha_over_pairs(params, d, pairs, which="alpha") -> TensorPoly:
 def k_lambda(params, d, lam, flavor: str = "full", nu=None) -> PqwpElement:
     """The K element of a composition, or a one-sided partial version.
 
-    full:  sum over w in the Young subgroup of alpha_{w0 w^{-1}} H_w.
+    full:  sum over w in the Young subgroup of alpha_{w0 w^{-1}} H_w; this
+           is the tilde flavour at nu = (1^d), and nu is ignored.
     upper: sum over shortest representatives of S_nu \\ S_lam of
            H_w alpha_{w0'^{-1} w}  (coefficients straightened to the left).
     tilde: sum over shortest representatives of S_lam / S_nu of
@@ -399,61 +400,50 @@ def k_lambda(params, d, lam, flavor: str = "full", nu=None) -> PqwpElement:
     """
     lam = check_comp(d, lam)
     if flavor == "full":
-        w0 = longest_in_young(lam)
-        terms = {}
-        for w in young_subgroup(lam):
-            terms[w] = alpha_family(params, d, mul(w0, inverse(w)))
-        return PqwpElement(params, d, terms)
+        flavor, nu = "tilde", (1,) * d
     if nu is None:
         raise ValueError("partial flavors need the refinement nu")
     nu = tuple(nu)
     check_refines(nu, lam)
     if flavor == "upper":
         reps = left_reps_in_young(nu, lam)
-        w0p = max(reps, key=length)
-        terms = {}
-        for w in reps:
-            right = alpha_family(params, d, mul(inverse(w0p), w))
-            terms[w] = right.place_permute(w)
-        return PqwpElement(params, d, terms)
+        w0pi = inverse(max(reps, key=length))
+        return PqwpElement(params, d, {
+            w: alpha_family(params, d, mul(w0pi, w)).place_permute(w)
+            for w in reps})
     if flavor == "tilde":
         reps = tuple(w for w in young_subgroup(lam)
                      if increasing_on_blocks(w, nu))
         w0pp = max(reps, key=length)
-        terms = {}
-        for w in reps:
-            terms[w] = alpha_family(params, d, mul(w0pp, inverse(w)))
-        return PqwpElement(params, d, terms)
+        return PqwpElement(params, d, {
+            w: alpha_family(params, d, mul(w0pp, inverse(w))) for w in reps})
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def m_lambda(params, d, lam) -> TensorPoly:
-    """Symmetric scalar with K_lam^2 = m_lam K_lam: sum over the Young
-    subgroup of alpha products over missed inversions times abar products
-    over taken ones, inside the same-block region."""
-    lam = check_comp(d, lam)
-    ell = region_L(lam)
+def _alpha_abar_sum(params, d, region, perms) -> TensorPoly:
+    """Sum over the permutations w of the alpha product over the pairs of
+    region that w does not invert times the abar product over those it
+    inverts."""
     out = zero_poly(params, d)
-    for w in young_subgroup(lam):
+    for w in perms:
         iw = inv_set(w)
-        term = _alpha_over_pairs(params, d, ell - iw, "alpha")
-        term = term * _alpha_over_pairs(params, d, ell & iw, "abar")
-        out = out + term
+        out = out + (_alpha_over_pairs(params, d, region - iw, "alpha")
+                     * _alpha_over_pairs(params, d, region & iw, "abar"))
     return out
+
+
+def m_lambda(params, d, lam) -> TensorPoly:
+    """Symmetric scalar with K_lam^2 = m_lam K_lam: the alpha/abar sum over
+    the Young subgroup, inside the same-block region."""
+    lam = check_comp(d, lam)
+    return _alpha_abar_sum(params, d, region_L(lam), young_subgroup(lam))
 
 
 def multinomial(params, d, lam) -> TensorPoly:
-    """Generalized binomial sum over shortest coset representatives, with
-    alpha over missed cross-block pairs and abar over inverted ones."""
+    """Generalized binomial: the alpha/abar sum over shortest coset
+    representatives, inside the cross-block region."""
     lam = check_comp(d, lam)
-    enn = region_N(lam)
-    out = zero_poly(params, d)
-    for w in coset_reps(lam, "right"):
-        iw = inv_set(w)
-        term = _alpha_over_pairs(params, d, enn - iw, "alpha")
-        term = term * _alpha_over_pairs(params, d, enn & iw, "abar")
-        out = out + term
-    return out
+    return _alpha_abar_sum(params, d, region_N(lam), coset_reps(lam, "right"))
 
 
 # certified identities --------------------------------------------------------

@@ -14,11 +14,11 @@ from itertools import product
 from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, PqwpElement, from_right_coefficients,
                    k_lambda, pqwp_mul)
-from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
-                      coset_shapes, double_coset_data, double_coset_reps,
-                      inverse, length, longest_in_young, matrix_from_triple,
-                      mul, reduced_word, strip_zeros, to_one_line,
-                      weak_compositions, young_subgroup)
+from .symcomb import (ThetaMatrix, check_comp, coset_reps, coset_shapes,
+                      double_coset_data, double_coset_decompose,
+                      double_coset_reps, length, longest_in_young,
+                      matrix_from_triple, mul, reduced_word, strip_zeros,
+                      to_one_line, weak_compositions, young_subgroup)
 from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij,
                           require_invariant, s_ij, unit_poly, zero_poly)
 
@@ -305,17 +305,6 @@ def plus_vector(params, lam) -> TensorVector:
     return TensorVector.basis(params, len(lam), len(idx), idx)
 
 
-def _coset_floor(w, lam):
-    """Shortest element of the left Young-subgroup translate containing w."""
-    wi = inverse(w)
-    gi = [0] * len(w)
-    for blk in blocks(lam):
-        vals = sorted(wi[a] for a in blk)
-        for a, v in zip(blk, vals):
-            gi[a] = v
-    return inverse(tuple(gi))
-
-
 # block maps between slices -----------------------------------------------------
 
 
@@ -372,8 +361,10 @@ def theta_apply(theta: ThetaMap, coords) -> dict:
     total = pqwp_mul(k_lambda(theta.params, theta.d, lam),
                      pqwp_mul(theta.core, w_elt))
     w0 = longest_in_young(lam)
+    omega = (1,) * theta.d
     out = {}
-    for g in sorted({_coset_floor(w, lam) for w in total.terms},
+    for g in sorted({double_coset_decompose(w, lam, omega)[1]
+                     for w in total.terms},
                     key=lambda g: (length(g), g)):
         top = total.terms.get(mul(w0, g))
         if top is None:

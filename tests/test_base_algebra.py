@@ -5,7 +5,7 @@ import pytest
 from qwreath.base_algebra import (
     ArityMismatch, FAlgebra, FTensor, InvalidConfig, PqwpParams, PresetNotFound,
     corrupted_beta_params, ftensor_mul, is_weak_frobenius, load_preset_file,
-    preset, shipped_presets, two_frobs_commute_check,
+    preset, rebase_field, shipped_presets, two_frobs_commute_check,
     validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
@@ -93,6 +93,47 @@ def test_table_algebra_from_a_file_is_checked_for_associativity(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidConfig, match="not associative"):
         load_preset_file(str(path))
+
+
+def test_rebase_reloads_the_preset_data(monkeypatch, tmp_path):
+    """rebase_field reloads the data a pack was built from over the new
+    field: the cyclic F of pro_p(40) is not checked for associativity
+    again, and its formal parameter still refuses a prime field, while a
+    table algebra given in a file is checked, on loading and on rebasing."""
+    calls = []
+
+    def recording_check(alg):
+        calls.append(alg.name)
+
+    monkeypatch.setattr(FAlgebra, "_check_associative", recording_check)
+    with pytest.raises(InvalidConfig, match="formal parameters"):
+        rebase_field(preset("pro_p(40)"), Field.prime(7))
+    assert calls == []
+    rows = [[[[0, "1"]], [[1, "1"]]], [[[1, "1"]], []]]
+    data = {"name": "dual", "algebra": {"kind": "table", "labels": ["1", "c"],
+                                        "table": rows, "name": "dual-table"},
+            "delta": {"00": [[["c", "1"], "1/3"]]}, "alpha": [[["1", "1"], "1"]]}
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(data))
+    params = load_preset_file(str(path))
+    assert calls == ["dual-table"]
+    rebased = rebase_field(params, Field.prime(5))
+    assert calls == ["dual-table", "dual-table"]
+    assert rebased.field == Field.prime(5)
+    assert rebased.spec["field"]["p"] == 5
+    assert (rebased.name, rebased.variant) == (params.name, params.variant)
+    assert rebase_field(params, params.field) is params
+    with pytest.raises(InvalidConfig):
+        rebase_field(params, Field.prime(3))
+
+
+def test_rebase_needs_preset_data():
+    alg = FAlgebra.ground(Field.rationals())
+    direct = PqwpParams(alg, PqwpParams.POLYNOMIAL, {}, FTensor.unit(alg, 2))
+    assert direct.spec is None
+    assert preset("degenerate").spec["name"] == "degenerate"
+    with pytest.raises(InvalidConfig, match="not loaded from preset data"):
+        rebase_field(direct, Field.prime(5))
 
 
 def test_weak_frobenius_examples():

@@ -5,19 +5,21 @@ import pytest
 from qwreath.base_algebra import preset, rebase_field, shipped_presets
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
-    BlockMismatch, CharacteristicTooSmall, ConvBlock, InvarianceViolation,
-    PolyRepVector, SchurElement, coil_basis_element, crossing,
+    BlockMismatch, CharacteristicTooSmall, ConvBlock, PolyRepVector,
+    SchurElement, coil_basis_element, crossing,
     diagonal_element, dumb_vs_smart_identity, elements_equal, h_tilde,
     k_block, laurel_basis_element, merge_apply, phi_embed, poly_rep_apply,
     split_merge, twist_e, zero_test_via_poly_rep,
 )
 from qwreath.pqwp import PqwpElement, k_lambda, m_lambda, multinomial, pqwp_mul
 from qwreath.symcomb import (
-    NotARefinement, all_perms, compositions, coset_shapes, double_coset_reps,
-    identity, inverse, matrix_from_triple, mul, simple, young_subgroup,
+    NotARefinement, all_perms, compositions, coset_shapes,
+    double_coset_decompose, double_coset_reps, identity, inverse,
+    matrix_from_triple, mul, simple, young_subgroup,
 )
 from qwreath.tensor_poly import (
-    LocalizedElement, alpha_ij, monomial, p_ij, unit_poly, x_var, zero_poly,
+    InvarianceViolation, LocalizedElement, alpha_ij, monomial, p_ij, unit_poly,
+    x_var, zero_poly,
 )
 
 PRESETS = shipped_presets()
@@ -33,8 +35,7 @@ def random_poly(params, d, rng, deg=2):
 
 def omega_xi(params, d, g, r):
     """Point-supported function on the full-flag block."""
-    blk = ConvBlock(params, d, (1,) * d, (1,) * d, {g: LocalizedElement(r)},
-                    check=False)
+    blk = ConvBlock(params, d, (1,) * d, (1,) * d, {g: LocalizedElement(r)})
     return SchurElement.from_block(blk)
 
 
@@ -66,12 +67,27 @@ def test_invariance_checks():
     p = preset("affine_hecke")
     with pytest.raises(InvarianceViolation):
         diagonal_element(p, 2, (2,), x_var(p, 2, 0))
-    blk = ConvBlock(p, 2, (2,), (2,), {identity(2): LocalizedElement(x_var(p, 2, 0))},
-                    check=False)
     with pytest.raises(InvarianceViolation):
-        blk.check_invariance()
+        ConvBlock(p, 2, (2,), (2,), {identity(2): LocalizedElement(x_var(p, 2, 0))})
     # the symmetric value passes
     diagonal_element(p, 2, (2,), x_var(p, 2, 0) + x_var(p, 2, 1))
+
+
+def test_constructors_reject_values_over_other_data():
+    """A value over another pack or another size is refused by the public
+    constructor, not later by the arithmetic."""
+    p, q = preset("affine_hecke"), preset("degenerate")
+    for other in (LocalizedElement.one(q, 3), LocalizedElement.one(p, 3),
+                  LocalizedElement.one(q, 2)):
+        with pytest.raises(BlockMismatch):
+            ConvBlock(p, 2, (1, 1), (1, 1), {(0, 1): other})
+    for other in (unit_poly(q, 3), unit_poly(p, 3), unit_poly(q, 2)):
+        with pytest.raises(BlockMismatch):
+            PolyRepVector(p, 2, (1, 1), other)
+        with pytest.raises(BlockMismatch):
+            PolyRepVector.of_poly(p, 2, (2,), other)
+    with pytest.raises(BlockMismatch):
+        diagonal_element(p, 2, (2,), unit_poly(q, 2))
 
 
 def test_stabilizer_is_the_young_subgroup_of_the_row_reading():
@@ -477,6 +493,40 @@ def test_h_tilde_pullback_identity(name):
             rhs = (split_merge(p, d, nu, kind="merge")
                    * phi_embed(PqwpElement.h_of_perm(p, d, g)))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("name,d", [("affine_hecke", 3), ("affine_hecke", 4),
+                                    ("zigzag_a1", 3), ("zigzag_a1", 4),
+                                    ("pro_p", 3)])
+def test_h_tilde_reads_a_column_constant_block(name, d):
+    """For two-part lam, mu and every minimal g, the (nu, 1^d) block of
+    M_nu followed by the braid word of g is constant on each S_delta
+    column, its value at a non-minimal z read through the double coset
+    decomposition; so the thick crossing, which keeps the values at the
+    minimal (nu, delta) representatives, pulls back to that block."""
+    p = preset(name)
+    omega = (1,) * d
+    zero = LocalizedElement.zero(p, d)
+    two_part = [lam for lam in compositions(d) if len(lam) == 2]
+    for lam in two_part:
+        for mu in two_part:
+            for g in double_coset_reps(lam, mu):
+                nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
+                merged = (split_merge(p, d, nu, kind="merge")
+                          * phi_embed(PqwpElement.h_of_perm(p, d, g)))
+                xi = merged.block(nu, omega).xi
+
+                def value(z):
+                    u, g0, _ = double_coset_decompose(z, nu, omega)
+                    r = xi.get(g0)
+                    return zero if r is None else r.place_permute(u)
+
+                for rep in double_coset_reps(nu, delta):
+                    base = value(rep)
+                    for u in young_subgroup(delta):
+                        assert value(mul(rep, u)) == base, (lam, mu, g, rep, u)
+                x = h_tilde(p, d, lam, mu, g)
+                assert x * split_merge(p, d, delta, kind="merge") == merged
 
 
 def test_h_tilde_rejects_non_minimal():

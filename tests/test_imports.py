@@ -187,10 +187,9 @@ def test_pack_cache_guard_sees_each_form():
     assert pack_keyed_module_caches(source) == ["a", "b", "c", "e"]
 
 
-# Every parameter pack comes from preset-file data through _pack_from_spec;
-# rebase_field, which converts a built pack to another field, is the one
-# other place that constructs PqwpParams.
-PACK_CONSTRUCTORS = {"_pack_from_spec", "rebase_field"}
+# Every parameter pack comes from preset-file data through _pack_from_spec,
+# the one place that constructs PqwpParams; rebase_field reloads that data.
+PACK_CONSTRUCTORS = {"_pack_from_spec"}
 
 
 def pack_constructions(source):
