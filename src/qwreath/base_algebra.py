@@ -10,7 +10,7 @@ import weakref
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import Field, is_zero, scalar_str
+from .coeff_ring import Field, scalar_str
 
 
 class ArityMismatch(ValueError):
@@ -68,7 +68,7 @@ class FAlgebra:
         for i in range(self.dim):
             row = []
             for j in range(self.dim):
-                cell = tuple((k, c) for (k, c) in table[i][j] if not is_zero(c))
+                cell = tuple((k, c) for (k, c) in table[i][j] if c)
                 row.append(cell)
             rows.append(tuple(row))
         object.__setattr__(self, "table", tuple(rows))
@@ -76,17 +76,6 @@ class FAlgebra:
 
     def __setattr__(self, *a):
         raise AttributeError("FAlgebra is immutable")
-
-    def mul_coords(self, a, b):
-        """Multiply two coordinate dicts {basis index: scalar}."""
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for k, c in self.table[i][j]:
-                    v = out.get(k)
-                    v = ca * cb * c if v is None else v + ca * cb * c
-                    out[k] = v
-        return {k: v for k, v in out.items() if not is_zero(v)}
 
     def slot_product(self, k1, k2):
         """e_{k1} * e_{k2} in F^{tensor r} for basis index tuples k1, k2, as
@@ -106,30 +95,31 @@ class FAlgebra:
                         nxt[key] = pc * sc if v is None else v + pc * sc
                 partial = nxt
             hit = tuple((k, None if c == one else c)
-                        for k, c in partial.items() if not is_zero(c))
+                        for k, c in partial.items() if c)
             self._slot_products[(k1, k2)] = hit
         return hit
+
+    def _basis_vectors(self):
+        return [FTensor.basis(self, (i,)) for i in range(self.dim)]
 
     def _check_unital(self):
         u = self.unit_index
         if not 0 <= u < self.dim:
             raise ValueError("unit index out of range")
-        one = self.field.one()
-        for i in range(self.dim):
-            want = {i: one}
-            if self.mul_coords({u: one}, {i: one}) != want:
+        e = self._basis_vectors()
+        for i, ei in enumerate(e):
+            if e[u] * ei != ei:
                 raise ValueError(f"unit fails on the left of basis {i}")
-            if self.mul_coords({i: one}, {u: one}) != want:
+            if ei * e[u] != ei:
                 raise ValueError(f"unit fails on the right of basis {i}")
 
     def _check_associative(self):
-        one = self.field.one()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_coords({i: one}, {j: one})
-                for k in range(self.dim):
-                    jk = self.mul_coords({j: one}, {k: one})
-                    if self.mul_coords(ij, {k: one}) != self.mul_coords({i: one}, jk):
+        e = self._basis_vectors()
+        for i, ei in enumerate(e):
+            for j, ej in enumerate(e):
+                ij = ei * ej
+                for k, ek in enumerate(e):
+                    if ij * ek != ei * (ej * ek):
                         raise ValueError(f"structure constants not associative at ({i},{j},{k})")
 
     @staticmethod
@@ -164,7 +154,50 @@ class FAlgebra:
         return f"FAlgebra({self.name}, dim={self.dim})"
 
 
-class FTensor:
+class SparseSum:
+    """A finite linear combination over a basis, stored as ``terms``, a dict
+    from basis key to nonzero coefficient.  Addition, negation, subtraction
+    and scaling are written here once, and ``bool(x)`` is the zero test, as
+    it is for the scalars.
+
+    A subclass provides ``terms`` and two methods: ``_same_space(other)``,
+    which raises the subclass's own mismatch error when other lives in a
+    different space, and ``_like(terms)``, the trusted constructor of a
+    result in the same space, which takes ownership of the dict and only
+    drops its zero coefficients.  An operand of another type is left to
+    Python (NotImplemented)."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same_space(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key)
+            out[key] = c if v is None else v + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+
+class FTensor(SparseSum):
     """Element of F^{tensor r}, sparse over tuples of basis indices."""
 
     __slots__ = ("algebra", "arity", "terms")
@@ -177,9 +210,16 @@ class FTensor:
             for key, c in terms.items():
                 if len(key) != arity:
                     raise ArityMismatch(f"key {key} has arity {len(key)}, expected {arity}")
-                if not is_zero(c):
+                if c:
                     clean[tuple(key)] = c
         self.terms = clean
+
+    def _like(self, terms):
+        out = object.__new__(FTensor)
+        out.algebra = self.algebra
+        out.arity = self.arity
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
 
     @staticmethod
     def zero(algebra, arity) -> "FTensor":
@@ -194,33 +234,9 @@ class FTensor:
     def basis(algebra, key) -> "FTensor":
         return FTensor(algebra, len(key), {tuple(key): algebra.field.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _same_space(self, other):
         if self.algebra is not other.algebra or self.arity != other.arity:
             raise ArityMismatch("operands live in different tensor powers")
-
-    def __add__(self, other):
-        if not isinstance(other, FTensor):
-            return NotImplemented
-        self._same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            out[key] = c if v is None else v + c
-        return FTensor(self.algebra, self.arity, out)
-
-    def __neg__(self):
-        return FTensor(self.algebra, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, FTensor):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "FTensor":
-        return FTensor(self.algebra, self.arity, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, FTensor):
@@ -240,7 +256,7 @@ class FTensor:
             for i, v in enumerate(key):
                 nk[w[i]] = v
             out[tuple(nk)] = c
-        return FTensor(self.algebra, self.arity, out)
+        return self._like(out)
 
     def flip(self) -> "FTensor":
         if self.arity != 2:
@@ -310,7 +326,7 @@ def ftensor_mul(a: FTensor, b: FTensor) -> FTensor:
                 c = c12 if sc is None else c12 * sc
                 v = out.get(key)
                 out[key] = c if v is None else v + c
-    return FTensor(alg, a.arity, out)
+    return a._like(out)
 
 
 def is_weak_frobenius(delta: FTensor) -> bool:

@@ -991,10 +991,6 @@ def specialize(x, bindings: dict[str, int | Fraction]):
     return Fraction(_eval_poly(num, point)) / den
 
 
-def is_zero(x) -> bool:
-    return not x
-
-
 def echelon_pivots(rows) -> dict:
     """Sparse Gaussian elimination over a field.  Each row is a dict
     {column: scalar} with mutually comparable columns.  Returns the reduced
@@ -1002,7 +998,7 @@ def echelon_pivots(rows) -> dict:
     pivots, and a free column is one that is not a key."""
     pivots = {}
     for row in rows:
-        live = {c: v for c, v in row.items() if not is_zero(v)}
+        live = {c: v for c, v in row.items() if v}
         while live:
             lead = min(live)
             prow = pivots.get(lead)
@@ -1012,7 +1008,7 @@ def echelon_pivots(rows) -> dict:
             factor = live[lead] / prow[lead]
             for c, v in prow.items():
                 nv = live.get(c, 0) - factor * v
-                if is_zero(nv):
+                if not nv:
                     live.pop(c, None)
                 else:
                     live[c] = nv

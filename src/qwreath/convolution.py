@@ -28,9 +28,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
-from .base_algebra import pack_cached
+from .base_algebra import SparseSum, pack_cached
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
+from .symcomb import (block_of, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_from_triple,
                       matrix_to_perm, mul, region_L, region_N, region_P,
@@ -102,26 +102,25 @@ class _Frozen:
         return out
 
 
-class ConvBlock(_Frozen):
+class ConvBlock(SparseSum, _Frozen):
     """One block of the convolution algebra: rows indexed by Y_lam, columns by
-    Y_mu.  ``xi[g]`` holds the normalized value at ([1],[g]) for each minimal
-    double coset representative g; missing keys mean zero.  Composition pairs
-    the column composition of the left factor with the row composition of the
-    right factor.
+    Y_mu.  ``terms[g]`` holds the normalized value at ([1],[g]) for each
+    minimal double coset representative g.  Composition pairs the column
+    composition of the left factor with the row composition of the right
+    factor.
 
-    Only the public constructor validates its input: every key a minimal
-    representative, every value over the same (params, d) and invariant
-    under the stabilizer of its base pair.  Results of the block operations
-    and of the generators are built by ``_make``, which trusts them."""
+    The public constructor checks that every key is a minimal representative
+    and every value lives over the same (params, d) and is invariant under
+    the stabilizer of its base pair; ``_make`` trusts its caller."""
 
-    __slots__ = ("params", "d", "lam", "mu", "xi")
+    __slots__ = ("params", "d", "lam", "mu", "terms")
 
-    def __init__(self, params, d, lam, mu, xi=None):
+    def __init__(self, params, d, lam, mu, terms=None):
         d = int(d)
         lam, mu = check_comp(d, lam), check_comp(d, mu)
         reps = set(double_coset_reps(lam, mu))
         clean = {}
-        for g, r in (xi or {}).items():
+        for g, r in (terms or {}).items():
             g = tuple(g)
             if g not in reps:
                 raise ValueError(f"{g} is not a minimal representative for "
@@ -130,23 +129,26 @@ class ConvBlock(_Frozen):
                 r = LocalizedElement(r)
             if r.params is not params or r.d != d:
                 raise BlockMismatch(f"value at {g} lives over different data")
-            if not r.is_zero():
+            if r:
                 clean[g] = r
         self._store(params, d, lam, mu, clean)
         self.check_invariance()
 
     @classmethod
-    def _make(cls, params, d, lam, mu, xi) -> "ConvBlock":
+    def _make(cls, params, d, lam, mu, terms) -> "ConvBlock":
         """A block with checked lam and mu, and keys and values right by
         construction; only zero values are dropped."""
         return super()._make(params, d, lam, mu,
-                             {g: r for g, r in xi.items() if not r.is_zero()})
+                             {g: r for g, r in terms.items() if r})
+
+    def _like(self, terms):
+        return ConvBlock._make(self.params, self.d, self.lam, self.mu, terms)
 
     def check_invariance(self):
         """Stored values must be fixed by the stabilizer of the base pair.
         For a minimal g it is S_lam & g S_mu g^{-1}, the Young subgroup of
         the row reading delta_r of the double coset's matrix."""
-        for g, r in self.xi.items():
+        for g, r in self.terms.items():
             delta_r, _ = coset_shapes(matrix_from_triple(self.lam, g, self.mu))
             require_invariant(r, delta_r)
 
@@ -155,38 +157,12 @@ class ConvBlock(_Frozen):
         return ConvBlock._make(params, int(d), check_comp(d, lam),
                                check_comp(d, mu), {})
 
-    def is_zero(self) -> bool:
-        return not self.xi
-
-    def _same_block(self, other):
+    def _same_space(self, other):
         if (self.params, self.d) != (other.params, other.d):
             raise BlockMismatch("mixed parameter sets")
         if (self.lam, self.mu) != (other.lam, other.mu):
             raise BlockMismatch(f"({self.lam},{self.mu}) vs "
                                 f"({other.lam},{other.mu})")
-
-    def __add__(self, other):
-        if not isinstance(other, ConvBlock):
-            return NotImplemented
-        self._same_block(other)
-        xi = dict(self.xi)
-        for g, r in other.xi.items():
-            cur = xi.get(g)
-            xi[g] = r if cur is None else cur + r
-        return ConvBlock._make(self.params, self.d, self.lam, self.mu, xi)
-
-    def __neg__(self):
-        return ConvBlock._make(self.params, self.d, self.lam, self.mu,
-                               {g: -r for g, r in self.xi.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ConvBlock):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "ConvBlock":
-        return ConvBlock._make(self.params, self.d, self.lam, self.mu,
-                               {g: r.scale(c) for g, r in self.xi.items()})
 
     def mul(self, other: "ConvBlock") -> "ConvBlock":
         if (self.params, self.d) != (other.params, other.d):
@@ -199,8 +175,8 @@ class ConvBlock(_Frozen):
         omega = (1,) * d
         if self.lam == self.mu == other.mu == omega:
             # point-supported coordinates compose pairwise
-            for z, rf in self.xi.items():
-                for y1, rh in other.xi.items():
+            for z, rf in self.terms.items():
+                for y1, rh in other.terms.items():
                     y = mul(z, y1)
                     term = rf * rh.place_permute(z)
                     cur = out.get(y)
@@ -208,14 +184,14 @@ class ConvBlock(_Frozen):
         else:
             for z in coset_reps(self.mu, "right"):
                 u, g, _ = double_coset_decompose(z, self.lam, self.mu)
-                rf = self.xi.get(g)
+                rf = self.terms.get(g)
                 if rf is None:
                     continue
                 left = rf.place_permute(u)
                 zi = inverse(z)
                 for y in double_coset_reps(self.lam, other.mu):
                     u2, g2, _ = double_coset_decompose(mul(zi, y), other.lam, other.mu)
-                    rh = other.xi.get(g2)
+                    rh = other.terms.get(g2)
                     if rh is None:
                         continue
                     term = left * rh.place_permute(mul(z, u2))
@@ -225,46 +201,50 @@ class ConvBlock(_Frozen):
 
     def leading(self):
         """(g, value) with g of maximal length in the support."""
-        if not self.xi:
+        if not self.terms:
             return None
-        g = max(self.xi, key=lambda w: (length(w), w))
-        return g, self.xi[g]
+        g = max(self.terms, key=lambda w: (length(w), w))
+        return g, self.terms[g]
 
     def __eq__(self, other):
         if not isinstance(other, ConvBlock):
             return NotImplemented
-        self._same_block(other)
-        keys = set(self.xi) | set(other.xi)
+        self._same_space(other)
+        keys = set(self.terms) | set(other.terms)
         zero = LocalizedElement.zero(self.params, self.d)
-        return all(self.xi.get(g, zero) == other.xi.get(g, zero)
+        return all(self.terms.get(g, zero) == other.terms.get(g, zero)
                    for g in keys)
 
     def __str__(self):
-        if not self.xi:
+        if not self.terms:
             return f"0[{self.lam}|{self.mu}]"
         bits = []
-        for g in sorted(self.xi, key=lambda w: (length(w), w)):
+        for g in sorted(self.terms, key=lambda w: (length(w), w)):
             one_line = " ".join(str(i + 1) for i in g)
-            bits.append(f"|{one_line}| -> {self.xi[g]}")
+            bits.append(f"|{one_line}| -> {self.terms[g]}")
         return f"[{self.lam}|{self.mu}] " + "; ".join(bits)
 
     def __repr__(self):
         return f"ConvBlock({self})"
 
 
-class SchurElement(_Frozen):
-    """Sparse sum of blocks, keyed by (row composition, column composition)."""
+class SchurElement(SparseSum, _Frozen):
+    """Sum of blocks, keyed by (row composition, column composition)."""
 
-    __slots__ = ("params", "d", "blocks")
+    __slots__ = ("params", "d", "terms")
 
-    def __init__(self, params, d, blocks=None):
+    def __init__(self, params, d, terms=None):
         clean = {}
-        for key, blk in (blocks or {}).items():
+        for key, blk in (terms or {}).items():
             if (blk.lam, blk.mu) != tuple(map(tuple, key)):
                 raise ValueError(f"block filed under {key} is ({blk.lam},{blk.mu})")
-            if not blk.is_zero():
+            if blk:
                 clean[(blk.lam, blk.mu)] = blk
         self._store(params, int(d), clean)
+
+    def _like(self, terms):
+        return SchurElement._make(self.params, self.d,
+                                  {k: b for k, b in terms.items() if b})
 
     @staticmethod
     def zero(params, d) -> "SchurElement":
@@ -281,13 +261,10 @@ class SchurElement(_Frozen):
                               {identity(d): LocalizedElement.one(params, d)})
         return SchurElement.from_block(blk)
 
-    def is_zero(self) -> bool:
-        return not self.blocks
-
     def block(self, lam, mu) -> ConvBlock:
         lam = check_comp(self.d, lam)
         mu = check_comp(self.d, mu)
-        blk = self.blocks.get((lam, mu))
+        blk = self.terms.get((lam, mu))
         if blk is None:
             return ConvBlock.zero(self.params, self.d, lam, mu)
         return blk
@@ -296,28 +273,8 @@ class SchurElement(_Frozen):
         if (self.params, self.d) != (other.params, other.d):
             raise BlockMismatch("mixed parameter sets")
 
-    def __add__(self, other):
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        self._same_space(other)
-        out = dict(self.blocks)
-        for key, blk in other.blocks.items():
-            cur = out.get(key)
-            out[key] = blk if cur is None else cur + blk
-        return SchurElement(self.params, self.d, out)
-
-    def __neg__(self):
-        return SchurElement(self.params, self.d,
-                            {k: -b for k, b in self.blocks.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c) -> "SchurElement":
-        return SchurElement(self.params, self.d,
-                            {k: b.scale(c) for k, b in self.blocks.items()})
+        return self._like({k: b.scale(c) for k, b in self.terms.items()})
 
     def __mul__(self, other):
         """Convolution product, extended bilinearly over the block direct
@@ -327,31 +284,31 @@ class SchurElement(_Frozen):
             return NotImplemented
         self._same_space(other)
         out = {}
-        for (lam, mu), blk in self.blocks.items():
-            for (mu2, kap), blk2 in other.blocks.items():
+        for (lam, mu), blk in self.terms.items():
+            for (mu2, kap), blk2 in other.terms.items():
                 if mu != mu2:
                     continue
                 piece = blk.mul(blk2)
-                if piece.is_zero():
+                if not piece:
                     continue
                 cur = out.get((lam, kap))
                 out[(lam, kap)] = piece if cur is None else cur + piece
-        return SchurElement(self.params, self.d, out)
+        return self._like(out)
 
     def __eq__(self, other):
         if not isinstance(other, SchurElement):
             return NotImplemented
         self._same_space(other)
-        keys = set(self.blocks) | set(other.blocks)
+        keys = set(self.terms) | set(other.terms)
         for lam, mu in keys:
             if self.block(lam, mu) != other.block(lam, mu):
                 return False
         return True
 
     def __str__(self):
-        if not self.blocks:
+        if not self.terms:
             return "0"
-        return " + ".join(str(self.blocks[k]) for k in sorted(self.blocks))
+        return " + ".join(str(self.terms[k]) for k in sorted(self.terms))
 
     def __repr__(self):
         return f"SchurElement({self})"
@@ -410,8 +367,8 @@ def k_block(params, d, lam) -> SchurElement:
     lam = check_comp(d, lam)
     ratio = _p_over_lin(params, d, region_L(lam))
     omega = (1,) * d
-    xi = {w: ratio for w in young_subgroup(lam)}
-    return SchurElement.from_block(ConvBlock._make(params, d, omega, omega, xi))
+    values = {w: ratio for w in young_subgroup(lam)}
+    return SchurElement.from_block(ConvBlock._make(params, d, omega, omega, values))
 
 
 # the embedding of the wreath Hecke algebra -----------------------------------
@@ -451,7 +408,7 @@ def phi_embed(a: PqwpElement) -> SchurElement:
         blk = _phi_word(params, d, w)
         piece = ConvBlock._make(params, d, omega, omega,
                                 {g: LocalizedElement(b * r.core, r.nfac, r.dfac)
-                                 for g, r in blk.xi.items()})
+                                 for g, r in blk.terms.items()})
         out = piece if out is None else out + piece
     if out is None:
         out = ConvBlock.zero(params, d, omega, omega)
@@ -479,10 +436,6 @@ class PolyRepVector(_Frozen):
         if value.params is not params or value.d != d:
             raise BlockMismatch("vector value lives over different data")
         self._store(params, d, lam, require_invariant(value, lam))
-
-    @staticmethod
-    def of_poly(params, d, lam, p: TensorPoly) -> "PolyRepVector":
-        return PolyRepVector(params, d, lam, p)
 
     @staticmethod
     def one(params, d, lam) -> "PolyRepVector":
@@ -524,14 +477,14 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
         raise BlockMismatch(f"block columns {blk.mu} vs vector {v.lam}")
     e = identity(d)
     one = LocalizedElement.one(params, d)
-    if set(blk.xi) == {e} and blk.xi[e] == one and \
+    if set(blk.terms) == {e} and blk.terms[e] == one and \
             region_L(blk.mu) <= region_L(blk.lam):
         return PolyRepVector._make(params, d, blk.lam,
                                    merge_apply(params, d, blk.lam, blk.mu, v.value))
     acc = LocalizedElement.zero(params, d)
     for h in coset_reps(blk.mu, "right"):
         u, g, _ = double_coset_decompose(h, blk.lam, blk.mu)
-        r = blk.xi.get(g)
+        r = blk.terms.get(g)
         if r is None:
             continue
         term = r.place_permute(u) * v.value.place_permute(h)
@@ -602,7 +555,7 @@ def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
     if (s.params, s.d) != (v.params, v.d):
         raise BlockMismatch("mixed parameter sets")
     results = {}
-    for (lam, mu), blk in s.blocks.items():
+    for (lam, mu), blk in s.terms.items():
         if mu != v.lam:
             continue
         piece = _block_apply(blk, v)
@@ -647,8 +600,8 @@ def zero_test_via_poly_rep(s: SchurElement) -> bool:
         raise CharacteristicTooSmall(
             f"characteristic {field.p} <= d = {s.d}: the staircase matrix "
             "is singular, the detecting family proves nothing")
-    for (lam, mu), blk in s.blocks.items():
-        if blk.is_zero():
+    for (lam, mu), blk in s.terms.items():
+        if not blk:
             continue
         for b in _detecting_family(s.params, s.d, mu):
             v = PolyRepVector._make(s.params, s.d, mu, LocalizedElement(b))
@@ -692,9 +645,9 @@ def h_tilde(params, d, lam, mu, g) -> SchurElement:
     merged = split_merge(params, d, nu, kind="merge") * \
         phi_embed(PqwpElement.h_of_perm(params, d, g))
     cblk = merged.block(nu, (1,) * d)
-    xi = {rep: cblk.xi[rep] for rep in double_coset_reps(nu, delta)
-          if rep in cblk.xi}
-    return SchurElement.from_block(ConvBlock._make(params, d, nu, delta, xi))
+    values = {rep: cblk.terms[rep] for rep in double_coset_reps(nu, delta)
+              if rep in cblk.terms}
+    return SchurElement.from_block(ConvBlock._make(params, d, nu, delta, values))
 
 
 def crossing(params, d, lam) -> SchurElement:

@@ -18,7 +18,7 @@ from .symcomb import (
     left_reps_in_young, length, matrix_from_triple, mul,
     reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
-from .base_algebra import pack_cached
+from .base_algebra import SparseSum, pack_cached
 from .coeff_ring import SCALARS
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
@@ -49,19 +49,19 @@ def _is_xfree(p: TensorPoly) -> bool:
     return all(exps == zero for exps, _ in p.terms)
 
 
-class PqwpElement:
-    """Sparse normal form sum_w b_w H_w; no zero coefficients stored."""
+class PqwpElement(SparseSum):
+    """Normal form sum_w b_w H_w, keyed by the permutations w."""
 
     __slots__ = ("params", "d", "terms")
 
     def __init__(self, params, d, terms=None):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "d", d)
-        clean = {}
-        for w, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[w] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {w: c for w, c in (terms or {}).items() if c})
+
+    def _like(self, terms):
+        return PqwpElement(self.params, self.d, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("PqwpElement is immutable")
@@ -101,40 +101,13 @@ class PqwpElement:
 
     # ring structure ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _same_space(self, other):
         if self.params is not other.params or self.d != other.d:
             raise ParamMismatch("elements live over different data")
 
-    def __add__(self, other):
-        if not isinstance(other, PqwpElement):
-            return NotImplemented
-        self._same_space(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            terms[w] = c if acc is None else acc + c
-        return PqwpElement(self.params, self.d, terms)
-
-    def __neg__(self):
-        return PqwpElement(self.params, self.d,
-                           {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PqwpElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "PqwpElement":
-        return PqwpElement(self.params, self.d,
-                           {w: p.scale(c) for w, p in self.terms.items()})
-
     def poly_left(self, p: TensorPoly) -> "PqwpElement":
         """Multiply by a coefficient on the left: p * (sum b_w H_w)."""
-        return PqwpElement(self.params, self.d,
-                           {w: p * c for w, c in self.terms.items()})
+        return self._like({w: p * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PqwpElement):

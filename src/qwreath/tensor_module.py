@@ -11,6 +11,7 @@ is v_lam+ * (sum of H_w c_w): its coefficients are right coefficients."""
 
 from itertools import product
 
+from .base_algebra import SparseSum
 from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, PqwpElement, from_right_coefficients,
                    k_lambda, pqwp_mul)
@@ -34,14 +35,11 @@ class SpanViolation(ValueError):
 # tensor vectors ---------------------------------------------------------------
 
 
-class TensorVector:
+class TensorVector(SparseSum):
     """Sum of v_i * b over index tuples i with entries in 1..n; the
-    coefficients b live in the d-fold tensor polynomial ring.  No zero
-    coefficients stored.
-
-    Values are immutable, like their TensorPoly coefficients.  Only the
-    public constructor checks the index tuples; results of the module
-    operations are built by ``_like``, which trusts the indices it is given."""
+    coefficients b live in the d-fold tensor polynomial ring.  Immutable,
+    like its TensorPoly coefficients; the public constructor checks the
+    index tuples."""
 
     __slots__ = ("params", "n", "d", "terms")
 
@@ -51,7 +49,7 @@ class TensorVector:
         self.d = d
         clean = {}
         for idx, b in (terms or {}).items():
-            if b.is_zero():
+            if not b:
                 continue
             if len(idx) != d or any(not 1 <= v <= n for v in idx):
                 raise ModuleMismatch(f"index tuple {idx} not in [1..{n}]^{d}")
@@ -65,8 +63,8 @@ class TensorVector:
         out.params = self.params
         out.n = self.n
         out.d = self.d
-        out.terms = terms if all(b.terms for b in terms.values()) else {
-            idx: b for idx, b in terms.items() if b.terms}
+        out.terms = terms if all(terms.values()) else {
+            idx: b for idx, b in terms.items() if b}
         return out
 
     @staticmethod
@@ -79,34 +77,10 @@ class TensorVector:
             b = unit_poly(params, d)
         return TensorVector(params, n, d, {tuple(idx): b})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _same_space(self, other):
         if (self.params is not other.params or self.n != other.n
                 or self.d != other.d):
             raise ModuleMismatch("vectors live in different tensor powers")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        self._same_space(other)
-        out = dict(self.terms)
-        for idx, b in other.terms.items():
-            v = out.get(idx)
-            out[idx] = b if v is None else v + b
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({idx: -b for idx, b in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "TensorVector":
-        return self._like({idx: b.scale(c) for idx, b in self.terms.items()})
 
     def times_poly(self, q: TensorPoly) -> "TensorVector":
         """Right action of the coefficient ring, factor by factor."""

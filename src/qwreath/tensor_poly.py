@@ -15,8 +15,8 @@ import json
 from collections import Counter
 from operator import add
 
-from .coeff_ring import SCALARS, echelon_pivots, is_zero, scalar_str
-from .base_algebra import FTensor, pack_cached
+from .coeff_ring import SCALARS, echelon_pivots, scalar_str
+from .base_algebra import FTensor, SparseSum, pack_cached
 from .symcomb import blocks, simple
 
 
@@ -28,16 +28,14 @@ class InvarianceViolation(ValueError):
     """Raised when a stored value fails its required symmetry."""
 
 
-class TensorPoly:
-    """Sparse element of F^{tensor d}[x_1..x_d]; keys are pairs
-    (exponent vector, F-basis index vector).  Laurent variant admits
-    negative exponents, polynomial variant rejects them.
+class TensorPoly(SparseSum):
+    """Element of F^{tensor d}[x_1..x_d]; keys are pairs (exponent vector,
+    F-basis index vector).  Laurent variant admits negative exponents,
+    polynomial variant rejects them.
 
-    Values are immutable: no operation changes ``terms`` after
-    construction, so results may share their term dict with an operand
-    (a product by the unit returns the other factor itself).  Only the
-    public constructor validates its input; results of ring operations
-    are built by ``_like``, which trusts the keys the operation made."""
+    No operation changes ``terms`` after construction, so results may
+    share their term dict with an operand (a product by the unit returns
+    the other factor itself)."""
 
     __slots__ = ("params", "d", "terms")
 
@@ -48,7 +46,7 @@ class TensorPoly:
         if terms:
             laurent = params.variant == "laurent"
             for (exps, fkey), c in terms.items():
-                if is_zero(c):
+                if not c:
                     continue
                 if len(exps) != d or len(fkey) != d:
                     raise SizeMismatch(f"term arity differs from d={d}")
@@ -80,35 +78,11 @@ class TensorPoly:
             return None
         return c
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _same_space(self, other):
         if self.params is not other.params or self.d != other.d:
             raise SizeMismatch("operands live in different rings")
 
     # arithmetic
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            out[key] = c if v is None else v + c
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "TensorPoly":
-        return self._like({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorPoly):
@@ -398,13 +372,13 @@ def divide_exact_linear(p: TensorPoly, i: int, j: int):
         acc = None
         for (k, c), (k_next, _) in zip(col, col[1:]):
             acc = c if acc is None else acc + c
-            if is_zero(acc):
+            if not acc:
                 continue
             for t in range(k_next, k):
                 e[i], e[j] = t, s - 1 - t
                 out[(tuple(e), fkey)] = acc
         last = col[-1][1]
-        if not is_zero(last if acc is None else acc + last):
+        if (last if acc is None else acc + last):
             return None
     return p._like(out)
 
@@ -468,10 +442,6 @@ class LocalizedElement:
         self._reduce()
 
     @staticmethod
-    def from_poly(p: TensorPoly) -> "LocalizedElement":
-        return LocalizedElement(p)
-
-    @staticmethod
     def zero(params, d) -> "LocalizedElement":
         return LocalizedElement(zero_poly(params, d))
 
@@ -489,6 +459,9 @@ class LocalizedElement:
 
     def is_zero(self) -> bool:
         return self.core.is_zero()
+
+    def __bool__(self):
+        return bool(self.core)
 
     def _reduce(self):
         if self.core.is_zero():
@@ -516,9 +489,6 @@ class LocalizedElement:
 
     # factor-aware constructors
 
-    def times_poly(self, p: TensorPoly) -> "LocalizedElement":
-        return LocalizedElement(self.core * p, self.nfac, self.dfac)
-
     def scale(self, c) -> "LocalizedElement":
         return LocalizedElement(self.core.scale(c), self.nfac, self.dfac)
 
@@ -526,12 +496,6 @@ class LocalizedElement:
         core = self.core if i < j else -self.core
         tag = ("lin", min(i, j), max(i, j))
         return LocalizedElement(core, self.nfac, self.dfac + Counter([tag]))
-
-    def times_p(self, a, b) -> "LocalizedElement":
-        return LocalizedElement(self.core, self.nfac + Counter([("P", a, b)]), self.dfac)
-
-    def over_p(self, a, b) -> "LocalizedElement":
-        return LocalizedElement(self.core, self.nfac, self.dfac + Counter([("P", a, b)]))
 
     # arithmetic
 
@@ -562,7 +526,7 @@ class LocalizedElement:
                                     self.nfac + other.nfac,
                                     self.dfac + other.dfac)
         if isinstance(other, TensorPoly):
-            return self.times_poly(other)
+            return LocalizedElement(self.core * other, self.nfac, self.dfac)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -671,7 +635,7 @@ def annihilator_certificate(params, degree_bound: int = 3):
                 sol[lead] = -acc / prow[lead]
             zeta = zero_poly(params, d)
             for cidx, coeff in sol.items():
-                if is_zero(coeff):
+                if not coeff:
                     continue
                 fkey, exps = unknowns[cidx]
                 zeta = zeta + monomial(params, d, fkey, exps, coeff)

@@ -58,7 +58,7 @@ def test_algebra_construction_rejects_bad_tables():
     one = field.one()
     # e1*e1 = e0 but e0 is supposed to be the unit: not unital
     bad = [[((1, one),), ((1, one),)], [((1, one),), ((0, one),)]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit fails"):
         FAlgebra(field, ("1", "g"), bad)
     # non-associative sandbox: g*g = 1, g*1 = g ok, but h breaks mixing
     nonassoc = [
@@ -66,7 +66,7 @@ def test_algebra_construction_rejects_bad_tables():
         [((1, one),), ((2, one),), ((0, one),)],
         [((2, one),), ((1, one),), ((1, one),)],
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not associative"):
         FAlgebra(field, ("1", "g", "h"), nonassoc)
 
 

@@ -85,7 +85,7 @@ def test_constructors_reject_values_over_other_data():
         with pytest.raises(BlockMismatch):
             PolyRepVector(p, 2, (1, 1), other)
         with pytest.raises(BlockMismatch):
-            PolyRepVector.of_poly(p, 2, (2,), other)
+            PolyRepVector(p, 2, (2,), other)
     with pytest.raises(BlockMismatch):
         diagonal_element(p, 2, (2,), unit_poly(q, 2))
 
@@ -245,7 +245,7 @@ def test_poly_past_split_merge(name):
 def scalar_corner(params, d, lam):
     S = split_merge(params, d, (d,), nu=lam, kind="partial_split")
     M = split_merge(params, d, (d,), nu=lam, kind="partial_merge")
-    got = (M * S).block((d,), (d,)).xi.get(identity(d))
+    got = (M * S).block((d,), (d,)).terms.get(identity(d))
     return LocalizedElement.zero(params, d) if got is None else got
 
 
@@ -335,7 +335,7 @@ def test_split_fixes_invariants(name):
     d = 3
     lam = (2, 1)
     b = (x_var(p, d, 0) + x_var(p, d, 1)) * x_var(p, d, 2)
-    v = PolyRepVector.of_poly(p, d, lam, b)
+    v = PolyRepVector(p, d, lam, b)
     out = poly_rep_apply(split_merge(p, d, lam, kind="split"), v)
     assert out.lam == (1, 1, 1)
     assert out.value == LocalizedElement(b)
@@ -371,7 +371,7 @@ def test_k_action_two_ways(name):
         K = phi_embed(k_lambda(p, d, lam))
         for _ in range(2):
             b = random_poly(p, d, rng)
-            v = PolyRepVector.of_poly(p, d, omega, b)
+            v = PolyRepVector(p, d, omega, b)
             via_sm = poly_rep_apply(S, poly_rep_apply(M, v))
             via_k = poly_rep_apply(K, v)
             assert via_sm.value == via_k.value
@@ -404,7 +404,7 @@ def test_merge_recurrence(name):
         for _ in range(2):
             b = symmetrize(lam_prev, random_poly(p, d, rng))
             lhs = merge_apply(p, d, lam_next, lam_prev, b)
-            crossed = poly_rep_apply(Hk, PolyRepVector.of_poly(p, d, omega, b))
+            crossed = poly_rep_apply(Hk, PolyRepVector(p, d, omega, b))
             rhs = (LocalizedElement(coeff) * LocalizedElement(b)
                    + merge_apply(p, d, lam_prev, omega if k == 1 else
                                  (k - 1,) + (1,) * (d - k + 1), crossed.value))
@@ -425,7 +425,7 @@ def test_poly_rep_is_a_module_map():
         for x in pool[:2]:
             for y in pool[2:]:
                 b = random_poly(p, d, rng)
-                v = PolyRepVector.of_poly(p, d, omega, b)
+                v = PolyRepVector(p, d, omega, b)
                 assert (poly_rep_apply(x * y, v).value
                         == poly_rep_apply(x, poly_rep_apply(y, v)).value)
 
@@ -488,7 +488,7 @@ def test_h_tilde_pullback_identity(name):
                          (3, (1, 2), (2, 1)), (3, (2, 1), (2, 1))):
         for g in double_coset_reps(lam, mu):
             x = h_tilde(p, d, lam, mu, g)
-            (nu, delta), = {(a, b) for (a, b) in x.blocks}
+            (nu, delta), = {(a, b) for (a, b) in x.terms}
             lhs = x * split_merge(p, d, delta, kind="merge")
             rhs = (split_merge(p, d, nu, kind="merge")
                    * phi_embed(PqwpElement.h_of_perm(p, d, g)))
@@ -514,7 +514,7 @@ def test_h_tilde_reads_a_column_constant_block(name, d):
                 nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
                 merged = (split_merge(p, d, nu, kind="merge")
                           * phi_embed(PqwpElement.h_of_perm(p, d, g)))
-                xi = merged.block(nu, omega).xi
+                xi = merged.block(nu, omega).terms
 
                 def value(z):
                     u, g0, _ = double_coset_decompose(z, nu, omega)
@@ -539,12 +539,12 @@ def test_crossing_two_terms_at_d2():
     p = preset("affine_hecke")
     out = crossing(p, 2, (1, 1))
     blk = out.block((1, 1), (1, 1))
-    assert set(blk.xi) == {identity(2), simple(2, 0)}
+    assert set(blk.terms) == {identity(2), simple(2, 0)}
     tilde = h_tilde(p, 2, (1, 1), (1, 1), simple(2, 0)).block((1, 1), (1, 1))
-    assert blk.xi[simple(2, 0)] == tilde.xi[simple(2, 0)]
+    assert blk.terms[simple(2, 0)] == tilde.terms[simple(2, 0)]
     # identity coset: the crossing's own diagonal part plus the alpha term
-    assert (blk.xi[identity(2)]
-            == tilde.xi[identity(2)] + LocalizedElement(alpha_ij(p, 2, 0, 1)))
+    assert (blk.terms[identity(2)]
+            == tilde.terms[identity(2)] + LocalizedElement(alpha_ij(p, 2, 0, 1)))
 
 
 @pytest.mark.parametrize("name", FAST)

@@ -230,3 +230,52 @@ def test_pack_construction_guard_sees_each_form():
         "def e(): return make(PqwpParams)",
     ])
     assert pack_constructions(source) == ["<module>", "a", "inner", "m"]
+
+
+# The linear-combination operations are written once, in SparseSum; a class
+# deriving from it supplies terms, _same_space, _like and its own __eq__.
+SPARSE_SUM_OPERATIONS = {"__add__", "__neg__", "__sub__", "is_zero"}
+
+
+def sparse_sum_overrides(sources):
+    """(class, method) for each method of SPARSE_SUM_OPERATIONS that a class
+    deriving from SparseSum defines, directly or through other classes of
+    the sources, in any module."""
+    classes = [node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+
+    def base_names(cls):
+        return {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)
+                for b in cls.bases}
+
+    derived = {"SparseSum"}
+    grew = True
+    while grew:
+        grew = False
+        for cls in classes:
+            if cls.name not in derived and base_names(cls) & derived:
+                derived.add(cls.name)
+                grew = True
+    return sorted((cls.name, f.name) for cls in classes
+                  if cls.name != "SparseSum" and cls.name in derived
+                  for f in cls.body
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and f.name in SPARSE_SUM_OPERATIONS)
+
+
+def test_sparse_sums_inherit_their_linear_operations():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert sparse_sum_overrides(sources) == []
+
+
+def test_sparse_sum_guard_sees_each_form():
+    source = "\n".join([
+        "class A(SparseSum):\n    def __add__(self, o): pass\n    def scale(self, c): pass",
+        "class B(base_algebra.SparseSum, _Frozen):\n    def is_zero(self): pass",
+        "class C(A):\n    def __neg__(self): pass\n    def __eq__(self, o): pass",
+        "class D:\n    def __sub__(self, o): pass",
+        "class SparseSum:\n    def __add__(self, o): pass",
+    ])
+    later = "class E(C):\n    def __sub__(self, o): pass\n    def _like(self, t): pass"
+    assert sparse_sum_overrides([later, source]) == [
+        ("A", "__add__"), ("B", "is_zero"), ("C", "__neg__"), ("E", "__sub__")]

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import product
 from math import prod
 
@@ -9,7 +10,7 @@ from qwreath.base_algebra import (
     FAlgebra, FTensor, PqwpParams, preset, rebase_field, shipped_presets,
     validate_pqwp,
 )
-from qwreath.coeff_ring import Field, is_zero
+from qwreath.coeff_ring import Field
 from qwreath.pqwp import PqwpElement
 from qwreath.symcomb import all_perms, mul, simple
 from qwreath.tensor_poly import (
@@ -28,7 +29,7 @@ def random_poly(params, d, rng, nterms=3, max_deg=3):
         c = params.field.from_int(rng.randint(-4, 4))
         key = (exps, fkey)
         terms[key] = terms.get(key, params.field.zero()) + c
-    return TensorPoly(params, d, {k: v for k, v in terms.items() if not is_zero(v)})
+    return TensorPoly(params, d, {k: v for k, v in terms.items() if v})
 
 
 def test_ring_basics_and_size_guard():
@@ -223,11 +224,20 @@ def _cross_equal(a, b):
     return a.numerator() * b.denominator() == b.numerator() * a.denominator()
 
 
-def _random_localized(params, d, rng, tags):
+def _times(el, *tags):
+    """el with the factors of tags multiplied in, as numerator tags."""
+    return LocalizedElement(el.core, el.nfac + Counter(tags), el.dfac)
+
+
+def _over(el, *tags):
+    """el divided by the factors of tags, as denominator tags."""
+    return LocalizedElement(el.core, el.nfac, el.dfac + Counter(tags))
+
+
+def _random_localized(params, d, rng, moves):
     el = LocalizedElement(random_poly(params, d, rng))
     for _ in range(rng.randint(0, 3)):
-        op, a, b = rng.choice(tags)
-        el = getattr(el, op)(a, b)
+        el = rng.choice(moves)(el)
     return el
 
 
@@ -236,18 +246,20 @@ def test_localized_eq_matches_full_cross_multiplication(name):
     params = preset(name)
     d = 3
     rng = random.Random(47)
-    tags = [("over_lin", 0, 1), ("over_lin", 2, 1), ("over_p", 0, 2),
-            ("over_p", 1, 2), ("times_p", 0, 1), ("times_p", 1, 2)]
+    moves = [lambda el: el.over_lin(0, 1), lambda el: el.over_lin(2, 1),
+             lambda el: _over(el, ("P", 0, 2)), lambda el: _over(el, ("P", 1, 2)),
+             lambda el: _times(el, ("P", 0, 1)), lambda el: _times(el, ("P", 1, 2))]
     zero = LocalizedElement.zero(params, d)
     p01, p12 = p_ij(params, d, 0, 1), p_ij(params, d, 1, 2)
     seen = set()
     for _ in range(6):
-        a = _random_localized(params, d, rng, tags)
-        b = _random_localized(params, d, rng, tags)
+        a = _random_localized(params, d, rng, moves)
+        b = _random_localized(params, d, rng, moves)
         # elements equal to a and to a*P_23 whose cores carry extra P factors
-        a2 = LocalizedElement(a.core * p01, a.nfac, a.dfac).over_p(0, 1)
-        a3 = LocalizedElement(a.core * p12 * p12, a.nfac, a.dfac).over_p(1, 2)
-        pairs = ((a, b), (a, a2), (a2, a), (a3, a.times_p(1, 2)), (a.times_p(1, 2), a3),
+        a2 = _over(LocalizedElement(a.core * p01, a.nfac, a.dfac), ("P", 0, 1))
+        a3 = _over(LocalizedElement(a.core * p12 * p12, a.nfac, a.dfac), ("P", 1, 2))
+        a_p12 = _times(a, ("P", 1, 2))
+        pairs = ((a, b), (a, a2), (a2, a), (a3, a_p12), (a_p12, a3),
                  (a + b, b + a), (a - a, zero), (a, zero))
         for x, y in pairs:
             expect = _cross_equal(x, y)
@@ -256,8 +268,9 @@ def test_localized_eq_matches_full_cross_multiplication(name):
     assert seen == {True, False}
     # unequal although the two sides share every denominator tag
     x1, x2 = x_var(params, d, 0), x_var(params, d, 1)
-    u = LocalizedElement(x1 * x1).over_lin(0, 1).over_p(0, 2).times_p(1, 2)
-    v = LocalizedElement(x2).over_lin(0, 1).over_p(0, 2)
+    u = LocalizedElement(x1 * x1, Counter([("P", 1, 2)]),
+                         Counter([("lin", 0, 1), ("P", 0, 2)]))
+    v = LocalizedElement(x2, None, Counter([("lin", 0, 1), ("P", 0, 2)]))
     assert u.dfac == v.dfac
     assert u != v and not _cross_equal(u, v)
     assert (u - v) != zero and zero != u
@@ -266,16 +279,16 @@ def test_localized_eq_matches_full_cross_multiplication(name):
 def test_localized_arithmetic():
     params = preset("degenerate")
     x1, x2 = x_var(params, 2, 0), x_var(params, 2, 1)
-    a = LocalizedElement.from_poly(x1 - x2).over_lin(0, 1)
+    a = LocalizedElement(x1 - x2).over_lin(0, 1)
     assert a == LocalizedElement.one(params, 2)
     assert a.as_tensor_poly() == unit_poly(params, 2)
-    b = LocalizedElement.from_poly(unit_poly(params, 2)).over_lin(0, 1)
-    c = LocalizedElement.from_poly(unit_poly(params, 2)).over_lin(1, 0)
+    b = LocalizedElement(unit_poly(params, 2)).over_lin(0, 1)
+    c = LocalizedElement(unit_poly(params, 2)).over_lin(1, 0)
     assert (b + c).is_zero()
     assert b + LocalizedElement.zero(params, 2) == b
     # cross-multiplied equality: (x1+x2)/(x1-x2) == (x1^2-x2^2)/(x1-x2)^2
-    lhs = LocalizedElement.from_poly(x1 + x2).over_lin(0, 1)
-    rhs = LocalizedElement.from_poly(x1 * x1 - x2 * x2).over_lin(0, 1).over_lin(0, 1)
+    lhs = LocalizedElement(x1 + x2).over_lin(0, 1)
+    rhs = LocalizedElement(x1 * x1 - x2 * x2).over_lin(0, 1).over_lin(0, 1)
     assert lhs == rhs
     with pytest.raises(ValueError):
         b.as_tensor_poly()
@@ -283,30 +296,32 @@ def test_localized_arithmetic():
 
 def test_localized_p_factor_cancel():
     params = preset("affine_hecke")
-    elt = LocalizedElement.from_poly(p_ij(params, 2, 0, 1)).over_p(0, 1)
+    tag = Counter([("P", 0, 1)])
+    elt = LocalizedElement(p_ij(params, 2, 0, 1), None, tag)
     assert elt == LocalizedElement.one(params, 2)
-    again = LocalizedElement.one(params, 2).times_p(0, 1).over_p(0, 1)
+    again = LocalizedElement(unit_poly(params, 2), tag, tag)
+    assert not again.nfac and not again.dfac
     assert again == LocalizedElement.one(params, 2)
 
 
 def test_localized_place_permute_sign():
     params = preset("degenerate")
     x1, x2 = x_var(params, 3, 0), x_var(params, 3, 1)
-    elt = LocalizedElement.from_poly(x1 * x2).over_lin(0, 1)
+    elt = LocalizedElement(x1 * x2).over_lin(0, 1)
     w = simple(3, 0)
     moved = elt.place_permute(w)
     # denominator factor flips orientation, so the core picks up a sign
     back = moved.place_permute(w)
     assert back == elt
-    assert moved == LocalizedElement.from_poly(-(x1 * x2)).over_lin(0, 1)
+    assert moved == LocalizedElement(-(x1 * x2)).over_lin(0, 1)
 
 
 def test_localized_mul_collects_factors():
     params = preset("degenerate")
     x1, x2 = x_var(params, 2, 0), x_var(params, 2, 1)
-    half = LocalizedElement.from_poly(x1 + x2).over_lin(0, 1)
+    half = LocalizedElement(x1 + x2).over_lin(0, 1)
     prod = half * half
-    expect = LocalizedElement.from_poly((x1 + x2) ** 2).over_lin(0, 1).over_lin(0, 1)
+    expect = LocalizedElement((x1 + x2) ** 2).over_lin(0, 1).over_lin(0, 1)
     assert prod == expect
     assert (half - half).is_zero()
 
@@ -348,7 +363,8 @@ def test_poly_times_algebra_and_localized_elements(name):
     x = random_poly(p, 3, rng)
     h = PqwpElement.h_gen(p, 3, 0) + PqwpElement.of_poly(random_poly(p, 3, rng))
     assert x * h == h.poly_left(x)
-    L = LocalizedElement(random_poly(p, 3, rng)).over_lin(0, 1).over_p(1, 2)
+    L = LocalizedElement(random_poly(p, 3, rng), None,
+                         Counter([("lin", 0, 1), ("P", 1, 2)]))
     prod = x * L
     assert isinstance(prod, LocalizedElement)
     assert prod == LocalizedElement(x) * L
@@ -426,7 +442,7 @@ def test_product_kernel_matches_generic_pair_loop(name):
         for b in operands:
             got = a * b
             assert got == reference_product(a, b), (a, b)
-            assert all(not is_zero(c) for c in got.terms.values())
+            assert all(got.terms.values())
     # the operands themselves are left as they were
     assert unit == unit_poly(params, d)
 
