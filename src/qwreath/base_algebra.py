@@ -10,7 +10,7 @@ import weakref
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import Field, scalar_str
+from .coeff_ring import SCALARS, Field, scalar_str
 
 
 class ArityMismatch(ValueError):
@@ -172,9 +172,6 @@ class SparseSum:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -195,6 +192,26 @@ class SparseSum:
 
     def scale(self, c):
         return self._like({k: v * c for k, v in self.terms.items()})
+
+
+class _Frozen:
+    """Immutable slots, filled once: by the public constructor after it has
+    validated its input, or by ``_make``, which trusts its caller."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *values):
+        out = object.__new__(cls)
+        out._store(*values)
+        return out
 
 
 class FTensor(SparseSum):
@@ -239,12 +256,12 @@ class FTensor(SparseSum):
             raise ArityMismatch("operands live in different tensor powers")
 
     def __mul__(self, other):
-        if not isinstance(other, FTensor):
-            return self.scale(other)
-        return ftensor_mul(self, other)
+        if isinstance(other, FTensor):
+            return ftensor_mul(self, other)
+        return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
 
     def __rmul__(self, other):
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
 
     def place(self, w) -> "FTensor":
         """Move slot i to slot w[i]."""

@@ -26,11 +26,11 @@ R^{S_lam} is faithful and serves as the zero-testing oracle.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
-from .base_algebra import SparseSum, pack_cached
+from .base_algebra import SparseSum, _Frozen, pack_cached
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from .symcomb import (block_of, check_comp, check_refines, coset_reps,
+from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_from_triple,
                       matrix_to_perm, mul, region_L, region_N, region_P,
@@ -81,26 +81,6 @@ def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
 
 
 # blocks ----------------------------------------------------------------------
-
-class _Frozen:
-    """Immutable slots, filled once: by the public constructor after it has
-    validated its input, or by ``_make``, which trusts its caller."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _store(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _make(cls, *values):
-        out = object.__new__(cls)
-        out._store(*values)
-        return out
-
 
 class ConvBlock(SparseSum, _Frozen):
     """One block of the convolution algebra: rows indexed by Y_lam, columns by
@@ -441,8 +421,8 @@ class PolyRepVector(_Frozen):
     def one(params, d, lam) -> "PolyRepVector":
         return PolyRepVector(params, d, lam, LocalizedElement.one(params, d))
 
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
+    def __bool__(self):
+        return bool(self.value)
 
     def __add__(self, other):
         if not isinstance(other, PolyRepVector):
@@ -495,11 +475,14 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
 
 def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
     """Fraction-free action of the merge from nu-invariants to lam-invariants,
-    one pairwise block fusion at a time; each fusion is the symmetrized sum
+    one pairwise block fusion at a time: the first two adjacent blocks a, b
+    of nu inside a common lam-block fuse into one, giving fused, and the
+    fusion is the symmetrized sum
 
-        sum_w w( value * prod P_ij / (x_i - x_j) )
+        sum_w w( value * prod_{i in a, j in b} P_ij / (x_i - x_j) )
 
-    over shuffles of the two sub-blocks, which always collapses to a
+    over the shuffles w of a and b, ``coset_reps(nu, "right", fused)`` (S_nu
+    and S_fused agree on every other block), which always collapses to a
     polynomial."""
     lam = check_comp(d, lam)
     nu = check_comp(d, nu)
@@ -508,44 +491,18 @@ def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
         value = LocalizedElement(value)
     if lam == nu:
         return value
-    # fuse the first two nu-parts inside a common lam-block
-    bo = block_of(lam)
-    cuts = [0]
-    for part in nu:
-        cuts.append(cuts[-1] + part)
-    step = None
-    for k in range(len(nu) - 1):
-        if bo[cuts[k]] == bo[cuts[k + 1]]:
-            step = k
-            break
-    assert step is not None
+    bo, nb = block_of(lam), blocks(nu)
+    step = next(k for k in range(len(nu) - 1)
+                if bo[nb[k].start] == bo[nb[k + 1].start])
     fused = nu[:step] + (nu[step] + nu[step + 1],) + nu[step + 2:]
-    a = list(range(cuts[step], cuts[step + 1]))
-    b = list(range(cuts[step + 1], cuts[step + 2]))
-    arg = value * _p_over_lin(params, d, ((i, j) for i in a for j in b))
+    arg = value * _p_over_lin(params, d, ((i, j) for i in nb[step]
+                                          for j in nb[step + 1]))
     acc = None
-    for w in _two_block_shuffles(d, tuple(a), tuple(b)):
+    for w in coset_reps(nu, "right", fused):
         term = arg.place_permute(w)
         acc = term if acc is None else acc + term
     assert not acc.dfac, "pairwise fusion did not collapse"
     return merge_apply(params, d, lam, fused, acc)
-
-
-@lru_cache(maxsize=None)
-def _two_block_shuffles(d, a, b) -> tuple:
-    """Permutations of a+b (contiguous, adjacent) increasing on both halves,
-    fixing everything else."""
-    span = a + b
-    out = []
-    for picks in combinations(range(len(span)), len(a)):
-        w = list(range(d))
-        rest = [k for k in range(len(span)) if k not in picks]
-        for src, dst in zip(a, picks):
-            w[src] = span[dst]
-        for src, dst in zip(b, rest):
-            w[src] = span[dst]
-        out.append(tuple(w))
-    return tuple(out)
 
 
 def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
@@ -561,7 +518,7 @@ def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
         piece = _block_apply(blk, v)
         cur = results.get(lam)
         results[lam] = piece if cur is None else cur + piece
-    results = {lam: r for lam, r in results.items() if not r.is_zero()}
+    results = {lam: r for lam, r in results.items() if r}
     if not results:
         return PolyRepVector._make(v.params, v.d, v.lam,
                                    LocalizedElement.zero(v.params, v.d))
@@ -586,7 +543,7 @@ def _detecting_family(params, d, mu) -> tuple:
             acc = zero_poly(params, d)
             for u in young_subgroup(mu):
                 acc = acc + base.place_permute(u)
-            if not acc.is_zero():
+            if acc:
                 family.append(acc)
     return tuple(family)
 
@@ -605,7 +562,7 @@ def zero_test_via_poly_rep(s: SchurElement) -> bool:
             continue
         for b in _detecting_family(s.params, s.d, mu):
             v = PolyRepVector._make(s.params, s.d, mu, LocalizedElement(b))
-            if not _block_apply(blk, v).is_zero():
+            if _block_apply(blk, v):
                 return False
     return True
 
@@ -677,24 +634,23 @@ def crossing(params, d, lam) -> SchurElement:
 def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
     """Check that splitting out of the full merge equals the crossing sum for
     a two-part shape and its reversal.  oracle='values' compares stored block
-    values; oracle='family' additionally runs the polynomial representation.
+    values; oracle='both' also compares the two sides on the detecting family
+    of the polynomial representation; any other oracle is a ValueError.
     Returns a summary dict; raises IdentityFailed on mismatch."""
+    if oracle not in ("values", "both"):
+        raise ValueError(f"unknown oracle {oracle!r}")
     lam, mu = _two_part(d, lam)
     full = (d,)
     left = split_merge(params, d, full, lam, kind="partial_split") * \
         split_merge(params, d, full, mu, kind="partial_merge")
     right = crossing(params, d, lam)
     terms = min(lam) + 1
-    if oracle not in ("values", "family", "both"):
-        raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle in ("values", "both"):
-        if left != right:
-            raise IdentityFailed(
-                f"crossing decomposition failed for {lam}: {left} != {right}")
-    if oracle in ("family", "both"):
-        if not elements_equal(left, right):
-            raise IdentityFailed(
-                f"crossing decomposition failed on the detecting family for {lam}")
+    if left != right:
+        raise IdentityFailed(
+            f"crossing decomposition failed for {lam}: {left} != {right}")
+    if oracle == "both" and not elements_equal(left, right):
+        raise IdentityFailed(
+            f"crossing decomposition failed on the detecting family for {lam}")
     return {"lam": lam, "mu": mu, "terms": terms, "oracle": oracle}
 
 

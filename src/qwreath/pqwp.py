@@ -13,12 +13,11 @@ form over a tree of the weak order, one generator step per tree edge.
 """
 
 from .symcomb import (
-    Perm, blocks, check_comp, check_refines, coset_reps, coset_shapes,
-    double_coset_reps, identity, increasing_on_blocks, inv_set, inverse,
-    left_reps_in_young, length, matrix_from_triple, mul,
+    Perm, blocks, check_comp, coset_reps, coset_shapes, double_coset_reps,
+    identity, inv_set, inverse, length, matrix_from_triple, mul,
     reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
-from .base_algebra import SparseSum, pack_cached
+from .base_algebra import SparseSum, _Frozen, pack_cached
 from .coeff_ring import SCALARS
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
@@ -49,22 +48,26 @@ def _is_xfree(p: TensorPoly) -> bool:
     return all(exps == zero for exps, _ in p.terms)
 
 
-class PqwpElement(SparseSum):
-    """Normal form sum_w b_w H_w, keyed by the permutations w."""
+class PqwpElement(SparseSum, _Frozen):
+    """Normal form sum_w b_w H_w, keyed by the permutations w.  The public
+    constructor checks keys (permutations of d letters) and coefficients
+    (TensorPolys over the same params and d); ``_like`` trusts its caller."""
 
     __slots__ = ("params", "d", "terms")
 
     def __init__(self, params, d, terms=None):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms",
-                           {w: c for w, c in (terms or {}).items() if c})
+        terms = terms or {}
+        for w, c in terms.items():
+            if sorted(w) != list(range(d)):
+                raise ValueError(f"{w!r} is not a permutation of {d} letters")
+            if not (isinstance(c, TensorPoly) and c.params is params and c.d == d):
+                raise ParamMismatch(f"coefficient of {to_one_line(w)} lives over "
+                                    "different data")
+        self._store(params, d, {tuple(w): c for w, c in terms.items() if c})
 
     def _like(self, terms):
-        return PqwpElement(self.params, self.d, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PqwpElement is immutable")
+        return PqwpElement._make(self.params, self.d,
+                                 {w: c for w, c in terms.items() if c})
 
     # constructors --------------------------------------------------------
 
@@ -211,7 +214,7 @@ def _times_letter(params, d, acc: dict, terms: dict, i: int) -> None:
     """Add (sum_z c_z H_z) * H_i into acc, for terms = {z: c_z}; zero
     coefficients in terms are skipped."""
     for z, c in terms.items():
-        if not c.is_zero():
+        if c:
             _add_step(acc, c, _right_step(params, d, z, i))
 
 
@@ -235,12 +238,12 @@ def _push_left(params, d, w: Perm, q: TensorPoly):
         nxt = {}
         for z, c in cur.items():
             rho = c.twisted_demazure(i)
-            if not rho.is_zero():
+            if rho:
                 _add_term(nxt, z, rho)
             sig = c.place_permute_simple(i)
-            if not sig.is_zero():
+            if sig:
                 _add_step(nxt, sig, _left_step(params, d, i, z))
-        cur = {y: c for y, c in nxt.items() if not c.is_zero()}
+        cur = {y: c for y, c in nxt.items() if c}
     return cur
 
 
@@ -289,7 +292,7 @@ def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
                     _add_term(acc, z, p * c)
         return acc
 
-    return PqwpElement(params, d, partial_sum(identity(d)))
+    return a._like(partial_sum(identity(d)))
 
 
 def right_coefficient_form(elt: PqwpElement) -> dict:
@@ -310,11 +313,11 @@ def right_coefficient_form(elt: PqwpElement) -> dict:
         expand.pop(w, None)
         for z, e in expand.items():
             cur = work.get(z, zero_poly(params, d)) - e
-            if cur.is_zero():
-                work.pop(z, None)
-            else:
+            if cur:
                 work[z] = cur
-    return {w: c for w, c in out.items() if not c.is_zero()}
+            else:
+                work.pop(z, None)
+    return {w: c for w, c in out.items() if c}
 
 
 def from_right_coefficients(params, d, rights: dict) -> PqwpElement:
@@ -329,12 +332,9 @@ def from_right_coefficients(params, d, rights: dict) -> PqwpElement:
 # products of alphas over inversion sets -------------------------------------
 
 
-def _base_factor(params, d, which, a, b) -> TensorPoly:
-    if which == "alpha":
-        return alpha_ij(params, d, a, b)
-    if which == "abar":
-        return abar_ij(params, d, a, b)
-    raise ValueError(f"unknown family {which!r}")
+# family name -> (pair factor, whether it runs over Inv(w^{-1}))
+_FAMILIES = {"alpha": (alpha_ij, False), "abar": (abar_ij, False),
+             "alpha_star": (alpha_ij, True)}
 
 
 def alpha_family(params, d, w: Perm, which: str = "alpha") -> TensorPoly:
@@ -342,19 +342,22 @@ def alpha_family(params, d, w: Perm, which: str = "alpha") -> TensorPoly:
     order.
 
     which = 'alpha' or 'abar' multiplies over Inv(w); 'alpha_star' is the
-    same alpha product over Inv(w^{-1}).  With central factors the order
-    does not matter; check C2 of ``validate_pqwp`` rejects a non-central
-    alpha.
+    same alpha product over Inv(w^{-1}); any other name is a ValueError.
+    With central factors the order does not matter; check C2 of
+    ``validate_pqwp`` rejects a non-central alpha.
     """
-    if which == "alpha_star":
-        return _alpha_over_pairs(params, d, inv_set(inverse(w)))
-    return _alpha_over_pairs(params, d, inv_set(w), which)
+    if which not in _FAMILIES:
+        raise ValueError(f"unknown family {which!r}")
+    factor, star = _FAMILIES[which]
+    return _alpha_over_pairs(params, d, inv_set(inverse(w) if star else w),
+                             factor)
 
 
-def _alpha_over_pairs(params, d, pairs, which="alpha") -> TensorPoly:
+def _alpha_over_pairs(params, d, pairs, factor=alpha_ij) -> TensorPoly:
+    """The product of factor(params, d, i, j) over the pairs, in sorted order."""
     out = unit_poly(params, d)
     for (i, j) in sorted(pairs):
-        out = out * _base_factor(params, d, which, i, j)
+        out = out * factor(params, d, i, j)
     return out
 
 
@@ -366,10 +369,13 @@ def k_lambda(params, d, lam, flavor: str = "full", nu=None) -> PqwpElement:
 
     full:  sum over w in the Young subgroup of alpha_{w0 w^{-1}} H_w; this
            is the tilde flavour at nu = (1^d), and nu is ignored.
-    upper: sum over shortest representatives of S_nu \\ S_lam of
-           H_w alpha_{w0'^{-1} w}  (coefficients straightened to the left).
-    tilde: sum over shortest representatives of S_lam / S_nu of
-           alpha_{w0'' w^{-1}} H_w.
+    upper: sum over w in ``coset_reps(nu, "left", lam)``, the shortest
+           representatives of S_nu \\ S_lam, of H_w alpha_{w0'^{-1} w}
+           (coefficients straightened to the left).
+    tilde: sum over w in ``coset_reps(nu, "right", lam)``, the shortest
+           representatives of S_lam / S_nu, of alpha_{w0'' w^{-1}} H_w.
+    w0' and w0'' are the longest representatives; a nu that does not
+    refine lam raises NotARefinement.
     """
     lam = check_comp(d, lam)
     if flavor == "full":
@@ -377,16 +383,14 @@ def k_lambda(params, d, lam, flavor: str = "full", nu=None) -> PqwpElement:
     if nu is None:
         raise ValueError("partial flavors need the refinement nu")
     nu = tuple(nu)
-    check_refines(nu, lam)
     if flavor == "upper":
-        reps = left_reps_in_young(nu, lam)
+        reps = coset_reps(nu, "left", lam)
         w0pi = inverse(max(reps, key=length))
         return PqwpElement(params, d, {
             w: alpha_family(params, d, mul(w0pi, w)).place_permute(w)
             for w in reps})
     if flavor == "tilde":
-        reps = tuple(w for w in young_subgroup(lam)
-                     if increasing_on_blocks(w, nu))
+        reps = coset_reps(nu, "right", lam)
         w0pp = max(reps, key=length)
         return PqwpElement(params, d, {
             w: alpha_family(params, d, mul(w0pp, inverse(w))) for w in reps})
@@ -400,8 +404,8 @@ def _alpha_abar_sum(params, d, region, perms) -> TensorPoly:
     out = zero_poly(params, d)
     for w in perms:
         iw = inv_set(w)
-        out = out + (_alpha_over_pairs(params, d, region - iw, "alpha")
-                     * _alpha_over_pairs(params, d, region & iw, "abar"))
+        out = out + (_alpha_over_pairs(params, d, region - iw, alpha_ij)
+                     * _alpha_over_pairs(params, d, region & iw, abar_ij))
     return out
 
 

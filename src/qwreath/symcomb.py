@@ -225,33 +225,31 @@ def increasing_on_blocks(w: Perm, lam: Composition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def coset_reps(lam: Composition, side: str = "right") -> tuple[Perm, ...]:
-    """Shortest coset representatives for the Young subgroup of lam.
+def coset_reps(nu: Composition, side: str = "right",
+               within: Composition = None) -> tuple[Perm, ...]:
+    """Shortest representatives of the cosets of S_nu in S_within (S_d when
+    within is None), filtered from ``young_subgroup(within)`` in its order;
+    NotARefinement unless nu refines within.
 
-    ``side='right'``: representatives of the cosets w*S_lam (the subgroup on
-    the right); these are the permutations increasing on each position
-    block.  ``side='left'``: their inverses, representing S_lam*w.
+    ``side='right'``: representatives of the cosets w*S_nu, the elements
+    increasing on each position block of nu.  ``side='left'``: of the
+    cosets S_nu*w, the elements whose inverse increases on each block.
     """
-    d = sum(lam)
+    within = within or (sum(nu),)
+    check_refines(nu, within)
+    pool = young_subgroup(within)
     if side == "right":
-        return tuple(w for w in all_perms(d) if increasing_on_blocks(w, lam))
+        return tuple(w for w in pool if increasing_on_blocks(w, nu))
     if side == "left":
-        return tuple(w for w in all_perms(d)
-                     if increasing_on_blocks(inverse(w), lam))
+        return tuple(w for w in pool if increasing_on_blocks(inverse(w), nu))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+@lru_cache(maxsize=None)
 def double_coset_reps(lam: Composition, mu: Composition) -> tuple[Perm, ...]:
     """Elements minimal in S_lam * w * S_mu, i.e. both-sided shortest."""
     return tuple(w for w in coset_reps(mu, "right")
                  if increasing_on_blocks(inverse(w), lam))
-
-
-def left_reps_in_young(delta: Composition, mu: Composition) -> tuple[Perm, ...]:
-    """Shortest representatives of S_delta \\ S_mu inside S_mu."""
-    check_refines(delta, mu)
-    return tuple(w for w in young_subgroup(mu)
-                 if increasing_on_blocks(inverse(w), delta))
 
 
 # inversion regions ----------------------------------------------------------
@@ -399,7 +397,7 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
     out = {}
     for x in young_subgroup(lam):
         lx = length(x)
-        for y in left_reps_in_young(delta_c, mu):
+        for y in coset_reps(delta_c, "left", mu):
             z = mul_many(x, g, y)
             if length(z) != lx + lg + length(y):
                 raise LengthAdditivityViolation(

@@ -313,7 +313,7 @@ def r_ij(params, d, a, b) -> TensorPoly:
 def beta_ij(params, d, a, b) -> TensorPoly:
     out = zero_poly(params, d)
     for (r, s), delta in params.deltas.items():
-        if delta.is_zero():
+        if not delta:
             continue
         exps = [0] * d
         exps[a] = r
@@ -356,7 +356,7 @@ def divide_exact_linear(p: TensorPoly, i: int, j: int):
     division is exact iff every group's coefficients sum to zero.  Each
     quotient exponent lies within the range of the dividend's group, so
     Laurent input needs no shift and polynomial input gives a polynomial."""
-    if p.is_zero():
+    if not p:
         return p
     groups = {}
     for (exps, fkey), c in p.terms.items():
@@ -457,14 +457,11 @@ class LocalizedElement:
     def d(self):
         return self.core.d
 
-    def is_zero(self) -> bool:
-        return self.core.is_zero()
-
     def __bool__(self):
         return bool(self.core)
 
     def _reduce(self):
-        if self.core.is_zero():
+        if not self.core:
             self.nfac.clear()
             self.dfac.clear()
             return
@@ -602,7 +599,7 @@ def annihilator_certificate(params, degree_bound: int = 3):
     (True, rank note) if none exists in the window, else (False, witness)."""
     d = 2
     P = p_ij(params, d, 0, 1)
-    if P.is_zero():
+    if not P:
         return False, "P = alpha*(x1-x2) + beta is itself zero"
     alg = params.algebra
     from itertools import product as iproduct

@@ -9,6 +9,7 @@ from qwreath.base_algebra import (
     validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
+from qwreath.tensor_poly import x_var
 
 
 def dual_numbers():
@@ -28,6 +29,19 @@ def test_ftensor_componentwise_product():
     for x in (c1, c2, delta, one):
         assert one * x == x
         assert x * one == x
+
+
+def test_ftensor_scales_only_by_scalars():
+    p = preset("affine_hecke")
+    one = FTensor.unit(p.algebra, 2)
+    for other in (x_var(p, 2, 0), "2"):
+        with pytest.raises(TypeError):
+            one * other
+        with pytest.raises(TypeError):
+            other * one
+    two = p.field.from_int(2)
+    assert one * two == two * one == one.scale(two)
+    assert one * 2 == 2 * one == one.scale(two)
 
 
 def test_ftensor_arity_mismatch():
@@ -197,7 +211,7 @@ def test_preset_table_row_data():
     assert ah.s_elt == one.scale(q - 1)
     assert ah.r_elt == one.scale(q)
     zh = preset("zero_hecke")
-    assert zh.r_elt.is_zero()
+    assert not zh.r_elt
     assert zh.s_elt == FTensor.unit(zh.algebra, 2).scale(zh.field.from_int(-1))
     qt = preset("qt_hecke")
     q2, t2 = qt.field.param("q"), qt.field.param("t")
@@ -274,7 +288,7 @@ def test_noncommutative_centrality_detection():
     np_prod = ftensor_mul(n1, FTensor.basis(alg, (2, 0)))
     pn_prod = ftensor_mul(FTensor.basis(alg, (2, 0)), n1)
     assert np_prod == n1
-    assert pn_prod.is_zero()
+    assert not pn_prod
 
 
 def test_preset_file_roundtrip_json(tmp_path):

@@ -279,3 +279,58 @@ def test_sparse_sum_guard_sees_each_form():
     later = "class E(C):\n    def __sub__(self, o): pass\n    def _like(self, t): pass"
     assert sparse_sum_overrides([later, source]) == [
         ("A", "__add__"), ("B", "is_zero"), ("C", "__neg__"), ("E", "__sub__")]
+
+
+# Cosets and shuffles are enumerated in symcomb alone (coset_reps and
+# double_coset_reps); other modules ask it for the representatives.
+COSET_HELPERS = {"increasing_on_blocks", "all_perms"}
+ITERTOOLS_ENUMERATIONS = {"permutations", "combinations"}
+
+
+def coset_enumerations(source):
+    """Line numbers where source references increasing_on_blocks or
+    all_perms, or itertools.permutations or itertools.combinations, by name,
+    as an attribute or in an import."""
+    tree = ast.parse(source)
+    modules = {"itertools"} | {alias.asname for node in ast.walk(tree)
+                               if isinstance(node, ast.Import)
+                               for alias in node.names
+                               if alias.name == "itertools" and alias.asname}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in COSET_HELPERS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in COSET_HELPERS
+                or (node.attr in ITERTOOLS_ENUMERATIONS
+                    and isinstance(node.value, ast.Name) and node.value.id in modules)):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            names = COSET_HELPERS | (ITERTOOLS_ENUMERATIONS
+                                     if node.module == "itertools" else set())
+            if any(alias.name in names for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "symcomb.py"], ids=lambda p: p.name)
+def test_cosets_are_enumerated_in_symcomb_alone(path):
+    assert coset_enumerations(path.read_text(encoding="utf-8")) == []
+
+
+def test_coset_enumeration_guard_sees_each_form():
+    source = "\n".join([
+        "from .symcomb import coset_reps, increasing_on_blocks",
+        "ok = symcomb.increasing_on_blocks(w, lam)",
+        "for w in all_perms(3): pass",
+        "from itertools import combinations, product",
+        "import itertools as it",
+        "it.permutations(x)",
+        "itertools.combinations(x, 2)",
+        "from itertools import product as iproduct",
+        "itertools.product(a, b)",
+        "coset_reps(nu, 'right', lam)",
+        "permutations = sympy.permutations(3)",
+    ])
+    assert coset_enumerations(source) == [1, 2, 3, 4, 6, 7]

@@ -91,6 +91,21 @@ def test_mixed_params_rejected():
         PqwpElement.h_gen(a, 3, 2)
 
 
+def test_public_constructor_rejects_foreign_data():
+    p = preset("affine_hecke")
+    # keys must be permutations of d letters
+    with pytest.raises(ValueError):
+        PqwpElement(p, 2, {identity(3): unit_poly(preset("degenerate"), 3)})
+    for w in ((0, 1), (0, 0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError) as err:
+            PqwpElement.h_of_perm(p, 3, w)
+        assert not isinstance(err.value, ParamMismatch)
+    # coefficients must be TensorPolys over the same (params, d)
+    for c in (unit_poly(preset("degenerate"), 2), unit_poly(p, 3), p.field.one()):
+        with pytest.raises(ParamMismatch):
+            PqwpElement(p, 2, {identity(2): c})
+
+
 def test_word_constructor_normalizes():
     """Non-reduced words, empty words, and reduced spellings all agree."""
     p = preset("pro_p")
@@ -149,6 +164,13 @@ def alpha_by_word(params, d, w, which="alpha"):
         out = out * factor(params, d, i, i + 1).place_permute(prefix)
         prefix = mul(prefix, simple(d, i))
     return out
+
+
+def test_alpha_family_rejects_an_unknown_name():
+    p = preset("affine_hecke")
+    for w in (identity(3), simple(3, 0)):
+        with pytest.raises(ValueError):
+            alpha_family(p, 3, w, "bogus")
 
 
 def test_alpha_family_nonscalar_dual_route():
@@ -455,7 +477,7 @@ def test_support_order_and_scale():
     assert lengths == sorted(lengths)
     two = p.field.from_int(2)
     assert k.scale(two) - k == k
-    assert (k - k).is_zero()
+    assert not (k - k)
 
 
 # the rewriting walk on multi-term elements ------------------------------------
@@ -634,7 +656,7 @@ def test_horner_walk_through_a_cancelling_partial_sum(name, d):
     child = PqwpElement(p, d, pqwp._times_word(
         p, d, pqwp_mul(a, PqwpElement.of_poly(q_v)).terms, (s,)))
     r = child.coefficient(simple(d, s))
-    assert not r.is_zero()
+    assert r
     q_u = (-r).place_permute_simple(s)
     partial = pqwp_mul(a, PqwpElement.of_poly(q_u)) + child
     assert simple(d, s) not in partial.terms and partial.terms
@@ -649,7 +671,7 @@ def test_horner_walk_with_an_empty_operand(name):
         a = random_element(p, d, rng, 3)
         zero = PqwpElement.zero(p, d)
         assert pqwp_mul(a, zero) == zero == per_term_product(a, zero, {})
-        assert pqwp_mul(zero, a).is_zero()
+        assert not pqwp_mul(zero, a)
 
 
 def test_horner_walk_takes_one_step_per_tree_edge(monkeypatch):

@@ -46,8 +46,8 @@ CASES = tuple(_cases())
 def test_linear_operations(kind):
     a, _, _ = _cases()[kind]
     assert isinstance(a, SparseSum) and type(a).__name__ == kind
-    assert bool(a) and not a.is_zero()
-    assert not (a - a) and (a - a).is_zero()
+    assert bool(a)
+    assert not (a - a)
     assert -(-a) == a
     assert not (a + (-a))
     field = a.algebra.field if isinstance(a, FTensor) else a.params.field

@@ -120,14 +120,42 @@ def test_decompose_double_coset():
                     assert g0 in sc.double_coset_reps(lam, mu)
 
 
+def _order(lam):
+    return math.prod(math.factorial(p) for p in lam)
+
+
 def test_coset_reps_counts():
+    """coset_reps(nu, side, lam) has one element of each coset of S_nu in
+    S_lam, the shortest one, in the order of young_subgroup(lam); without
+    lam it runs over S_d."""
     for d in (3, 4):
         for lam in sc.compositions(d):
-            expect = math.factorial(d)
-            for p in lam:
-                expect //= math.factorial(p)
+            expect = math.factorial(d) // _order(lam)
             assert len(sc.coset_reps(lam, "right")) == expect
             assert len(sc.coset_reps(lam, "left")) == expect
+    for d in (1, 2, 3, 4):
+        for lam in sc.compositions(d):
+            group = sc.young_subgroup(lam)
+            for nu in sc.compositions(d):
+                if not sc.refines(nu, lam):
+                    for side in ("right", "left"):
+                        with pytest.raises(sc.NotARefinement):
+                            sc.coset_reps(nu, side, lam)
+                    continue
+                sub = sc.young_subgroup(nu)
+                for side in ("right", "left"):
+                    reps = sc.coset_reps(nu, side, lam)
+                    members = set(reps)
+                    assert len(reps) == _order(lam) // _order(nu)
+                    assert list(reps) == [w for w in group if w in members]
+                    for w in reps:
+                        coset = [sc.mul(w, x) if side == "right" else sc.mul(x, w)
+                                 for x in sub]
+                        assert sc.length(w) == min(map(sc.length, coset))
+                assert sc.coset_reps(nu, "right", (d,)) == sc.coset_reps(nu, "right")
+                assert sc.coset_reps(nu, "left", (d,)) == sc.coset_reps(nu, "left")
+    with pytest.raises(ValueError):
+        sc.coset_reps((1, 1), "up")
 
 
 def test_inv_set_growth():

@@ -96,7 +96,7 @@ def test_vector_results_store_no_zero_coefficient():
     for w in basis_vectors(p, 2, 3) + [v]:
         for k in range(2):
             image = act_H(w, k)
-            assert all(not coeff.is_zero() for coeff in image.terms.values())
+            assert all(image.terms.values())
 
 
 def random_poly(p, d, rng, terms=2, degree=2):
@@ -152,6 +152,26 @@ def test_theta_apply_and_theta_on_tensor_agree_through_psi(name):
                   if rng.random() < 0.6}
         assert psi(p, theta.target, theta_apply(theta, coords)) == \
             theta_on_tensor(theta, psi(p, theta.source, coords)), A
+
+
+def test_theta_apply_rejects_coefficients_over_other_data():
+    p = preset("affine_hecke")
+    theta = ThetaMap(p, ThetaMatrix([[1, 1], [0, 1]]))
+    for c in (unit_poly(p, 4), unit_poly(preset("degenerate"), 3)):
+        with pytest.raises(ModuleMismatch):
+            theta_apply(theta, {(0, 1, 2): c})
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "zigzag_a1", "pro_p"))
+@pytest.mark.parametrize("n, d", ((2, 3), (2, 4), (3, 3)))
+def test_block_map_core_sits_on_shortest_representatives(name, n, d):
+    """Every term of a block map's core lies on a shortest representative
+    of S_lam \\ S_d for the target weight lam."""
+    p = preset(name)
+    for A in theta_matrices(n, d):
+        theta = ThetaMap(p, A)
+        reps = set(coset_reps(strip_zeros(theta.target), "left"))
+        assert set(theta.core.terms) <= reps, A
 
 
 def test_theta_apply_rejects_a_result_without_leading_terms(monkeypatch):
