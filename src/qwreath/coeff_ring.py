@@ -17,10 +17,12 @@ combination raises :class:`MixedVariant`.
 
 from __future__ import annotations
 
+import ast
+import warnings
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import eq
+from operator import add, eq, mul, sub, truediv
 
 
 class MixedVariant(TypeError):
@@ -289,22 +291,6 @@ def _gcd_rec(f, g, names):
     ppf = {d: _pdiv_exact(c, cf) for d, c in fu.items()}
     ppg = {d: _pdiv_exact(c, cg) for d, c in gu.items()}
     cont = _gcd_rec(cf, cg, rest)
-    if rest:
-        # Coprimality filter: evaluate the spectator names at a point
-        # keeping the leading coefficient of ppf nonzero.  A gcd of the
-        # images free of x certifies that the primitive parts are coprime.
-        lead = ppf[max(ppf)]
-        for seed in range(1, 8):
-            point = {n: seed + i for i, n in enumerate(rest)}
-            if _eval_poly(lead, point) == 0:
-                continue
-            a = _image(ppf, point, x)
-            b = _image(gu, point, x)
-            if not b:
-                break
-            if not any(_gcd_rec(a, b, [x])):
-                return cont
-            break
     A, B = (ppf, ppg) if max(ppf) >= max(ppg) else (ppg, ppf)
     while B:
         R = _prem(A, B)
@@ -313,16 +299,6 @@ def _gcd_rec(f, g, names):
             R = {d: _pdiv_exact(c, rc) for d, c in R.items()}
         A, B = B, R
     return _pmul(_from_uni(A, x), cont)
-
-
-def _image(u, point, x):
-    # the univariate view u with every name but x evaluated at point
-    out = {}
-    for d, c in u.items():
-        v = _eval_poly(c, point)
-        if v:
-            out[((x, d),) if d else ()] = v
-    return out
 
 
 # rendering ------------------------------------------------------------------
@@ -847,111 +823,66 @@ class Field:
 
 # parsing / serialization ----------------------------------------------------
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in scalar {text!r}")
-    tokens.append(("end", None))
-    return tokens
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 
 
-class _Parser:
-    def __init__(self, tokens, names_allowed: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.names_allowed = names_allowed
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        val = self.term()
-        while self.peek() in "+-":
-            op = self.next()[0]
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def term(self):
-        val = self.factor()
-        while self.peek() in "*/":
-            op = self.next()[0]
-            rhs = self.factor()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.factor()
-        val = self.primary()
-        if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            kind, n = self.next()
-            if kind != "int":
-                raise ValueError("exponent must be an integer")
-            val = val ** (sign * n)
-        return val
-
-    def primary(self):
-        kind, v = self.next()
-        if kind == "int":
-            return Fraction(v)
-        if kind == "name":
-            if not self.names_allowed:
-                raise MixedVariant("formal parameters are not available in this field")
-            return declare_param(v)
-        if kind == "(":
-            val = self.expr()
-            kind, _ = self.next()
-            if kind != ")":
-                raise ValueError("unbalanced parentheses")
-            return val
-        raise ValueError(f"unexpected token {kind!r}")
+def _evaluate(node, src: str, names_allowed: bool):
+    """The value of a node of the tree parse_scalar reads from src."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, src, names_allowed),
+                                      _evaluate(node.right, src, names_allowed))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_evaluate(node.operand, src, names_allowed)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exp, sign = node.right, 1
+        if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+            exp, sign = exp.operand, -1
+        if not (isinstance(exp, ast.Constant) and ast.get_source_segment(src, exp).isdigit()):
+            raise ValueError("exponent must be an integer")
+        return _evaluate(node.left, src, names_allowed) ** (sign * exp.value)
+    segment = ast.get_source_segment(src, node)
+    if isinstance(node, ast.Constant) and segment.isdigit():
+        return Fraction(node.value)
+    # a letter or _, then letters, digits and _: Python's names also admit
+    # combining marks and a few symbols
+    if isinstance(node, ast.Name) and (segment[0] == "_" or segment[0].isalpha()) \
+            and all(ch == "_" or ch.isalnum() for ch in segment):
+        if not names_allowed:
+            raise MixedVariant("formal parameters are not available in this field")
+        return declare_param(node.id)
+    raise ValueError(f"unexpected {segment!r} in scalar {src!r}".replace("**", "^"))
 
 
 def parse_scalar(text: str, p: int | None = None):
     """Parse the canonical string form back into a scalar.
 
-    With ``p`` the result is a prime-field element and parameter names are
-    rejected.  Otherwise the result is a Fraction when parameter-free and a
-    RatFun when names occur.
+    The grammar is Python's, restricted to integer literals of digits only,
+    parameter names, parentheses, unary minus, ``+ - * /`` and ``^`` with
+    an integer literal, optionally negated, as exponent: ``-q^2`` is
+    -(q^2) and ``^`` does not chain.  Other text raises ValueError; a zero
+    divisor raises DivisionByZero naming the text.
+
+    With ``p`` the result is a prime-field element and a parameter name
+    raises MixedVariant.  Otherwise the result is a Fraction when
+    parameter-free and a RatFun when names occur.
     """
-    parser = _Parser(_tokenize(text), names_allowed=p is None)
-    val = parser.expr()
-    if parser.peek() != "end":
-        raise ValueError(f"trailing input in scalar {text!r}")
+    # Python would read ** as a power and # as a comment; joining the text
+    # into one line keeps line breaks and continuations from Python too
+    if "**" in text or "#" in text:
+        raise ValueError(f"unexpected '**' or '#' in scalar {text!r}")
+    src = " ".join(text.split()).replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # "1if" warns, then fails
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse scalar {text!r}: {exc.msg}") from None
+    try:
+        val = _evaluate(tree.body, src, names_allowed=p is None)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"division by zero in scalar {text!r}") from None
     if p is not None:
-        return GFElement(p, val if isinstance(val, Fraction) else Fraction(val))
+        return GFElement(p, val)
     if isinstance(val, RatFun) and not val.parameters():
         return val.as_fraction()
     return val

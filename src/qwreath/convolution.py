@@ -209,7 +209,8 @@ class ConvBlock(SparseSum, _Frozen):
 
 
 class SchurElement(SparseSum, _Frozen):
-    """Sum of blocks, keyed by (row composition, column composition)."""
+    """Sum of blocks, keyed by (row composition, column composition); the
+    public constructor checks each block's key and (params, d)."""
 
     __slots__ = ("params", "d", "terms")
 
@@ -218,6 +219,8 @@ class SchurElement(SparseSum, _Frozen):
         for key, blk in (terms or {}).items():
             if (blk.lam, blk.mu) != tuple(map(tuple, key)):
                 raise ValueError(f"block filed under {key} is ({blk.lam},{blk.mu})")
+            if (blk.params, blk.d) != (params, d):
+                raise BlockMismatch(f"block at {key} lives over different data")
             if blk:
                 clean[(blk.lam, blk.mu)] = blk
         self._store(params, int(d), clean)

@@ -39,7 +39,7 @@ class TensorVector(SparseSum):
     """Sum of v_i * b over index tuples i with entries in 1..n; the
     coefficients b live in the d-fold tensor polynomial ring.  Immutable,
     like its TensorPoly coefficients; the public constructor checks the
-    index tuples."""
+    index tuples and that each b is a TensorPoly over (params, d)."""
 
     __slots__ = ("params", "n", "d", "terms")
 
@@ -49,6 +49,8 @@ class TensorVector(SparseSum):
         self.d = d
         clean = {}
         for idx, b in (terms or {}).items():
+            if not (isinstance(b, TensorPoly) and b.params is params and b.d == d):
+                raise ModuleMismatch(f"coefficient at {idx} lives over other data")
             if not b:
                 continue
             if len(idx) != d or any(not 1 <= v <= n for v in idx):

@@ -172,21 +172,14 @@ class TensorPoly(SparseSum):
             k, l = exps[i], exps[j]
             if k == l:
                 continue
+            # the k < l sum is the k > l one with k and l swapped, negated
+            hi, lo, c = (k, l, c) if k > l else (l, k, -c)
             base = list(exps)
-            if k > l:
-                for step in range(k - l):
-                    base[i] = k - 1 - step
-                    base[j] = l + step
-                    key = (tuple(base), fkey)
-                    v = out.get(key)
-                    out[key] = c if v is None else v + c
-            else:
-                for step in range(l - k):
-                    base[i] = k + step
-                    base[j] = l - 1 - step
-                    key = (tuple(base), fkey)
-                    v = out.get(key)
-                    out[key] = -c if v is None else v - c
+            for step in range(hi - lo):
+                base[i], base[j] = hi - 1 - step, lo + step
+                key = (tuple(base), fkey)
+                v = out.get(key)
+                out[key] = c if v is None else v + c
         return self._like(out)
 
     def twisted_demazure(self, i) -> "TensorPoly":

@@ -343,6 +343,10 @@ def test_preset_file_errors(tmp_path):
     garbled.write_text("{nope")
     with pytest.raises(InvalidConfig):
         load_preset_file(str(garbled))
+    zero_divisor = tmp_path / "zero_divisor.json"
+    zero_divisor.write_text('{"alpha": [[["1", "1"], "1/0"]]}')
+    with pytest.raises(InvalidConfig, match="'1/0'"):
+        load_preset_file(str(zero_divisor))
     named = tmp_path / "named.json"
     named.write_text('{"preset": "nil"}')
     assert load_preset_file(str(named)) is preset("nil")

@@ -1,4 +1,6 @@
 import random
+import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -91,12 +93,47 @@ def test_str_forms():
     assert scalar_str(RatFun(0)) == "0"
 
 
-def test_parse_roundtrip_examples():
-    assert parse_scalar("5/6") == Fraction(5, 6)
-    assert parse_scalar("(q^2-1)/(q-1)") == q + 1
-    assert parse_scalar("-3*q+1/2") == -3 * q + Fraction(1, 2)
-    assert parse_scalar("q^-1") == RatFun(1) / q
-    assert parse_scalar("4", p=5) == GFElement(5, 4)
+@pytest.mark.parametrize("text, p, value", [
+    ("5/6", None, Fraction(5, 6)),
+    ("(q^2-1)/(q-1)", None, q + 1),
+    ("-3*q+1/2", None, -3 * q + Fraction(1, 2)),
+    ("q^-1", None, RatFun(1) / q),
+    ("-q^2", None, -(q ** 2)),
+    ("--q", None, q),
+    ("q*-1", None, -q),
+    ("(-1)^3", None, Fraction(-1)),
+    ("2^-1", None, Fraction(1, 2)),
+    ("2^-1", 5, GFElement(5, 3)),
+    ("4", 5, GFElement(5, 4)),
+    ("x_1*y", None, declare_param("x_1") * declare_param("y")),
+    ("q2", None, declare_param("q2")),
+    (" 1 +\n 2\t", None, Fraction(3)),
+    ("q^(2)", None, q ** 2),  # Python's grammar drops the parentheses
+])
+def test_parse_roundtrip_examples(text, p, value):
+    got = parse_scalar(text, p=p)
+    assert got == value
+    assert type(got) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    "", "  ", "+1", "2q", "q q", "1_000", "0x10", "1.5", "q**2", "q # c", "(q",
+    "q)", "2^3^2", "3^-1^2", "q^(1/2)", "2^q", "'q'", "[q]", "q,t", "q%2", "~q",
+    "q.real", "q()", "1+\\\n2", "q\u0301", "\u2118", "1if 1 else 2",
+    "True", "if",  # Python's keywords are not names
+])
+def test_parse_rejects_malformed_text(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+    assert not caught
+
+
+@pytest.mark.parametrize("text", ["1/0", "0^-1", "(1-1)^-2", "q/(q-q)"])
+def test_parse_names_the_text_of_a_zero_divisor(text):
+    with pytest.raises(DivisionByZero, match=re.escape(repr(text))):
+        parse_scalar(text)
 
 
 def test_parse_rejects_names_in_prime_field():

@@ -88,6 +88,10 @@ def test_constructors_reject_values_over_other_data():
             PolyRepVector(p, 2, (2,), other)
     with pytest.raises(BlockMismatch):
         diagonal_element(p, 2, (2,), unit_poly(q, 2))
+    for blk in (split_merge(q, 3, (2, 1), kind="merge").block((2, 1), (1, 1, 1)),
+                split_merge(p, 2, (2,), kind="merge").block((2,), (1, 1))):
+        with pytest.raises(BlockMismatch):
+            SchurElement(p, 3, {(blk.lam, blk.mu): blk})
 
 
 def test_stabilizer_is_the_young_subgroup_of_the_row_reading():

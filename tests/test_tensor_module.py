@@ -81,6 +81,12 @@ def test_public_vector_constructor_checks_indices():
         with pytest.raises(ModuleMismatch):
             TensorVector(p, 2, 3, {idx: one})
     assert TensorVector(p, 2, 3, {(1, 2, 1): one - one}).terms == {}
+    # a coefficient over another pack or another d is refused as well
+    for other in (unit_poly(preset("degenerate"), 3), unit_poly(p, 2), 1):
+        with pytest.raises(ModuleMismatch):
+            TensorVector(p, 2, 3, {(1, 1, 2): other})
+    with pytest.raises(ModuleMismatch):
+        TensorVector(preset("affine_hecke"), 2, 2, {(1, 1): unit_poly(preset("degenerate"), 3)})
 
 
 def test_vector_results_store_no_zero_coefficient():

@@ -112,6 +112,20 @@ def test_demazure_square_zero_and_braid(name):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["affine_hecke", "zigzag_a1"])
+def test_demazure_is_exact_division_of_the_antisymmetrization(name):
+    # m with the same F-leg in slots i, i+1: the swap moves only the x's, so
+    # D_i(m) = (m - s_i m) / (x_i - x_{i+1}), checked by synthetic division
+    params = preset(name)
+    unit = params.algebra.unit_index
+    for i, a, k, l in product((0, 1), range(params.algebra.dim), range(-3, 4), range(-3, 4)):
+        exps, fkey = [0, 0, 0], [unit] * 3
+        exps[i], exps[i + 1] = k, l
+        fkey[i] = fkey[i + 1] = a
+        m = monomial(params, 3, fkey, exps)
+        assert m.demazure(i) == divide_exact_linear(m - m.place_permute_simple(i), i, i + 1)
+
+
 def test_demazure_invariant_leibniz():
     # for s_i-invariant g: D(g*h) = g*D(h)
     params = preset("degenerate")
