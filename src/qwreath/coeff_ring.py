@@ -859,8 +859,9 @@ def parse_scalar(text: str, p: int | None = None):
     The grammar is Python's, restricted to integer literals of digits only,
     parameter names, parentheses, unary minus, ``+ - * /`` and ``^`` with
     an integer literal, optionally negated, as exponent: ``-q^2`` is
-    -(q^2) and ``^`` does not chain.  Other text raises ValueError; a zero
-    divisor raises DivisionByZero naming the text.
+    -(q^2) and ``^`` does not chain.  Other text, and text nested too deeply
+    to parse, raises ValueError; a zero divisor, also a
+    denominator divisible by ``p``, raises DivisionByZero naming the text.
 
     With ``p`` the result is a prime-field element and a parameter name
     raises MixedVariant.  Otherwise the result is a Fraction when
@@ -875,14 +876,17 @@ def parse_scalar(text: str, p: int | None = None):
         with warnings.catch_warnings():  # "1if" warns, then fails
             warnings.simplefilter("error", SyntaxWarning)
             tree = ast.parse(src, mode="eval")
+        val = _evaluate(tree.body, src, names_allowed=p is None)
+        if p is not None:
+            return GFElement(p, val)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc.msg}") from None
-    try:
-        val = _evaluate(tree.body, src, names_allowed=p is None)
     except ZeroDivisionError:
         raise DivisionByZero(f"division by zero in scalar {text!r}") from None
-    if p is not None:
-        return GFElement(p, val)
+    except (RecursionError, MemoryError):
+        # Python's parser and _evaluate give up on deep nesting with one or
+        # the other
+        raise ValueError(f"scalar {text!r} is nested too deeply or too large") from None
     if isinstance(val, RatFun) and not val.parameters():
         return val.as_fraction()
     return val
@@ -925,8 +929,9 @@ def specialize(x, bindings: dict[str, int | Fraction]):
 def echelon_pivots(rows) -> dict:
     """Sparse Gaussian elimination over a field.  Each row is a dict
     {column: scalar} with mutually comparable columns.  Returns the reduced
-    rows keyed by their leading (smallest) column; the rank is the number of
-    pivots, and a free column is one that is not a key."""
+    rows keyed by their leading (smallest) column, in the order of the rows
+    they came from; the rank is the number of pivots, and a free column is
+    one that is not a key."""
     pivots = {}
     for row in rows:
         live = {c: v for c, v in row.items() if v}

@@ -32,9 +32,9 @@ from .base_algebra import SparseSum, _Frozen, pack_cached
 from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
 from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
-                      identity, inverse, length, matrix_from_triple,
-                      matrix_to_perm, mul, region_L, region_N, region_P,
-                      simple, ThetaMatrix, young_subgroup)
+                      identity, inverse, length, matrix_to_perm, mul,
+                      region_L, region_N, region_P, simple, ThetaMatrix,
+                      young_subgroup)
 from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
                           monomial, permute_factors, require_invariant,
                           unit_poly, zero_poly)
@@ -129,7 +129,7 @@ class ConvBlock(SparseSum, _Frozen):
         For a minimal g it is S_lam & g S_mu g^{-1}, the Young subgroup of
         the row reading delta_r of the double coset's matrix."""
         for g, r in self.terms.items():
-            delta_r, _ = coset_shapes(matrix_from_triple(self.lam, g, self.mu))
+            delta_r, _ = coset_shapes(self.lam, g, self.mu)
             require_invariant(r, delta_r)
 
     @staticmethod
@@ -584,7 +584,7 @@ def _coset_datum(d, lam, mu, g):
     lam, mu, g = check_comp(d, lam), check_comp(d, mu), tuple(g)
     if g not in double_coset_reps(lam, mu):
         raise ValueError(f"{g} is not minimal for ({lam}, {mu})")
-    return (lam, mu, g) + coset_shapes(matrix_from_triple(lam, g, mu))
+    return (lam, mu, g) + coset_shapes(lam, g, mu)
 
 
 def _two_part(d, lam):

@@ -469,7 +469,7 @@ def decompose_k(params, d, lam, g, mu) -> dict:
     """
     lam, mu = tuple(lam), tuple(mu)
     A = matrix_from_triple(lam, g, mu)
-    delta_r, delta_c = coset_shapes(A)
+    delta_r, delta_c = coset_shapes(lam, g, mu)
     k_mu = k_lambda(params, d, mu)
     k_delta = k_lambda(params, d, delta_c)
     k_mu_delta = k_lambda(params, d, mu, "upper", delta_c)
@@ -498,7 +498,7 @@ def mackey_expansion(params, d, lam, mu) -> PqwpElement:
     n_mu = region_N(mu)
     total = PqwpElement.zero(params, d)
     for g in double_coset_reps(lam, mu):
-        nu_g, delta_g = coset_shapes(matrix_from_triple(lam, g, mu))
+        nu_g, delta_g = coset_shapes(lam, g, mu)
         g_n_mu = frozenset((min(g[a], g[b]), max(g[a], g[b]))
                            for (a, b) in n_mu)
         pairs = (n_lam & g_n_mu) - inv_set(inverse(g))

@@ -15,6 +15,13 @@ Generator conventions, with ``s_i`` swapping positions ``i`` and ``i+1``
 
 ``inv_set(w)`` is the set of position pairs ``(i, j)`` with ``i < j`` and
 ``w[i] > w[j]``.
+
+A double coset S_lam z S_mu of Young subgroups is read off its matrix
+(``matrix_from_triple``: the number of positions of the j-th mu-block that
+z sends into the i-th lam-block): its minimal representative
+(``matrix_to_perm``) and its shapes (``coset_shapes``).  The decomposition
+z = x * g0 * y (``double_coset_decompose``) takes two sorts: z's positions
+by the lam-block of their value, then the values within each mu-block.
 """
 
 from __future__ import annotations
@@ -74,6 +81,12 @@ def inv_set(w: Perm) -> frozenset[tuple[int, int]]:
 
 def length(w: Perm) -> int:
     return len(inv_set(w))
+
+
+def sort_index(idx) -> Perm:
+    """The shortest w with ``idx[j] == sorted(idx)[w[j]]``: w sends each
+    position to its rank in a stable sort of idx."""
+    return inverse(tuple(sorted(range(len(idx)), key=idx.__getitem__)))
 
 
 @lru_cache(maxsize=None)
@@ -173,18 +186,10 @@ def block_of(lam: Composition) -> tuple[int, ...]:
 
 
 def refines(nu: Composition, lam: Composition) -> bool:
-    """True when nu is a refinement of lam (concatenated compositions)."""
-    it = iter(nu)
-    for part in lam:
-        total = 0
-        while total < part:
-            try:
-                total += next(it)
-            except StopIteration:
-                return False
-        if total != part:
-            return False
-    return next(it, None) is None
+    """True when nu is a refinement of lam (concatenated compositions):
+    every partial sum of lam is one of nu.  Zero parts are ignored."""
+    return sum(nu) == sum(lam) and set(itertools.accumulate(lam, initial=0)) \
+        <= set(itertools.accumulate(nu, initial=0))
 
 
 def check_refines(nu: Composition, lam: Composition) -> None:
@@ -360,30 +365,15 @@ def matrix_from_triple(lam: Composition, g: Perm, mu: Composition) -> ThetaMatri
     return ThetaMatrix(rows)
 
 
-def coset_shapes(A: ThetaMatrix) -> tuple[Composition, Composition]:
-    """(delta_r, delta_c): the nonzero entries of A read along rows and
-    down columns.  For the double coset S_lam g S_mu encoded by A they are
-    the shapes of ``g S_mu g^{-1} & S_lam`` and ``g^{-1} S_lam g & S_mu``."""
-    delta_r = tuple(x for row in A.rows for x in row if x)
-    delta_c = tuple(x for col in zip(*A.rows) for x in col if x)
-    return delta_r, delta_c
-
-
-def double_coset_data(A: ThetaMatrix):
-    """Unpack a matrix into (lam, g, mu, delta_c, delta_r, w0A).
-
-    delta_c / delta_r read the nonzero entries down columns / along rows;
-    they are the shapes of the two Young subgroups conjugate through g:
-    ``S_{delta_c} = g^{-1} S_lam g  &  S_mu`` and
-    ``S_{delta_r} = g S_mu g^{-1}  &  S_lam``.
-    w0A is the longest element of the double coset.
-    """
-    lam, mu = A.lam, A.mu
-    g = matrix_to_perm(A)
-    delta_r, delta_c = coset_shapes(A)
-    w0A = mul_many(longest_in_young(lam), g,
-                   longest_in_young(delta_c), longest_in_young(mu))
-    return lam, g, mu, delta_c, delta_r, w0A
+def coset_shapes(lam: Composition, g: Perm,
+                 mu: Composition) -> tuple[Composition, Composition]:
+    """(nu, delta): the nonzero entries of the matrix of S_lam g S_mu read
+    along rows and down columns.  For minimal g they are the shapes of
+    ``g S_mu g^{-1} & S_lam`` and ``g^{-1} S_lam g & S_mu``."""
+    rows = matrix_from_triple(lam, g, mu).rows
+    nu = tuple(x for row in rows for x in row if x)
+    delta = tuple(x for col in zip(*rows) for x in col if x)
+    return nu, delta
 
 
 def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
@@ -392,7 +382,7 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
     y runs over the shortest representatives of S_{delta_c} \\ S_mu.  The
     images enumerate the double coset S_lam*g*S_mu without repetition.
     """
-    _, delta_c = coset_shapes(matrix_from_triple(lam, g, mu))
+    _, delta_c = coset_shapes(lam, g, mu)
     lg = length(g)
     out = {}
     for x in young_subgroup(lam):
@@ -411,32 +401,16 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
 
 @lru_cache(maxsize=None)
 def double_coset_decompose(z: Perm, lam: Composition, mu: Composition):
-    """Write z = x * g0 * y with x in S_lam, g0 minimal, y in S_mu."""
-    d = len(z)
-    bo_l = block_of(lam)
-    bo_m = block_of(mu)
-    x = identity(d)
-    y = identity(d)
-    cur = z
-    changed = True
-    while changed:
-        changed = False
-        zi = inverse(cur)
-        for i in range(d - 1):
-            # left factor s_i lies in S_lam and lowers the length
-            if bo_l[i] == bo_l[i + 1] and zi[i] > zi[i + 1]:
-                s = simple(d, i)
-                cur = mul(s, cur)
-                x = mul(x, s)
-                changed = True
-                break
-        if changed:
-            continue
-        for j in range(d - 1):
-            if bo_m[j] == bo_m[j + 1] and cur[j] > cur[j + 1]:
-                s = simple(d, j)
-                cur = mul(cur, s)
-                y = mul(s, y)
-                changed = True
-                break
-    return x, cur, y
+    """Write z = x * g0 * y with x in S_lam, g0 minimal in S_lam z S_mu and
+    y in S_mu.  m = x^{-1} z = g0 y, the shortest element of S_lam z, ranks
+    the positions of z by the lam-block of their value (a stable sort); g0,
+    the shortest element of m S_mu, sorts the values of m within each
+    mu-block.  As m is shortest on the left, g0 is the minimal element of
+    the double coset, ``matrix_to_perm`` of its matrix."""
+    bo = block_of(lam)
+    m = sort_index(tuple(bo[v] for v in z))
+    g0 = []
+    for blk in blocks(mu):
+        g0 += sorted(m[blk.start:blk.stop])
+    g0 = tuple(g0)
+    return mul(z, inverse(m)), g0, mul(inverse(g0), m)

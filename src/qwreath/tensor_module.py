@@ -16,10 +16,10 @@ from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement,
                    from_right_coefficients, k_lambda, pqwp_mul)
 from .symcomb import (ThetaMatrix, check_comp, coset_reps, coset_shapes,
-                      double_coset_data, double_coset_decompose,
-                      double_coset_reps, length, longest_in_young,
-                      matrix_from_triple, mul, reduced_word, strip_zeros,
-                      to_one_line, weak_compositions, young_subgroup)
+                      double_coset_decompose, double_coset_reps, length,
+                      longest_in_young, matrix_from_triple, matrix_to_perm,
+                      mul, reduced_word, sort_index, strip_zeros, to_one_line,
+                      weak_compositions, young_subgroup)
 from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij,
                           require_invariant, s_ij, unit_poly, zero_poly)
 
@@ -256,18 +256,6 @@ def _word_images(v):
 # weight slices -----------------------------------------------------------------
 
 
-def sort_index(idx):
-    """Nondecreasing rearrangement of an index tuple and the shortest
-    permutation w with rearranged . w = idx (stable sort resolves ties)."""
-    d = len(idx)
-    order = sorted(range(d), key=lambda j: (idx[j], j))
-    w = [0] * d
-    for r, j in enumerate(order):
-        w[j] = r
-    plus = tuple(idx[j] for j in order)
-    return plus, tuple(w)
-
-
 def weight_of(idx, n):
     lam = [0] * n
     for v in idx:
@@ -298,8 +286,8 @@ class ThetaMap:
     def __init__(self, params, A: ThetaMatrix, P: TensorPoly = None):
         self.params = params
         self.A = A
-        self.target, self.g, self.source, self.delta, _, _ = \
-            double_coset_data(A)
+        self.target, self.g, self.source = A.lam, matrix_to_perm(A), A.mu
+        _, self.delta = coset_shapes(self.target, self.g, self.source)
         self.d = A.d
         if P is None:
             P = unit_poly(params, self.d)
@@ -360,7 +348,7 @@ def theta_on_tensor(theta: ThetaMap, v: TensorVector) -> TensorVector:
     rights = {}
     for idx, c in v.terms.items():
         if weight_of(idx, v.n) == theta.source:
-            rights[sort_index(idx)[1]] = c
+            rights[sort_index(idx)] = c
     if not rights:
         return TensorVector.zero(v.params, v.n, v.d)
     a = from_right_coefficients(theta.params, theta.d, rights)
@@ -417,7 +405,7 @@ def theta_family_rank(params, lam, mu, degree) -> dict:
     count = 0
     for g in double_coset_reps(strip_zeros(lam), strip_zeros(mu)):
         A = matrix_from_triple(lam, g, mu)
-        _, delta = coset_shapes(A)
+        _, delta = coset_shapes(lam, g, mu)
         for P in invariant_basis(params, d, delta, degree):
             theta = ThetaMap(params, A, P)
             vec = {}

@@ -599,35 +599,24 @@ def annihilator_certificate(params, degree_bound: int = 3):
     unknowns = [(fkey, exps)
                 for fkey in iproduct(range(alg.dim), repeat=d)
                 for exps in iproduct(range(degree_bound + 1), repeat=d)]
+    one = params.field.one()
     for side in ("left", "right"):
-        columns = []
-        for (fkey, exps) in unknowns:
+        # one row per unknown: its product with P, then a tag column (1, idx)
+        rows = []
+        for idx, (fkey, exps) in enumerate(unknowns):
             zeta = monomial(params, d, fkey, exps)
             prod = zeta * P if side == "left" else P * zeta
-            columns.append(prod.terms)
-        row_keys = sorted({k for col in columns for k in col})
-        row_index = {k: r for r, k in enumerate(row_keys)}
-        # sparse Gaussian elimination on the transpose: solve A z = 0
-        rows = [dict() for _ in row_keys]
-        for cidx, col in enumerate(columns):
-            for k, c in col.items():
-                rows[row_index[k]][cidx] = c
-        pivots = echelon_pivots(rows)
-        if len(pivots) < len(unknowns):
-            free = next(c for c in range(len(unknowns)) if c not in pivots)
-            sol = {free: params.field.one()}
-            for lead in sorted(pivots, reverse=True):
-                prow = pivots[lead]
-                acc = params.field.zero()
-                for c, v in prow.items():
-                    if c != lead and c in sol:
-                        acc = acc + v * sol[c]
-                sol[lead] = -acc / prow[lead]
+            rows.append({**{(0, k): c for k, c in prod.terms.items()},
+                         (1, idx): one})
+        # a pivot led by a tag is a vanishing combination of the unknowns;
+        # pivots are filed in row order, so the first one comes from the
+        # first unknown whose product lies in the span of the earlier ones
+        witness = next((row for (kind, _), row in echelon_pivots(rows).items()
+                        if kind == 1), None)
+        if witness is not None:
             zeta = zero_poly(params, d)
-            for cidx, coeff in sol.items():
-                if not coeff:
-                    continue
-                fkey, exps = unknowns[cidx]
+            for (_, idx), coeff in witness.items():
+                fkey, exps = unknowns[idx]
                 zeta = zeta + monomial(params, d, fkey, exps, coeff)
             return False, f"{side} annihilator of P found: {zeta}"
     return True, f"no annihilator up to x-degree {degree_bound} (both sides full rank)"

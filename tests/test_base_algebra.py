@@ -347,6 +347,11 @@ def test_preset_file_errors(tmp_path):
     zero_divisor.write_text('{"alpha": [[["1", "1"], "1/0"]]}')
     with pytest.raises(InvalidConfig, match="'1/0'"):
         load_preset_file(str(zero_divisor))
+    zero_mod_p = tmp_path / "zero_mod_p.json"
+    zero_mod_p.write_text('{"field": {"kind": "prime", "p": 5}, '
+                          '"alpha": [[["1", "1"], "1/5"]]}')
+    with pytest.raises(InvalidConfig, match="'1/5'"):
+        load_preset_file(str(zero_mod_p))
     named = tmp_path / "named.json"
     named.write_text('{"preset": "nil"}')
     assert load_preset_file(str(named)) is preset("nil")

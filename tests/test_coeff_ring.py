@@ -136,6 +136,17 @@ def test_parse_names_the_text_of_a_zero_divisor(text):
         parse_scalar(text)
 
 
+def test_parse_names_the_text_of_a_denominator_divisible_by_p():
+    with pytest.raises(DivisionByZero, match=re.escape("'1/5'")):
+        parse_scalar("1/5", p=5)
+
+
+@pytest.mark.parametrize("depth", [5000, 50000])
+def test_parse_rejects_deep_nesting_with_value_error(depth):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_scalar("-" * depth + "1")
+
+
 def test_parse_rejects_names_in_prime_field():
     with pytest.raises(MixedVariant):
         parse_scalar("q+1", p=5)

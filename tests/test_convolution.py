@@ -15,7 +15,7 @@ from qwreath.pqwp import PqwpElement, k_lambda, m_lambda, multinomial, pqwp_mul
 from qwreath.symcomb import (
     NotARefinement, all_perms, compositions, coset_shapes,
     double_coset_decompose, double_coset_reps, identity, inverse,
-    matrix_from_triple, mul, simple, young_subgroup,
+    mul, simple, young_subgroup,
 )
 from qwreath.tensor_poly import (
     InvarianceViolation, LocalizedElement, alpha_ij, monomial, p_ij, unit_poly,
@@ -105,7 +105,7 @@ def test_stabilizer_is_the_young_subgroup_of_the_row_reading():
                     gi = inverse(g)
                     stab = {u for u in young_subgroup(lam)
                             if mul(gi, mul(u, g)) in inner}
-                    delta_r, _ = coset_shapes(matrix_from_triple(lam, g, mu))
+                    delta_r, _ = coset_shapes(lam, g, mu)
                     assert stab == set(young_subgroup(delta_r))
 
 
@@ -119,7 +119,7 @@ def test_block_invariance_under_the_stabilizer_only(name):
     fkey = tuple(k % p.algebra.dim for k in (0, 1, 0, 1))
     base = monomial(p, d, fkey, (1, 2, 3, 0))
     for g in double_coset_reps(lam, mu):
-        delta_r, _ = coset_shapes(matrix_from_triple(lam, g, mu))
+        delta_r, _ = coset_shapes(lam, g, mu)
         assert delta_r != lam
         sym = zero_poly(p, d)
         for u in young_subgroup(delta_r):
@@ -515,7 +515,7 @@ def test_h_tilde_reads_a_column_constant_block(name, d):
     for lam in two_part:
         for mu in two_part:
             for g in double_coset_reps(lam, mu):
-                nu, delta = coset_shapes(matrix_from_triple(lam, g, mu))
+                nu, delta = coset_shapes(lam, g, mu)
                 merged = (split_merge(p, d, nu, kind="merge")
                           * phi_embed(PqwpElement.h_of_perm(p, d, g)))
                 xi = merged.block(nu, omega).terms

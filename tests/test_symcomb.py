@@ -44,17 +44,11 @@ def test_simple_reflection_sides():
 
 def test_g_for_spec_matrix():
     A = sc.ThetaMatrix([[1, 1], [2, 0]])
-    lam, g, mu, delta_c, delta_r, w0A = sc.double_coset_data(A)
+    lam, g, mu = A.lam, sc.matrix_to_perm(A), A.mu
     assert lam == (2, 2)
     assert mu == (3, 1)
     assert g == sc.from_one_line("|1 3 4 2|")
-    assert delta_c == (1, 2, 1)
-    assert delta_r == (1, 1, 2)
-    expected_w0A = sc.from_word(4, [0, 2, 1, 2, 0, 1])
-    assert w0A == expected_w0A
-    # the trailing factor w0^delta * w0^mu is a shortest coset representative
-    assert sc.length(w0A) == sc.length(sc.longest_in_young(lam)) + sc.length(g) \
-        + sc.length(sc.longest_in_young(mu)) - sc.length(sc.longest_in_young(delta_c))
+    assert sc.coset_shapes(lam, g, mu) == ((1, 1, 2), (1, 2, 1))
 
 
 def test_matrix_perm_roundtrip():
@@ -81,8 +75,7 @@ def test_conjugation_identities():
         for lam in sc.compositions(d):
             for mu in sc.compositions(d):
                 for g in sc.double_coset_reps(lam, mu):
-                    A = sc.matrix_from_triple(lam, g, mu)
-                    _, _, _, delta_c, delta_r, _ = sc.double_coset_data(A)
+                    delta_r, delta_c = sc.coset_shapes(lam, g, mu)
                     gi = sc.inverse(g)
                     conj_c = {sc.mul_many(gi, x, g) for x in sc.young_subgroup(lam)}
                     assert set(sc.young_subgroup(delta_c)) == conj_c & set(sc.young_subgroup(mu))
@@ -107,17 +100,44 @@ def test_kappa_raises_off_minimal_g():
 
 
 def test_decompose_double_coset():
-    rng = random.Random(7)
-    for d in (3, 4):
+    """z = x * g0 * y for every z at d <= 5, with g0 minimal and x pinned:
+    m = x^{-1} z is the shortest element of S_lam z, so its inverse
+    increases on the lam-blocks and l(z) = l(x) + l(m)."""
+    for d in range(1, 6):
         perms = list(sc.all_perms(d))
         for lam in sc.compositions(d):
             for mu in sc.compositions(d):
-                for z in rng.sample(perms, 6):
+                s_lam, s_mu = set(sc.young_subgroup(lam)), set(sc.young_subgroup(mu))
+                reps = set(sc.double_coset_reps(lam, mu))
+                for z in perms:
                     x, g0, y = sc.double_coset_decompose(z, lam, mu)
                     assert z == sc.mul_many(x, g0, y)
-                    assert x in sc.young_subgroup(lam)
-                    assert y in sc.young_subgroup(mu)
-                    assert g0 in sc.double_coset_reps(lam, mu)
+                    assert x in s_lam
+                    assert y in s_mu
+                    assert g0 in reps
+                    assert g0 == sc.matrix_to_perm(sc.matrix_from_triple(lam, z, mu))
+                    m = sc.mul(sc.inverse(x), z)
+                    assert sc.increasing_on_blocks(sc.inverse(m), lam)
+                    assert sc.length(z) == sc.length(x) + sc.length(m)
+
+
+def test_sort_index():
+    """w sends each position to its rank in a stable sort: idx is the
+    sorted tuple read through w, and w increases on equal labels."""
+    rng = random.Random(7)
+    cases = [(), (0,), (2, 1, 2, 0, 1), (1, 1, 1)]
+    cases += [tuple(rng.randrange(3) for _ in range(rng.randrange(1, 8)))
+              for _ in range(200)]
+    for idx in cases:
+        w = sc.sort_index(idx)
+        plus = tuple(sorted(idx))
+        assert sorted(w) == list(range(len(idx)))
+        assert tuple(plus[w[j]] for j in range(len(idx))) == idx
+        for j in range(len(idx)):
+            for k in range(j + 1, len(idx)):
+                if idx[j] == idx[k]:
+                    assert w[j] < w[k]
+    assert sc.sort_index((2, 1, 2, 0, 1)) == (3, 1, 4, 0, 2)
 
 
 def _order(lam):
@@ -184,9 +204,18 @@ def test_regions_partition():
 
 
 def test_refines():
-    assert sc.refines((1, 1, 2), (2, 2))
-    assert sc.refines((2, 2), (4,))
-    assert not sc.refines((1, 2, 1), (2, 2))
+    for nu, lam, expected in [
+        ((1, 1, 2), (2, 2), True),
+        ((2, 2), (4,), True),
+        ((1, 2, 1), (2, 2), False),
+        ((1, 1), (1,), False),
+        ((1,), (1, 1), False),
+        # zero parts name no block and are ignored
+        ((0,), (0,), True),
+        ((1, 0), (1,), True),
+        ((2, 0, 1), (0, 3), True),
+    ]:
+        assert sc.refines(nu, lam) is expected, (nu, lam)
     with pytest.raises(sc.NotARefinement):
         sc.check_refines((1, 2, 1), (2, 2))
 

@@ -355,7 +355,7 @@ def test_annihilator_found_for_zero_divisor():
                         name="cc_test")
     ok, witness = annihilator_certificate(params, degree_bound=1)
     assert not ok
-    assert witness
+    assert witness == "left annihilator of P found: (1⊗c)"
 
 
 def test_rendering_and_json():
