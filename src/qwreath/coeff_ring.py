@@ -701,15 +701,17 @@ class GFElement:
     def __bool__(self):
         return self.v != 0
 
+    # an int equals only the canonical residue, so that equal values hash
+    # alike: GFElement(5, 2) == 2 but != 7
     def __eq__(self, other):
         if isinstance(other, GFElement):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return other == self.v
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __str__(self):
         return str(self.v)
@@ -850,7 +852,16 @@ def _evaluate(node, src: str, names_allowed: bool):
         if not names_allowed:
             raise MixedVariant("formal parameters are not available in this field")
         return declare_param(node.id)
-    raise ValueError(f"unexpected {segment!r} in scalar {src!r}".replace("**", "^"))
+    raise ValueError(f"unexpected {_quoted(segment.replace('**', '^'))} in "
+                     f"scalar {_quoted(src.replace('**', '^'))}")
+
+
+def _quoted(text: str, limit: int = 60) -> str:
+    """repr of text for an error message: at most its first limit
+    characters, then the total length when it is longer."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def parse_scalar(text: str, p: int | None = None):
@@ -862,6 +873,7 @@ def parse_scalar(text: str, p: int | None = None):
     -(q^2) and ``^`` does not chain.  Other text, and text nested too deeply
     to parse, raises ValueError; a zero divisor, also a
     denominator divisible by ``p``, raises DivisionByZero naming the text.
+    Messages quote at most the first 60 characters of the text.
 
     With ``p`` the result is a prime-field element and a parameter name
     raises MixedVariant.  Otherwise the result is a Fraction when
@@ -870,7 +882,7 @@ def parse_scalar(text: str, p: int | None = None):
     # Python would read ** as a power and # as a comment; joining the text
     # into one line keeps line breaks and continuations from Python too
     if "**" in text or "#" in text:
-        raise ValueError(f"unexpected '**' or '#' in scalar {text!r}")
+        raise ValueError(f"unexpected '**' or '#' in scalar {_quoted(text)}")
     src = " ".join(text.split()).replace("^", "**")
     try:
         with warnings.catch_warnings():  # "1if" warns, then fails
@@ -880,13 +892,14 @@ def parse_scalar(text: str, p: int | None = None):
         if p is not None:
             return GFElement(p, val)
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse scalar {text!r}: {exc.msg}") from None
+        raise ValueError(f"cannot parse scalar {_quoted(text)}: {exc.msg}") from None
     except ZeroDivisionError:
-        raise DivisionByZero(f"division by zero in scalar {text!r}") from None
+        raise DivisionByZero(f"division by zero in scalar {_quoted(text)}") from None
     except (RecursionError, MemoryError):
         # Python's parser and _evaluate give up on deep nesting with one or
         # the other
-        raise ValueError(f"scalar {text!r} is nested too deeply or too large") from None
+        raise ValueError(f"scalar {_quoted(text)} is nested too deeply or too "
+                         "large") from None
     if isinstance(val, RatFun) and not val.parameters():
         return val.as_fraction()
     return val

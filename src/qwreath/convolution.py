@@ -36,8 +36,7 @@ from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       region_L, region_N, region_P, simple, ThetaMatrix,
                       young_subgroup)
 from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
-                          monomial, permute_factors, require_invariant,
-                          unit_poly, zero_poly)
+                          monomial, require_invariant, unit_poly, zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -67,17 +66,13 @@ def _e_factors(d: int, lam) -> tuple:
     return tuple(fac)
 
 
-def _e_localized(params, d: int, lam, invert: bool, w=None) -> LocalizedElement:
-    """e_lam, or its inverse, optionally moved by the place permutation w,
-    kept entirely in factored form so that products cancel syntactically."""
+def _e_localized(params, d: int, lam, invert: bool) -> LocalizedElement:
+    """e_lam, or its inverse, kept entirely in factored form so that
+    products cancel syntactically."""
     tags = Counter(_e_factors(d, check_comp(d, lam)))
-    sign = 1
-    if w is not None:
-        tags, sign = permute_factors(tags, w)
-    core = unit_poly(params, d) if sign > 0 else -unit_poly(params, d)
     if invert:
-        return LocalizedElement(core, None, tags)
-    return LocalizedElement(core, tags, None)
+        return LocalizedElement(unit_poly(params, d), None, tags)
+    return LocalizedElement(unit_poly(params, d), tags, None)
 
 
 # blocks ----------------------------------------------------------------------
@@ -150,34 +145,23 @@ class ConvBlock(SparseSum, _Frozen):
         if self.mu != other.lam:
             raise BlockMismatch(f"cannot compose ({self.lam},{self.mu}) with "
                                 f"({other.lam},{other.mu})")
-        d = self.d
         out = {}
-        omega = (1,) * d
-        if self.lam == self.mu == other.mu == omega:
-            # point-supported coordinates compose pairwise
-            for z, rf in self.terms.items():
-                for y1, rh in other.terms.items():
-                    y = mul(z, y1)
-                    term = rf * rh.place_permute(z)
-                    cur = out.get(y)
-                    out[y] = term if cur is None else cur + term
-        else:
-            for z in coset_reps(self.mu, "right"):
-                u, g, _ = double_coset_decompose(z, self.lam, self.mu)
-                rf = self.terms.get(g)
-                if rf is None:
+        for z in coset_reps(self.mu, "right"):
+            u, g, _ = double_coset_decompose(z, self.lam, self.mu)
+            rf = self.terms.get(g)
+            if rf is None:
+                continue
+            left = rf.place_permute(u)
+            zi = inverse(z)
+            for y in double_coset_reps(self.lam, other.mu):
+                u2, g2, _ = double_coset_decompose(mul(zi, y), other.lam, other.mu)
+                rh = other.terms.get(g2)
+                if rh is None:
                     continue
-                left = rf.place_permute(u)
-                zi = inverse(z)
-                for y in double_coset_reps(self.lam, other.mu):
-                    u2, g2, _ = double_coset_decompose(mul(zi, y), other.lam, other.mu)
-                    rh = other.terms.get(g2)
-                    if rh is None:
-                        continue
-                    term = left * rh.place_permute(mul(z, u2))
-                    cur = out.get(y)
-                    out[y] = term if cur is None else cur + term
-        return ConvBlock._make(self.params, d, self.lam, other.mu, out)
+                term = left * rh.place_permute(mul(z, u2))
+                cur = out.get(y)
+                out[y] = term if cur is None else cur + term
+        return ConvBlock._make(self.params, self.d, self.lam, other.mu, out)
 
     def leading(self):
         """(g, value) with g of maximal length in the support."""
@@ -427,14 +411,6 @@ class PolyRepVector(_Frozen):
     def __bool__(self):
         return bool(self.value)
 
-    def __add__(self, other):
-        if not isinstance(other, PolyRepVector):
-            return NotImplemented
-        if (self.params, self.d, self.lam) != (other.params, other.d, other.lam):
-            raise BlockMismatch("cannot add vectors of different components")
-        return PolyRepVector._make(self.params, self.d, self.lam,
-                                   self.value + other.value)
-
     def __eq__(self, other):
         if not isinstance(other, PolyRepVector):
             return NotImplemented
@@ -471,7 +447,7 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
         if r is None:
             continue
         term = r.place_permute(u) * v.value.place_permute(h)
-        acc = acc + term * _e_localized(params, d, blk.mu, True, w=h)
+        acc = acc + term * _e_localized(params, d, blk.mu, True).place_permute(h)
     result = acc * _e_localized(params, d, blk.lam, False)
     return PolyRepVector._make(params, d, blk.lam, result)
 
@@ -514,14 +490,13 @@ def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
     component of v."""
     if (s.params, s.d) != (v.params, v.d):
         raise BlockMismatch("mixed parameter sets")
+    # blocks are keyed by (lam, mu), so each lam occurs once for mu = v.lam
     results = {}
     for (lam, mu), blk in s.terms.items():
-        if mu != v.lam:
-            continue
-        piece = _block_apply(blk, v)
-        cur = results.get(lam)
-        results[lam] = piece if cur is None else cur + piece
-    results = {lam: r for lam, r in results.items() if r}
+        if mu == v.lam:
+            piece = _block_apply(blk, v)
+            if piece:
+                results[lam] = piece
     if not results:
         return PolyRepVector._make(v.params, v.d, v.lam,
                                    LocalizedElement.zero(v.params, v.d))

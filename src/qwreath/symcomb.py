@@ -49,7 +49,7 @@ def identity(d: int) -> Perm:
 
 
 def mul(u: Perm, v: Perm) -> Perm:
-    return tuple(u[v[k]] for k in range(len(u)))
+    return tuple(map(u.__getitem__, v))
 
 
 def mul_many(*ws: Perm) -> Perm:

@@ -16,7 +16,7 @@ from collections import Counter
 from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, scalar_str
-from .base_algebra import FTensor, SparseSum, pack_cached
+from .base_algebra import FTensor, SparseSum, _Frozen, pack_cached
 from .symcomb import blocks, simple
 
 
@@ -413,11 +413,21 @@ def permute_factors(fac, w):
     return out, sign
 
 
-class LocalizedElement:
+class LocalizedElement(_Frozen):
     """core * (product of nfac factors) / (product of dfac factors), the
     factors drawn from (x_i - x_j) and P_{ij}.  Numerator factors are kept
-    unexpanded so that identical factors cancel syntactically; leftover
-    linear denominators are removed by exact division when possible.
+    unexpanded so that identical factors cancel syntactically.
+
+    The public constructor stores the reduced form: no tag is in both nfac
+    and dfac, a zero core carries no factor, and no linear denominator
+    divides the core exactly.  It divides the core by each linear
+    denominator while the division is exact, at most the tag's
+    multiplicity, and one pass suffices: distinct linear forms are coprime
+    and each stays a non-zero-divisor modulo another, so a division that
+    failed cannot succeed after another one does.  Negation, place
+    permutation and scaling keep the reduced form, and build their results
+    with ``_make``, which trusts its caller; results may share their
+    Counters with an operand, so no code changes nfac or dfac in place.
 
     Equality is decided by cross-multiplication: a == b iff
     a.core * a.nfac * b.dfac == b.core * b.nfac * a.dfac.  The factors the
@@ -429,18 +439,27 @@ class LocalizedElement:
     __slots__ = ("core", "nfac", "dfac")
 
     def __init__(self, core: TensorPoly, nfac=None, dfac=None):
-        self.core = core
-        self.nfac = Counter(nfac) if nfac else Counter()
-        self.dfac = Counter(dfac) if dfac else Counter()
-        self._reduce()
+        if not core:
+            self._store(core, Counter(), Counter())
+            return
+        nfac, dfac = Counter(nfac), Counter(dfac)
+        nfac, dfac = nfac - dfac, dfac - nfac
+        # exact division clears linear denominators when the core allows it
+        for tag, k in list(dfac.items()):
+            if tag[0] != "lin":
+                continue
+            while k and (q := divide_exact_linear(core, tag[1], tag[2])) is not None:
+                core, k = q, k - 1
+            dfac[tag] = k
+        self._store(core, nfac, +dfac)
 
     @staticmethod
     def zero(params, d) -> "LocalizedElement":
-        return LocalizedElement(zero_poly(params, d))
+        return LocalizedElement._make(zero_poly(params, d), Counter(), Counter())
 
     @staticmethod
     def one(params, d) -> "LocalizedElement":
-        return LocalizedElement(unit_poly(params, d))
+        return LocalizedElement._make(unit_poly(params, d), Counter(), Counter())
 
     @property
     def params(self):
@@ -453,34 +472,13 @@ class LocalizedElement:
     def __bool__(self):
         return bool(self.core)
 
-    def _reduce(self):
-        if not self.core:
-            self.nfac.clear()
-            self.dfac.clear()
-            return
-        common = self.nfac & self.dfac
-        if common:
-            self.nfac -= common
-            self.dfac -= common
-        # exact division clears linear denominators when the core allows it
-        progress = True
-        while progress and self.dfac:
-            progress = False
-            for tag in list(self.dfac):
-                if tag[0] != "lin":
-                    continue
-                q = divide_exact_linear(self.core, tag[1], tag[2])
-                if q is not None:
-                    self.core = q
-                    self.dfac[tag] -= 1
-                    if self.dfac[tag] == 0:
-                        del self.dfac[tag]
-                    progress = True
-
     # factor-aware constructors
 
     def scale(self, c) -> "LocalizedElement":
-        return LocalizedElement(self.core.scale(c), self.nfac, self.dfac)
+        core = self.core.scale(c)
+        if not core:
+            return LocalizedElement.zero(self.params, self.d)
+        return LocalizedElement._make(core, self.nfac, self.dfac)
 
     def over_lin(self, i, j) -> "LocalizedElement":
         core = self.core if i < j else -self.core
@@ -490,19 +488,25 @@ class LocalizedElement:
     # arithmetic
 
     def __neg__(self):
-        return LocalizedElement(-self.core, self.nfac, self.dfac)
+        return LocalizedElement._make(-self.core, self.nfac, self.dfac)
+
+    def _over_common_factors(self, other):
+        """(lc, rc, nfac, dfac) with self = lc * nfac / dfac and
+        other = rc * nfac / dfac: nfac holds the numerator tags the two
+        share, dfac the union of their denominators, and every other factor
+        is multiplied into lc or rc."""
+        self.core._same_space(other.core)
+        nfac = self.nfac & other.nfac
+        dfac = self.dfac | other.dfac
+        lc = _times_factors(self.core, self.nfac - nfac + (dfac - self.dfac))
+        rc = _times_factors(other.core, other.nfac - nfac + (dfac - other.dfac))
+        return lc, rc, nfac, dfac
 
     def __add__(self, other):
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        self.core._same_space(other.core)
-        shared_n = self.nfac & other.nfac
-        lhs_extra = self.nfac - shared_n
-        rhs_extra = other.nfac - shared_n
-        den = self.dfac | other.dfac
-        lc = _times_factors(self.core, lhs_extra + (den - self.dfac))
-        rc = _times_factors(other.core, rhs_extra + (den - other.dfac))
-        return LocalizedElement(lc + rc, shared_n, den)
+        lc, rc, nfac, dfac = self._over_common_factors(other)
+        return LocalizedElement(lc + rc, nfac, dfac)
 
     def __sub__(self, other):
         if not isinstance(other, LocalizedElement):
@@ -541,17 +545,13 @@ class LocalizedElement:
         dfac, dsign = permute_factors(self.dfac, w)
         if nsign != dsign:
             core = -core
-        return LocalizedElement(core, nfac, dfac)
+        return LocalizedElement._make(core, nfac, dfac)
 
     def __eq__(self, other):
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        self.core._same_space(other.core)
-        lhs_fac = self.nfac + other.dfac
-        rhs_fac = other.nfac + self.dfac
-        shared = lhs_fac & rhs_fac
-        return (_times_factors(self.core, lhs_fac - shared)
-                == _times_factors(other.core, rhs_fac - shared))
+        lc, rc, _, _ = self._over_common_factors(other)
+        return lc == rc
 
     def __str__(self):
         def fac_str(fac):

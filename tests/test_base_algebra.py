@@ -357,6 +357,16 @@ def test_preset_file_errors(tmp_path):
     assert load_preset_file(str(named)) is preset("nil")
 
 
+def test_preset_file_error_quotes_a_bounded_prefix(tmp_path):
+    path = tmp_path / "long.toml"
+    scalar = "-" * 50000 + "1"
+    path.write_text(f'alpha = [[["1", "1"], "{scalar}"]]\n')
+    with pytest.raises(InvalidConfig) as caught:
+        load_preset_file(str(path))
+    assert len(str(caught.value)) < 300
+    assert repr(scalar[:60]) in str(caught.value)
+
+
 @pytest.mark.parametrize("text", ['"preset"', '[1, 2]', '{"preset": 5}', '{"preset": ["nil"]}'])
 def test_preset_file_of_the_wrong_shape(text, tmp_path):
     path = tmp_path / "odd.json"

@@ -53,6 +53,39 @@ def test_gf_division():
         a / GFElement(7, 0)
 
 
+@pytest.mark.parametrize("p", (2, 5, 7))
+def test_gf_equality_with_ints_agrees_with_hash(p):
+    for v in range(p):
+        g = GFElement(p, v)
+        for n in range(-2 * p, 2 * p + 1):
+            # only the canonical residue is equal, so equal values hash alike
+            assert (g == n) == (n == v), (p, v, n)
+            if g == n:
+                assert hash(g) == hash(n)
+                assert {n: "found"}.get(g) == "found"
+        assert {g: "found"}.get(v) == "found"
+
+
+def test_gf_operators():
+    a, b, zero = GFElement(7, 3), GFElement(7, 5), GFElement(7, 0)
+    assert a - b == GFElement(7, 5)
+    assert a - 4 == GFElement(7, 6)
+    assert 1 - a == GFElement(7, 5)
+    assert 1 / a == b  # 3 * 5 = 15 = 1 mod 7
+    assert a ** -1 == b
+    assert a ** -2 == GFElement(7, 4)
+    assert zero ** 3 == 0
+    assert zero ** 0 == 1
+    with pytest.raises(DivisionByZero):
+        zero ** -1
+    with pytest.raises(DivisionByZero):
+        1 / zero
+    with pytest.raises(MixedVariant):
+        Fraction(1, 2) - a
+    assert str(GFElement(7, -1)) == "6"
+    assert repr(GFElement(7, 10)) == "GFElement(7, 3)"
+
+
 def test_mixed_variant_raises():
     with pytest.raises(MixedVariant):
         GFElement(5, 1) + GFElement(7, 1)
@@ -145,6 +178,24 @@ def test_parse_names_the_text_of_a_denominator_divisible_by_p():
 def test_parse_rejects_deep_nesting_with_value_error(depth):
     with pytest.raises(ValueError, match="nested too deeply"):
         parse_scalar("-" * depth + "1")
+
+
+@pytest.mark.parametrize("text", [
+    "-" * 50000 + "1", "q" * 50000 + " q", "q" * 50000 + "/0",
+    "q" * 50000 + ".real", "#" + "1" * 50000,
+], ids=["nested", "syntax", "zero_divisor", "grammar", "comment"])
+def test_parse_errors_quote_a_bounded_prefix(text):
+    with pytest.raises((ValueError, DivisionByZero)) as caught:
+        parse_scalar(text)
+    message = str(caught.value)
+    assert len(message) < 300
+    assert repr(text[:60]) in message and str(len(text)) in message
+
+
+@pytest.mark.parametrize("text", ["2q", "q # c", "q.real"])
+def test_parse_errors_quote_a_short_scalar_whole(text):
+    with pytest.raises((ValueError, DivisionByZero), match=re.escape(repr(text))):
+        parse_scalar(text)
 
 
 def test_parse_rejects_names_in_prime_field():

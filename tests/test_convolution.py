@@ -663,3 +663,15 @@ def test_left_action_commutes_with_right_translation():
               laurel_basis_element(p, d, lam, mu, g, unit_poly(p, d)),
               split_merge(p, d, mu, (1, 1, 1), kind="partial_merge")):
         assert (x * col) * right == x * (col * right)
+
+
+def test_block_and_schur_renderings():
+    p = preset("affine_hecke")
+    s = phi_embed(PqwpElement.h_gen(p, 2, 0))
+    value = "|1 2| -> [(q-1)*(1⊗1)*x1]/(x1-x2); |2 1| -> [(1⊗1)]*P12/(x1-x2)"
+    assert str(s) == f"[(1, 1)|(1, 1)] {value}"
+    assert str(s.block((1, 1), (1, 1))) == f"[(1, 1)|(1, 1)] {value}"
+    assert str(split_merge(p, 2, (2,), kind="split")) == \
+        "[(1, 1)|(2,)] |1 2| -> [(1⊗1)]*P12/(x1-x2)"
+    assert str(ConvBlock.zero(p, 2, (1, 1), (2,))) == "0[(1, 1)|(2,)]"
+    assert str(SchurElement.zero(p, 2)) == "0"

@@ -28,25 +28,31 @@ def test_no_unused_imports(path):
 
 
 # TensorPoly and TensorVector results may share their term dicts with
-# operands, so no library code may change a ``terms`` dict in place.
-MUTATING_METHODS = {"pop", "popitem", "update", "clear", "setdefault"}
+# operands, and LocalizedElement results their nfac and dfac Counters, so no
+# library code may change a ``terms``, ``nfac`` or ``dfac`` in place.
+SHARED_ATTRIBUTES = {"terms", "nfac", "dfac"}
+MUTATING_METHODS = {"pop", "popitem", "update", "clear", "setdefault", "subtract"}
 
 
 def terms_mutations(source):
-    """Line numbers where source changes an attribute named ``terms`` in
-    place: an item assignment, augmented assignment or deletion, or a call
-    of a mutating dict method on it."""
+    """Line numbers where source changes an attribute named ``terms``,
+    ``nfac`` or ``dfac`` in place: an item assignment, augmented assignment
+    or deletion, an augmented assignment to the attribute itself (in place
+    for a dict or Counter), or a call of a mutating dict or Counter method
+    on it."""
 
-    def is_terms(node):
-        return isinstance(node, ast.Attribute) and node.attr == "terms"
+    def is_shared(node):
+        return isinstance(node, ast.Attribute) and node.attr in SHARED_ATTRIBUTES
 
     lines = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
-                and is_terms(node.value)):
+                and is_shared(node.value)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and is_shared(node.target):
             lines.append(node.lineno)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in MUTATING_METHODS and is_terms(node.func.value)):
+              and node.func.attr in MUTATING_METHODS and is_shared(node.func.value)):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -66,13 +72,21 @@ def test_terms_mutation_guard_sees_each_form():
         "p.terms.update(q)",
         "p.terms.clear()",
         "p.terms.setdefault(k, c)",
+        "x.nfac[t] -= 1",
+        "x.dfac -= common",
+        "x.nfac.subtract(c)",
+        "del x.dfac[t]",
+        "x.terms |= q",
         "terms[k] = c",
         "x = p.terms[k]",
         "out[p.terms[k]] = c",
         "p.terms = {}",
         "q = p.terms.get(k)",
+        "nfac -= common",
+        "dfac[t] = k",
+        "y = x.nfac - x.dfac",
     ])
-    assert terms_mutations(source) == list(range(1, 9))
+    assert terms_mutations(source) == list(range(1, 14))
 
 
 # Every function, class and method of the library is used somewhere: in the

@@ -6,17 +6,18 @@ from math import prod
 
 import pytest
 
+from qwreath import tensor_poly
 from qwreath.base_algebra import (
     FAlgebra, FTensor, PqwpParams, preset, rebase_field, shipped_presets,
     validate_pqwp,
 )
 from qwreath.coeff_ring import Field
 from qwreath.pqwp import PqwpElement
-from qwreath.symcomb import all_perms, mul, simple
+from qwreath.symcomb import all_perms, inverse, mul, simple
 from qwreath.tensor_poly import (
     LocalizedElement, SizeMismatch, TensorPoly, abar_ij, alpha_ij,
-    annihilator_certificate, beta_ij, divide_exact_linear, monomial, of_ftensor,
-    p_ij, r_ij, s_ij, unit_poly, x_var, zero_poly,
+    annihilator_certificate, beta_ij, divide_exact_linear, factor_value,
+    monomial, of_ftensor, p_ij, r_ij, s_ij, unit_poly, x_var, zero_poly,
 )
 
 
@@ -340,6 +341,83 @@ def test_localized_mul_collects_factors():
     assert not (half - half)
 
 
+def _retry_reduced(core, nfac, dfac):
+    """(core, nfac, dfac) reduced by the reference retry loop: cancel the
+    shared tags, then sweep the linear denominators, one exact division per
+    tag and sweep, until a sweep divides nothing."""
+    nfac, dfac = +Counter(nfac), +Counter(dfac)
+    if not core:
+        return core, Counter(), Counter()
+    common = nfac & dfac
+    nfac, dfac = nfac - common, dfac - common
+    progress = True
+    while progress and dfac:
+        progress = False
+        for tag in list(dfac):
+            if tag[0] != "lin":
+                continue
+            q = divide_exact_linear(core, tag[1], tag[2])
+            if q is not None:
+                core = q
+                dfac = dfac - Counter([tag])
+                progress = True
+    return core, nfac, dfac
+
+
+@pytest.mark.parametrize("name", ["degenerate", "affine_hecke", "zigzag_a1", "pro_p"])
+def test_localized_one_pass_matches_the_retry_loop(name):
+    params, d = preset(name), 3
+    rng = random.Random(53)
+    lin = [("lin", i, j) for i in range(d) for j in range(i + 1, d)]
+    ps = [("P", i, j) for i in range(d) for j in range(d) if i != j]
+
+    def draw():
+        return rng.choice(lin if rng.random() < 0.7 else ps)
+
+    several = 0
+    for _ in range(40):
+        core = random_poly(params, d, rng, nterms=2, max_deg=2)
+        for _ in range(rng.randint(0, 4)):
+            core = core * factor_value(params, d, draw())
+        nfac = Counter(draw() for _ in range(rng.randint(0, 2)))
+        dfac = Counter(draw() for _ in range(rng.randint(0, 5)))
+        el = LocalizedElement(core, nfac, dfac)
+        assert (el.core, el.nfac, el.dfac) == _retry_reduced(core, nfac, dfac), \
+            (str(core), nfac, dfac)
+        assert not el.nfac & el.dfac
+        several += sum((dfac - nfac - el.dfac).values()) > 1
+    assert several  # some draws divide more than once
+
+
+def test_localized_is_frozen():
+    el = LocalizedElement.one(preset("degenerate"), 2)
+    with pytest.raises(AttributeError):
+        el.core = zero_poly(preset("degenerate"), 2)
+
+
+def test_localized_results_in_reduced_form_divide_nothing(monkeypatch):
+    params, d = preset("affine_hecke"), 3
+    x1, x2 = x_var(params, d, 0), x_var(params, d, 1)
+    el = LocalizedElement(x1 * x1 + x2, Counter([("P", 0, 1)]),
+                          Counter([("lin", 0, 2), ("lin", 1, 2), ("P", 1, 2)]))
+    calls = []
+
+    def counting(p, i, j):
+        calls.append((i, j))
+        return divide_exact_linear(p, i, j)
+
+    monkeypatch.setattr(tensor_poly, "divide_exact_linear", counting)
+    w = (2, 0, 1)
+    neg, moved, tripled = -el, el.place_permute(w), el.scale(params.field.from_int(3))
+    assert calls == []
+    assert str(neg) == str(LocalizedElement(-el.core, el.nfac, el.dfac))
+    assert moved.place_permute(inverse(w)) == el
+    assert tripled == el + el + el
+    assert calls  # the sum goes through the public constructor
+    zero = el.scale(params.field.zero())
+    assert not zero and not zero.nfac and not zero.dfac
+
+
 @pytest.mark.parametrize("name", ["degenerate", "affine_hecke", "pro_p", "zigzag_a1"])
 def test_no_annihilators_for_good_packs(name):
     ok, witness = annihilator_certificate(preset(name), degree_bound=2)
@@ -552,3 +630,14 @@ def test_twisted_demazure_matches_its_definition(name, d):
                 terms[(tuple(exps), tuple(fkey))] = params.field.from_int(rng.randint(1, 5))
         for f in polys + [TensorPoly(params, d, terms)]:
             assert f.twisted_demazure(i).terms == rho_by_definition(f, i).terms
+
+
+def test_localized_rendering():
+    params = preset("affine_hecke")
+    el = LocalizedElement(unit_poly(params, 2), [("P", 0, 1)], [("lin", 0, 1)])
+    assert str(el) == "[(1⊗1)]*P12/(x1-x2)"
+    x1 = x_var(params, 3, 0)
+    el = LocalizedElement(x1 * x1, Counter({("P", 0, 1): 2, ("P", 1, 2): 1}),
+                          Counter({("lin", 0, 2): 2, ("P", 0, 2): 1}))
+    assert str(el) == "[(1⊗1⊗1)*x1^2]*P12^2*P23/P13*(x1-x3)^2"
+    assert repr(LocalizedElement.zero(params, 2)) == "LocalizedElement([0])"
