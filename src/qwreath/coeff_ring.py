@@ -856,12 +856,12 @@ def _evaluate(node, src: str, names_allowed: bool):
                      f"scalar {_quoted(src.replace('**', '^'))}")
 
 
-def _quoted(text: str, limit: int = 60) -> str:
-    """repr of text for an error message: at most its first limit
-    characters, then the total length when it is longer."""
-    if len(text) <= limit:
+def _quoted(text: str) -> str:
+    """repr of text for an error message: at most its first 60 characters,
+    then the total length when it is longer."""
+    if len(text) <= 60:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def parse_scalar(text: str, p: int | None = None):

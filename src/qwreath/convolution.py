@@ -441,13 +441,14 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
         return PolyRepVector._make(params, d, blk.lam,
                                    merge_apply(params, d, blk.lam, blk.mu, v.value))
     acc = LocalizedElement.zero(params, d)
+    e_inv = _e_localized(params, d, blk.mu, True)
     for h in coset_reps(blk.mu, "right"):
         u, g, _ = double_coset_decompose(h, blk.lam, blk.mu)
         r = blk.terms.get(g)
         if r is None:
             continue
         term = r.place_permute(u) * v.value.place_permute(h)
-        acc = acc + term * _e_localized(params, d, blk.mu, True).place_permute(h)
+        acc = acc + term * e_inv.place_permute(h)
     result = acc * _e_localized(params, d, blk.lam, False)
     return PolyRepVector._make(params, d, blk.lam, result)
 
