@@ -10,7 +10,7 @@ import weakref
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import SCALARS, Field, scalar_str
+from .coeff_ring import SCALARS, Field, _quoted, scalar_str
 
 
 class ArityMismatch(ValueError):
@@ -156,21 +156,38 @@ class FAlgebra:
 
 class SparseSum:
     """A finite linear combination over a basis, stored as ``terms``, a dict
-    from basis key to nonzero coefficient.  Addition, negation, subtraction
-    and scaling are written here once, and ``bool(x)`` is the zero test, as
-    it is for the scalars.
+    from basis key to nonzero coefficient.  Addition, negation, subtraction,
+    scaling, ``==`` and ``repr`` are written here once, and ``bool(x)`` is
+    the zero test, as it is for the scalars.
+
+    Every constructor drops zero coefficients, so two sums over the same
+    space are equal exactly when their term dicts are: the same keys, and
+    coefficients equal by their own ``==``.  Sums over different spaces are
+    unequal.
 
     A subclass provides ``terms`` and two methods: ``_same_space(other)``,
-    which raises the subclass's own mismatch error when other lives in a
-    different space, and ``_like(terms)``, the trusted constructor of a
-    result in the same space, which takes ownership of the dict and only
-    drops its zero coefficients.  An operand of another type is left to
-    Python (NotImplemented)."""
+    which raises the subclass's own mismatch error, a ValueError, when
+    other lives in a different space, and ``_like(terms)``, the trusted
+    constructor of a result in the same space, which takes ownership of the
+    dict and only drops its zero coefficients.  An operand of another type
+    is left to Python (NotImplemented)."""
 
     __slots__ = ()
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            self._same_space(other)
+        except ValueError:
+            return False
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -301,10 +318,6 @@ class FTensor(SparseSum):
                 return False
         return True
 
-    def __eq__(self, other):
-        return (isinstance(other, FTensor) and self.algebra is other.algebra
-                and self.arity == other.arity and self.terms == other.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -326,9 +339,6 @@ class FTensor(SparseSum):
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-    def __repr__(self):
-        return f"FTensor({self})"
 
 
 def ftensor_mul(a: FTensor, b: FTensor) -> FTensor:
@@ -837,7 +847,7 @@ def _field_from_spec(spec) -> Field:
             return Field.prime(int(spec["p"]))
         except (KeyError, ValueError) as exc:
             raise InvalidConfig(f"bad prime field spec: {exc}")
-    raise InvalidConfig(f"unknown field kind {kind!r}")
+    raise InvalidConfig(f"unknown field kind {_quoted(str(kind))}")
 
 
 def _algebra_from_spec(spec, field) -> FAlgebra:
@@ -855,7 +865,7 @@ def _algebra_from_spec(spec, field) -> FAlgebra:
                  for row in raw]
         return FAlgebra(field, labels, table, int(spec.get("unit", 0)),
                         name=spec.get("name", "F"))
-    raise InvalidConfig(f"unknown algebra kind {kind!r}")
+    raise InvalidConfig(f"unknown algebra kind {_quoted(str(kind))}")
 
 
 def _tensor_from_spec(entries, alg) -> FTensor:
@@ -865,8 +875,11 @@ def _tensor_from_spec(entries, alg) -> FTensor:
         try:
             key_labels, coeff = row
             key = tuple(label_index[lab] for lab in key_labels)
-        except (ValueError, KeyError) as exc:
-            raise InvalidConfig(f"bad tensor entry {row!r}: {exc}")
+        except ValueError:
+            raise InvalidConfig(f"bad tensor entry {_quoted(str(row))}") from None
+        except KeyError as exc:
+            raise InvalidConfig(f"unknown label {_quoted(str(exc.args[0]))} "
+                                "in a tensor entry") from None
         c = alg.field.parse(str(coeff))
         terms[key] = terms.get(key, alg.field.zero()) + c
     return FTensor(alg, 2, terms)
@@ -881,7 +894,7 @@ def _pack_from_spec(data, source: str) -> PqwpParams:
         deltas = {}
         for key_str, entries in data.get("delta", {}).items():
             if len(key_str) != 2 or any(ch not in "01" for ch in key_str):
-                raise InvalidConfig(f"bad delta key {key_str!r}")
+                raise InvalidConfig(f"bad delta key {_quoted(key_str)}")
             deltas[(int(key_str[0]), int(key_str[1]))] = _tensor_from_spec(entries, alg)
         alpha = _tensor_from_spec(data.get("alpha", ()), alg)
         stated_r = None

@@ -29,14 +29,14 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .base_algebra import SparseSum, _Frozen, pack_cached
-from .pqwp import IdentityFailed, PqwpElement, pqwp_mul
+from .pqwp import IdentityFailed, PqwpElement, _alpha_over_pairs, pqwp_mul
 from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_to_perm, mul,
                       region_L, region_N, region_P, simple, ThetaMatrix,
                       young_subgroup)
-from .tensor_poly import (LocalizedElement, TensorPoly, alpha_ij, beta_ij,
-                          monomial, require_invariant, unit_poly, zero_poly)
+from .tensor_poly import (LocalizedElement, TensorPoly, beta_ij, monomial,
+                          require_invariant, unit_poly, zero_poly)
 
 
 class BlockMismatch(ValueError):
@@ -170,15 +170,6 @@ class ConvBlock(SparseSum, _Frozen):
         g = max(self.terms, key=lambda w: (length(w), w))
         return g, self.terms[g]
 
-    def __eq__(self, other):
-        if not isinstance(other, ConvBlock):
-            return NotImplemented
-        self._same_space(other)
-        keys = set(self.terms) | set(other.terms)
-        zero = LocalizedElement.zero(self.params, self.d)
-        return all(self.terms.get(g, zero) == other.terms.get(g, zero)
-                   for g in keys)
-
     def __str__(self):
         if not self.terms:
             return f"0[{self.lam}|{self.mu}]"
@@ -187,9 +178,6 @@ class ConvBlock(SparseSum, _Frozen):
             one_line = " ".join(str(i + 1) for i in g)
             bits.append(f"|{one_line}| -> {self.terms[g]}")
         return f"[{self.lam}|{self.mu}] " + "; ".join(bits)
-
-    def __repr__(self):
-        return f"ConvBlock({self})"
 
 
 class SchurElement(SparseSum, _Frozen):
@@ -262,23 +250,10 @@ class SchurElement(SparseSum, _Frozen):
                 out[(lam, kap)] = piece if cur is None else cur + piece
         return self._like(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        self._same_space(other)
-        keys = set(self.terms) | set(other.terms)
-        for lam, mu in keys:
-            if self.block(lam, mu) != other.block(lam, mu):
-                return False
-        return True
-
     def __str__(self):
         if not self.terms:
             return "0"
         return " + ".join(str(self.terms[k]) for k in sorted(self.terms))
-
-    def __repr__(self):
-        return f"SchurElement({self})"
 
 
 # generators ------------------------------------------------------------------
@@ -425,12 +400,12 @@ class PolyRepVector(_Frozen):
 
 
 def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
-    """Action of one block on a column vector:
-
-        (f v)([1]) = sum_h f([1],[h]) h(e_mu)^{-1} h(v)
-
-    over coset representatives h; the merge-shaped blocks short-circuit to the
-    fraction-free symmetrization."""
+    """Action of one block on a column vector.  A vector v of the mu
+    component is the function on Y_mu x Y_(d) with value v at the base
+    point, so the (mu, (d)) block with normalized value v / e_mu; the action
+    is the convolution product of blk with that column block, whose value
+    at the identity times e_lam is the result.  The merge-shaped blocks
+    short-circuit to the fraction-free symmetrization."""
     params, d = blk.params, blk.d
     if blk.mu != v.lam:
         raise BlockMismatch(f"block columns {blk.mu} vs vector {v.lam}")
@@ -440,17 +415,11 @@ def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
             region_L(blk.mu) <= region_L(blk.lam):
         return PolyRepVector._make(params, d, blk.lam,
                                    merge_apply(params, d, blk.lam, blk.mu, v.value))
-    acc = LocalizedElement.zero(params, d)
-    e_inv = _e_localized(params, d, blk.mu, True)
-    for h in coset_reps(blk.mu, "right"):
-        u, g, _ = double_coset_decompose(h, blk.lam, blk.mu)
-        r = blk.terms.get(g)
-        if r is None:
-            continue
-        term = r.place_permute(u) * v.value.place_permute(h)
-        acc = acc + term * e_inv.place_permute(h)
-    result = acc * _e_localized(params, d, blk.lam, False)
-    return PolyRepVector._make(params, d, blk.lam, result)
+    column = ConvBlock._make(params, d, blk.mu, (d,),
+                             {e: v.value * _e_localized(params, d, blk.mu, True)})
+    value = blk.mul(column).terms.get(e, LocalizedElement.zero(params, d))
+    return PolyRepVector._make(params, d, blk.lam,
+                               value * _e_localized(params, d, blk.lam, False))
 
 
 def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
@@ -601,10 +570,8 @@ def crossing(params, d, lam) -> SchurElement:
     total = None
     for i in range(min(d1, d2) + 1):
         g = matrix_to_perm(ThetaMatrix([[i, d1 - i], [d2 - i, i]]))
-        c = unit_poly(params, d)
-        for a in range(i):
-            for b in range(i):
-                c = c * alpha_ij(params, d, a, d - i + b)
+        c = _alpha_over_pairs(params, d, [(a, d - i + b) for a in range(i)
+                                          for b in range(i)])
         term = laurel_basis_element(params, d, lam, mu, g, c)
         total = term if total is None else total + term
     return total

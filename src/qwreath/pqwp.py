@@ -128,10 +128,6 @@ class PqwpElement(SparseSum, _Frozen):
             return self.scale(other)
         return NotImplemented
 
-    def __eq__(self, other):
-        return (isinstance(other, PqwpElement) and self.params is other.params
-                and self.d == other.d and self.terms == other.terms)
-
     def coefficient(self, w: Perm) -> TensorPoly:
         return self.terms.get(w, zero_poly(self.params, self.d))
 
@@ -160,9 +156,6 @@ class PqwpElement(SparseSum, _Frozen):
                     cs = "(" + cs + ")"
                 chunks.append(f"{cs}*{hname}")
         return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"PqwpElement({self})"
 
     def to_json(self) -> str:
         rows = []

@@ -88,11 +88,6 @@ class TensorVector(SparseSum):
         """Right action of the coefficient ring, factor by factor."""
         return self._like({idx: b * q for idx, b in self.terms.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorVector)
-                and self.params is other.params and self.n == other.n
-                and self.d == other.d and self.terms == other.terms)
-
     def support(self):
         return sorted(self.terms)
 
@@ -111,9 +106,6 @@ class TensorVector(SparseSum):
                     cs = "(" + cs + ")"
                 chunks.append(f"{tag}*{cs}")
         return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"TensorVector({self})"
 
 
 def _swap(idx, k):
@@ -297,7 +289,7 @@ class ThetaMap:
         rest = pqwp_mul(PqwpElement.h_of_perm(params, self.d, self.g),
                         k_lambda(params, self.d, strip_zeros(self.source),
                                  "upper", self.delta))
-        self.core = pqwp_mul(PqwpElement.of_poly(P), rest)
+        self.core = rest.poly_left(P)
 
 
 def theta_apply(theta: ThetaMap, coords) -> dict:

@@ -131,10 +131,6 @@ class TensorPoly(SparseSum):
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorPoly) and self.params is other.params
-                and self.d == other.d and self.terms == other.terms)
-
     # structure maps
 
     def place_permute(self, w) -> "TensorPoly":
@@ -239,9 +235,6 @@ class TensorPoly(SparseSum):
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-    def __repr__(self):
-        return f"TensorPoly({self})"
 
     def to_json(self) -> str:
         rows = []

@@ -367,6 +367,24 @@ def test_preset_file_error_quotes_a_bounded_prefix(tmp_path):
     assert repr(scalar[:60]) in str(caught.value)
 
 
+LONG_TEXT = "ab" * 25000
+
+
+@pytest.mark.parametrize("data", [
+    {"alpha": [[[LONG_TEXT, "1"], "1"]]},
+    {"delta": {LONG_TEXT: []}},
+    {"field": {"kind": LONG_TEXT}},
+    {"algebra": {"kind": LONG_TEXT}},
+], ids=["label", "delta_key", "field_kind", "algebra_kind"])
+def test_preset_file_errors_quote_a_bounded_prefix_of_each_text(data, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidConfig) as caught:
+        load_preset_file(str(path))
+    assert len(str(caught.value)) < 300
+    assert repr(LONG_TEXT[:60]) in str(caught.value)
+
+
 @pytest.mark.parametrize("text", ['"preset"', '[1, 2]', '{"preset": 5}', '{"preset": ["nil"]}'])
 def test_preset_file_of_the_wrong_shape(text, tmp_path):
     path = tmp_path / "odd.json"

@@ -246,9 +246,9 @@ def test_pack_construction_guard_sees_each_form():
     assert pack_constructions(source) == ["<module>", "a", "inner", "m"]
 
 
-# The linear-combination operations are written once, in SparseSum; a class
-# deriving from it supplies terms, _same_space, _like and its own __eq__.
-SPARSE_SUM_OPERATIONS = {"__add__", "__neg__", "__sub__", "is_zero"}
+# The linear-combination operations, equality and repr are written once, in
+# SparseSum; a class deriving from it supplies terms, _same_space and _like.
+SPARSE_SUM_OPERATIONS = {"__add__", "__neg__", "__sub__", "is_zero", "__eq__", "__repr__"}
 
 
 def sparse_sum_overrides(sources):
@@ -285,14 +285,17 @@ def test_sparse_sums_inherit_their_linear_operations():
 def test_sparse_sum_guard_sees_each_form():
     source = "\n".join([
         "class A(SparseSum):\n    def __add__(self, o): pass\n    def scale(self, c): pass",
-        "class B(base_algebra.SparseSum, _Frozen):\n    def is_zero(self): pass",
+        "class B(base_algebra.SparseSum, _Frozen):\n    def is_zero(self): pass\n"
+        "    def __repr__(self): pass",
         "class C(A):\n    def __neg__(self): pass\n    def __eq__(self, o): pass",
-        "class D:\n    def __sub__(self, o): pass",
+        "class D:\n    def __sub__(self, o): pass\n    def __eq__(self, o): pass\n"
+        "    def __repr__(self): pass",
         "class SparseSum:\n    def __add__(self, o): pass",
     ])
     later = "class E(C):\n    def __sub__(self, o): pass\n    def _like(self, t): pass"
     assert sparse_sum_overrides([later, source]) == [
-        ("A", "__add__"), ("B", "is_zero"), ("C", "__neg__"), ("E", "__sub__")]
+        ("A", "__add__"), ("B", "__repr__"), ("B", "is_zero"), ("C", "__eq__"),
+        ("C", "__neg__"), ("E", "__sub__")]
 
 
 # Cosets and shuffles are enumerated in symcomb alone (coset_reps and

@@ -1,5 +1,7 @@
-"""The linear operations every SparseSum inherits, on one small nonzero
-element of each subclass."""
+"""The linear operations, equality and repr every SparseSum inherits, on
+one small nonzero element of each subclass."""
+
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,7 @@ from qwreath.convolution import BlockMismatch, ConvBlock, SchurElement
 from qwreath.pqwp import ParamMismatch, PqwpElement
 from qwreath.symcomb import identity, simple
 from qwreath.tensor_module import ModuleMismatch, TensorVector
-from qwreath.tensor_poly import LocalizedElement, SizeMismatch, x_var
+from qwreath.tensor_poly import LocalizedElement, SizeMismatch, p_ij, unit_poly, x_var
 
 
 def _poly(p, d):
@@ -77,3 +79,51 @@ def test_mixed_types_raise_type_error(kind):
             a - b
     with pytest.raises(TypeError):
         a + 1
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_mixed_spaces_compare_unequal(kind):
+    a, other, _ = _cases()[kind]
+    assert (a == other) is False
+    assert (other == a) is False
+    assert (a != other) is True
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_mixed_types_compare_unequal(kind):
+    cases = _cases()
+    a = cases[kind][0]
+    for other_kind, (b, _, _) in cases.items():
+        if other_kind != kind:
+            assert (a == b) is False
+            assert (a != b) is True
+    assert (a == 1) is False
+
+
+REPRS = {
+    "FTensor": "FTensor(q*1⊗1)",
+    "TensorPoly": "TensorPoly((1⊗1)*x1 - 2*(1⊗1)*x2)",
+    "PqwpElement": "PqwpElement(H[1] + (1⊗1)*x1 - 2*(1⊗1)*x2)",
+    "TensorVector": "TensorVector(v[2,1]*((1⊗1)*x1 - 2*(1⊗1)*x2))",
+    "ConvBlock": "ConvBlock([(1, 1)|(1, 1)] |1 2| -> [(1⊗1)*x1 - 2*(1⊗1)*x2]; "
+                 "|2 1| -> [(1⊗1)])",
+    "SchurElement": "SchurElement([(1, 1)|(1, 1)] |1 2| -> [(1⊗1)*x1 - 2*(1⊗1)*x2]; "
+                    "|2 1| -> [(1⊗1)])",
+}
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_repr(kind):
+    assert repr(_cases()[kind][0]) == REPRS[kind]
+
+
+def test_blocks_compare_values_in_different_factored_forms():
+    """P_12 stored expanded and stored as a factor tag is one value."""
+    p, d, lam = preset("affine_hecke"), 2, (1, 1)
+    expanded = ConvBlock(p, d, lam, lam, {identity(d): LocalizedElement(p_ij(p, d, 0, 1))})
+    tagged = ConvBlock(p, d, lam, lam, {identity(d): LocalizedElement(
+        unit_poly(p, d), Counter([("P", 0, 1)]))})
+    assert expanded.terms[identity(d)].nfac != tagged.terms[identity(d)].nfac
+    assert expanded == tagged
+    assert not expanded != tagged
+    assert SchurElement.from_block(expanded) == SchurElement.from_block(tagged)
