@@ -21,7 +21,11 @@ z^{-1} y = u'_z g'_z v'_z are the double coset decompositions.
 
 Splits, merges and invariant multiplications generate the Schur algebra of
 interest; the polynomial representation on direct sums of invariant rings
-R^{S_lam} is faithful and serves as the zero-testing oracle.
+R^{S_lam} is faithful and serves as the zero-testing oracle.  It is the
+column (d) of the algebra: a function on Y_lam x Y_(d) is determined by its
+value at the base point, an S_lam-invariant, so a vector of the lam
+component is the (lam, (d)) column block, and an element acts on vectors by
+the convolution product.
 """
 
 from collections import Counter
@@ -359,67 +363,28 @@ def phi_embed(a: PqwpElement) -> SchurElement:
 
 # polynomial representation ---------------------------------------------------
 
-class PolyRepVector(_Frozen):
-    """Element of the lam component of the polynomial representation: an
-    S_lam-invariant value, polynomial in practice but allowed to carry
-    denominators transiently.
-
-    Only the public constructor validates its input: a value over the same
-    (params, d), invariant under S_lam.  Results of the action are built
-    by ``_make``, which trusts them."""
-
-    __slots__ = ("params", "d", "lam", "value")
-
-    def __init__(self, params, d, lam, value):
-        d = int(d)
-        lam = check_comp(d, lam)
-        if isinstance(value, TensorPoly):
-            value = LocalizedElement(value)
-        if value.params is not params or value.d != d:
-            raise BlockMismatch("vector value lives over different data")
-        self._store(params, d, lam, require_invariant(value, lam))
-
-    @staticmethod
-    def one(params, d, lam) -> "PolyRepVector":
-        return PolyRepVector(params, d, lam, LocalizedElement.one(params, d))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyRepVector):
-            return NotImplemented
-        return (self.lam, self.d) == (other.lam, other.d) and \
-            self.value == other.value
-
-    def __str__(self):
-        return f"[{self.lam}] {self.value}"
-
-    def __repr__(self):
-        return f"PolyRepVector({self})"
+def poly_vector(params, d, lam, value) -> SchurElement:
+    """The vector of the lam component with an S_lam-invariant value: the
+    (lam, (d)) column block, whose one double coset, the identity, holds
+    value / e_lam.  e_lam is S_lam-invariant, so the block's constructor
+    checks the invariance of value; a value over other data is refused."""
+    d = int(d)
+    if isinstance(value, TensorPoly):
+        value = LocalizedElement(value)
+    if value.params is not params or value.d != d:
+        raise BlockMismatch("vector value lives over different data")
+    blk = ConvBlock(params, d, lam, (d,),
+                    {identity(d): value * _e_localized(params, d, lam, True)})
+    return SchurElement.from_block(blk)
 
 
-def _block_apply(blk: ConvBlock, v: PolyRepVector) -> PolyRepVector:
-    """Action of one block on a column vector.  A vector v of the mu
-    component is the function on Y_mu x Y_(d) with value v at the base
-    point, so the (mu, (d)) block with normalized value v / e_mu; the action
-    is the convolution product of blk with that column block, whose value
-    at the identity times e_lam is the result.  The merge-shaped blocks
-    short-circuit to the fraction-free symmetrization."""
-    params, d = blk.params, blk.d
-    if blk.mu != v.lam:
-        raise BlockMismatch(f"block columns {blk.mu} vs vector {v.lam}")
-    e = identity(d)
-    one = LocalizedElement.one(params, d)
-    if set(blk.terms) == {e} and blk.terms[e] == one and \
-            region_L(blk.mu) <= region_L(blk.lam):
-        return PolyRepVector._make(params, d, blk.lam,
-                                   merge_apply(params, d, blk.lam, blk.mu, v.value))
-    column = ConvBlock._make(params, d, blk.mu, (d,),
-                             {e: v.value * _e_localized(params, d, blk.mu, True)})
-    value = blk.mul(column).terms.get(e, LocalizedElement.zero(params, d))
-    return PolyRepVector._make(params, d, blk.lam,
-                               value * _e_localized(params, d, blk.lam, False))
+def poly_value(v: SchurElement, lam) -> LocalizedElement:
+    """The lam component of the vector v: the value of its (lam, (d))
+    column block at the base point."""
+    r = v.block(lam, (v.d,)).terms.get(identity(v.d))
+    if r is None:
+        return LocalizedElement.zero(v.params, v.d)
+    return r * _e_localized(v.params, v.d, lam, False)
 
 
 def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
@@ -454,34 +419,19 @@ def merge_apply(params, d, lam, nu, value) -> LocalizedElement:
     return merge_apply(params, d, lam, fused, acc)
 
 
-def poly_rep_apply(s: SchurElement, v: PolyRepVector) -> PolyRepVector:
-    """Apply a Schur element to a vector in the v.lam component.  The element
-    must carry the result into a single component; a zero result stays in the
-    component of v."""
-    if (s.params, s.d) != (v.params, v.d):
-        raise BlockMismatch("mixed parameter sets")
-    # blocks are keyed by (lam, mu), so each lam occurs once for mu = v.lam
-    results = {}
-    for (lam, mu), blk in s.terms.items():
-        if mu == v.lam:
-            piece = _block_apply(blk, v)
-            if piece:
-                results[lam] = piece
-    if not results:
-        return PolyRepVector._make(v.params, v.d, v.lam,
-                                   LocalizedElement.zero(v.params, v.d))
-    if len(results) > 1:
-        raise BlockMismatch(
-            f"result spans components {sorted(results)}; apply blockwise")
-    return next(iter(results.values()))
+def poly_rep_apply(s: SchurElement, v: SchurElement) -> SchurElement:
+    """The action of s on a vector of the polynomial representation: the
+    convolution product with the vector's column blocks."""
+    return s * v
 
 
 # the faithfulness oracle -----------------------------------------------------
 
 @pack_cached
 def _detecting_family(params, d, mu) -> tuple:
-    """Symmetrized products (staircase monomial) x (basis tensor), enough to
-    separate every block with column composition mu."""
+    """The column blocks of the symmetrized products (staircase monomial) x
+    (basis tensor): vectors of the mu component enough to separate every
+    block with column composition mu."""
     alg = params.algebra
     family = []
     exp_ranges = [range(d - j) for j in range(1, d)]
@@ -492,7 +442,7 @@ def _detecting_family(params, d, mu) -> tuple:
             for u in young_subgroup(mu):
                 acc = acc + base.place_permute(u)
             if acc:
-                family.append(acc)
+                family.append(poly_vector(params, d, mu, acc).block(mu, (d,)))
     return tuple(family)
 
 
@@ -505,12 +455,9 @@ def zero_test_via_poly_rep(s: SchurElement) -> bool:
         raise CharacteristicTooSmall(
             f"characteristic {field.p} <= d = {s.d}: the staircase matrix "
             "is singular, the detecting family proves nothing")
-    for (lam, mu), blk in s.terms.items():
-        if not blk:
-            continue
-        for b in _detecting_family(s.params, s.d, mu):
-            v = PolyRepVector._make(s.params, s.d, mu, LocalizedElement(b))
-            if _block_apply(blk, v):
+    for blk in s.terms.values():
+        for column in _detecting_family(s.params, s.d, blk.mu):
+            if blk.mul(column):
                 return False
     return True
 
@@ -580,9 +527,12 @@ def crossing(params, d, lam) -> SchurElement:
 def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
     """Check that splitting out of the full merge equals the crossing sum for
     a two-part shape and its reversal.  oracle='values' compares stored block
-    values; oracle='both' also compares the two sides on the detecting family
-    of the polynomial representation; any other oracle is a ValueError.
-    Returns a summary dict; raises IdentityFailed on mismatch."""
+    values; any oracle but 'values' and 'both' is a ValueError.
+    oracle='both' also zero-tests left - right on the detecting family of
+    the polynomial representation, but only after the values agreed, when
+    that difference is the zero element: the check applies no block and
+    cannot fail, so it is no independent oracle.  Returns a summary dict;
+    raises IdentityFailed on mismatch."""
     if oracle not in ("values", "both"):
         raise ValueError(f"unknown oracle {oracle!r}")
     lam, mu = _two_part(d, lam)

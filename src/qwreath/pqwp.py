@@ -325,25 +325,11 @@ def from_right_coefficients(params, d, rights: dict) -> PqwpElement:
 # products of alphas over inversion sets -------------------------------------
 
 
-# family name -> (pair factor, whether it runs over Inv(w^{-1}))
-_FAMILIES = {"alpha": (alpha_ij, False), "abar": (abar_ij, False),
-             "alpha_star": (alpha_ij, True)}
-
-
-def alpha_family(params, d, w: Perm, which: str = "alpha") -> TensorPoly:
+def alpha_family(params, d, w: Perm) -> TensorPoly:
     """Product of alpha factors over the inversions of w, in sorted pair
-    order.
-
-    which = 'alpha' or 'abar' multiplies over Inv(w); 'alpha_star' is the
-    same alpha product over Inv(w^{-1}); any other name is a ValueError.
-    With central factors the order does not matter; check C2 of
-    ``validate_pqwp`` rejects a non-central alpha.
-    """
-    if which not in _FAMILIES:
-        raise ValueError(f"unknown family {which!r}")
-    factor, star = _FAMILIES[which]
-    return _alpha_over_pairs(params, d, inv_set(inverse(w) if star else w),
-                             factor)
+    order.  With central factors the order does not matter; check C2 of
+    ``validate_pqwp`` rejects a non-central alpha."""
+    return _alpha_over_pairs(params, d, inv_set(w))
 
 
 def _alpha_over_pairs(params, d, pairs, factor=alpha_ij) -> TensorPoly:

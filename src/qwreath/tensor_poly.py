@@ -423,9 +423,10 @@ class LocalizedElement(_Frozen):
     Counters with an operand, so no code changes nfac or dfac in place.
 
     Equality is decided by cross-multiplication: a == b iff
-    a.core * a.nfac * b.dfac == b.core * b.nfac * a.dfac.  The factors the
-    two sides share (a numerator tag of both elements, or a denominator tag
-    of both) are cancelled before anything is multiplied out.  Cancelling,
+    a.core * a.nfac * b.dfac == b.core * b.nfac * a.dfac; values over
+    different packs or sizes are unequal.  The factors the two sides share
+    (a numerator tag of both elements, or a denominator tag of both) are
+    cancelled before anything is multiplied out.  Cancelling,
     like cross-multiplying, assumes a commutative F and factors that are not
     zero divisors (condition C3)."""
 
@@ -543,7 +544,10 @@ class LocalizedElement(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        lc, rc, _, _ = self._over_common_factors(other)
+        try:
+            lc, rc, _, _ = self._over_common_factors(other)
+        except SizeMismatch:
+            return False
         return lc == rc
 
     def __str__(self):

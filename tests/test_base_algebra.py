@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,10 @@ from qwreath.base_algebra import (
     validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
+from qwreath.pqwp import k_lambda, m_lambda, pqwp_mul
 from qwreath.tensor_poly import x_var
+
+WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
 
 
 def dual_numbers():
@@ -139,6 +143,30 @@ def test_rebase_reloads_the_preset_data(monkeypatch, tmp_path):
     assert rebase_field(params, params.field) is params
     with pytest.raises(InvalidConfig):
         rebase_field(params, Field.prime(3))
+
+
+def test_group_algebra_of_s3_is_a_non_commutative_table():
+    """tests/data/wreath_s3.toml gives F = k[S_3] as a 6-dimensional table
+    algebra: s*t and t*s are different basis elements."""
+    alg = load_preset_file(WREATH_S3).algebra
+    assert alg.dim == 6 and alg.labels == ("1", "s", "t", "st", "ts", "sts")
+    s, t = (FTensor.basis(alg, (alg.labels.index(x),)) for x in ("s", "t"))
+    assert s * t == FTensor.basis(alg, (3,))
+    assert t * s == FTensor.basis(alg, (4,))
+    assert s * t != t * s
+
+
+def test_wreath_s3_reports_pass_at_degree_one():
+    params = load_preset_file(WREATH_S3)
+    assert validate_pqwp(params, 1).passed
+    assert verify_pbw_conditions(params, 1).passed
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_wreath_s3_k_squared_is_m_times_k(d):
+    params = load_preset_file(WREATH_S3)
+    k = k_lambda(params, d, (d,))
+    assert pqwp_mul(k, k) == k.poly_left(m_lambda(params, d, (d,)))
 
 
 def test_rebase_needs_preset_data():

@@ -5,17 +5,17 @@ import pytest
 from qwreath.base_algebra import preset, rebase_field, shipped_presets
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
-    BlockMismatch, CharacteristicTooSmall, ConvBlock, PolyRepVector,
-    SchurElement, coil_basis_element, crossing,
-    diagonal_element, dumb_vs_smart_identity, elements_equal, h_tilde,
-    k_block, laurel_basis_element, merge_apply, phi_embed, poly_rep_apply,
-    split_merge, twist_e, zero_test_via_poly_rep,
+    BlockMismatch, CharacteristicTooSmall, ConvBlock, SchurElement,
+    coil_basis_element, crossing, diagonal_element, dumb_vs_smart_identity,
+    elements_equal, h_tilde, k_block, laurel_basis_element, merge_apply,
+    phi_embed, poly_rep_apply, poly_value, poly_vector, split_merge, twist_e,
+    zero_test_via_poly_rep,
 )
 from qwreath.pqwp import PqwpElement, k_lambda, m_lambda, multinomial, pqwp_mul
 from qwreath.symcomb import (
     NotARefinement, all_perms, compositions, coset_shapes,
     double_coset_decompose, double_coset_reps, identity, inverse,
-    mul, simple, young_subgroup,
+    mul, refines, simple, young_subgroup,
 )
 from qwreath.tensor_poly import (
     InvarianceViolation, LocalizedElement, alpha_ij, monomial, p_ij, unit_poly,
@@ -83,9 +83,9 @@ def test_constructors_reject_values_over_other_data():
             ConvBlock(p, 2, (1, 1), (1, 1), {(0, 1): other})
     for other in (unit_poly(q, 3), unit_poly(p, 3), unit_poly(q, 2)):
         with pytest.raises(BlockMismatch):
-            PolyRepVector(p, 2, (1, 1), other)
+            poly_vector(p, 2, (1, 1), other)
         with pytest.raises(BlockMismatch):
-            PolyRepVector(p, 2, (2,), other)
+            poly_vector(p, 2, (2,), other)
     with pytest.raises(BlockMismatch):
         diagonal_element(p, 2, (2,), unit_poly(q, 2))
     for blk in (split_merge(q, 3, (2, 1), kind="merge").block((2, 1), (1, 1, 1)),
@@ -339,10 +339,26 @@ def test_split_fixes_invariants(name):
     d = 3
     lam = (2, 1)
     b = (x_var(p, d, 0) + x_var(p, d, 1)) * x_var(p, d, 2)
-    v = PolyRepVector(p, d, lam, b)
-    out = poly_rep_apply(split_merge(p, d, lam, kind="split"), v)
-    assert out.lam == (1, 1, 1)
-    assert out.value == LocalizedElement(b)
+    out = poly_rep_apply(split_merge(p, d, lam, kind="split"),
+                         poly_vector(p, d, lam, b))
+    assert set(out.terms) == {((1, 1, 1), (d,))}
+    assert poly_value(out, (1, 1, 1)) == LocalizedElement(b)
+
+
+def test_vectors_are_column_blocks():
+    """A vector of the lam component is the (lam, (d)) block holding
+    value / e_lam at the identity; poly_value reads the value back."""
+    p = preset("affine_hecke")
+    d, lam = 3, (2, 1)
+    b = x_var(p, d, 0) + x_var(p, d, 1)
+    v = poly_vector(p, d, lam, b)
+    assert set(v.terms) == {(lam, (d,))}
+    stored = v.block(lam, (d,)).terms[identity(d)]
+    assert LocalizedElement(twist_e(p, d, lam)) * stored == LocalizedElement(b)
+    assert poly_value(v, lam) == LocalizedElement(b)
+    assert not poly_value(v, (1, 2)) and not poly_value(v, (3,))
+    with pytest.raises(InvarianceViolation):
+        poly_vector(p, d, lam, x_var(p, d, 0))
 
 
 def test_merge_of_one_is_m_lambda():
@@ -350,16 +366,36 @@ def test_merge_of_one_is_m_lambda():
         p = preset(name)
         for d in (2, 3):
             for lam in compositions(d):
-                v = PolyRepVector.one(p, d, (1,) * d)
+                v = poly_vector(p, d, (1,) * d, unit_poly(p, d))
                 out = poly_rep_apply(split_merge(p, d, lam, kind="merge"), v)
-                assert out.value == LocalizedElement(m_lambda(p, d, lam)), (name, lam)
+                assert poly_value(out, lam) == LocalizedElement(m_lambda(p, d, lam)), \
+                    (name, lam)
 
 
 def test_nil_merge_kills_constants():
     p = preset("nil")
     out = poly_rep_apply(split_merge(p, 2, (2,), kind="merge"),
-                         PolyRepVector.one(p, 2, (1, 1)))
+                         poly_vector(p, 2, (1, 1), unit_poly(p, 2)))
     assert not out
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "zigzag_a1"))
+def test_partial_merges_act_as_the_fraction_free_reference(name):
+    """The product with a column block agrees with merge_apply, the pairwise
+    symmetrization, for every partial merge at d <= 4, and leaves no
+    denominator."""
+    p = preset(name)
+    rng = random.Random(11)
+    for d in (2, 3, 4):
+        for lam in compositions(d):
+            for nu in compositions(d):
+                if nu == lam or not refines(nu, lam):
+                    continue
+                M = split_merge(p, d, lam, nu, kind="partial_merge")
+                b = symmetrize(nu, random_poly(p, d, rng))
+                out = poly_value(poly_rep_apply(M, poly_vector(p, d, nu, b)), lam)
+                assert not out.dfac, (name, lam, nu)
+                assert out == merge_apply(p, d, lam, nu, b), (name, lam, nu)
 
 
 @pytest.mark.parametrize("name", FAST)
@@ -374,11 +410,8 @@ def test_k_action_two_ways(name):
         M = split_merge(p, d, lam, kind="merge")
         K = phi_embed(k_lambda(p, d, lam))
         for _ in range(2):
-            b = random_poly(p, d, rng)
-            v = PolyRepVector(p, d, omega, b)
-            via_sm = poly_rep_apply(S, poly_rep_apply(M, v))
-            via_k = poly_rep_apply(K, v)
-            assert via_sm.value == via_k.value
+            v = poly_vector(p, d, omega, random_poly(p, d, rng))
+            assert poly_rep_apply(S, poly_rep_apply(M, v)) == poly_rep_apply(K, v)
 
 
 def symmetrize(lam, b):
@@ -408,10 +441,11 @@ def test_merge_recurrence(name):
         for _ in range(2):
             b = symmetrize(lam_prev, random_poly(p, d, rng))
             lhs = merge_apply(p, d, lam_next, lam_prev, b)
-            crossed = poly_rep_apply(Hk, PolyRepVector(p, d, omega, b))
+            crossed = poly_value(poly_rep_apply(Hk, poly_vector(p, d, omega, b)),
+                                 omega)
             rhs = (LocalizedElement(coeff) * LocalizedElement(b)
                    + merge_apply(p, d, lam_prev, omega if k == 1 else
-                                 (k - 1,) + (1,) * (d - k + 1), crossed.value))
+                                 (k - 1,) + (1,) * (d - k + 1), crossed))
             assert lhs == rhs, (name, k)
 
 
@@ -428,26 +462,28 @@ def test_poly_rep_is_a_module_map():
                 phi_embed(PqwpElement.h_of_perm(p, d, rng.choice(perms)))]
         for x in pool[:2]:
             for y in pool[2:]:
-                b = random_poly(p, d, rng)
-                v = PolyRepVector(p, d, omega, b)
-                assert (poly_rep_apply(x * y, v).value
-                        == poly_rep_apply(x, poly_rep_apply(y, v)).value)
+                v = poly_vector(p, d, omega, random_poly(p, d, rng))
+                assert (poly_rep_apply(x * y, v)
+                        == poly_rep_apply(x, poly_rep_apply(y, v)))
 
 
 def test_poly_rep_apply_errors():
     p = preset("degenerate")
     q = preset("nil")
-    v = PolyRepVector.one(p, 2, (1, 1))
+    one = unit_poly(p, 2)
+    v = poly_vector(p, 2, (1, 1), one)
     with pytest.raises(BlockMismatch):
         poly_rep_apply(split_merge(q, 2, (2,), kind="merge"), v)
+    # a result in two components is a vector with two column blocks
     spread = (split_merge(p, 2, (2,), kind="merge")
               + split_merge(p, 2, (1, 1), kind="merge"))
-    with pytest.raises(BlockMismatch):
-        poly_rep_apply(spread, v)
+    out = poly_rep_apply(spread, v)
+    assert set(out.terms) == {((2,), (2,)), ((1, 1), (2,))}
+    assert poly_value(out, (2,)) == LocalizedElement(m_lambda(p, 2, (2,)))
+    assert poly_value(out, (1, 1)) == LocalizedElement(one)
     # mismatched source is simply zero: nothing consumes a (2,) vector here
-    w = PolyRepVector.one(p, 2, (2,))
-    out = poly_rep_apply(split_merge(p, 2, (2,), kind="merge"), w)
-    assert not out and out.lam == (2,)
+    w = poly_vector(p, 2, (2,), one)
+    assert not poly_rep_apply(split_merge(p, 2, (2,), kind="merge"), w)
 
 
 # faithfulness oracle ----------------------------------------------------------

@@ -17,7 +17,7 @@ from qwreath.symcomb import (
     identity, inverse, length, longest_element, mul, reduced_word, simple,
 )
 from qwreath.tensor_poly import (
-    abar_ij, alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
+    alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
     zero_poly,
 )
 
@@ -147,30 +147,18 @@ def test_alpha_family_identity_and_scalar_powers():
     for w in all_perms(3):
         expect = scaled_unit(p, 3, q ** length(w))
         assert alpha_family(p, 3, w) == expect
-        assert alpha_family(p, 3, w, "alpha_star") == alpha_family(p, 3, inverse(w))
 
 
-def alpha_by_word(params, d, w, which="alpha"):
-    """Reference for alpha_family: the twisted product along a reduced word.
-    The plain families read the word from its right end inward, the starred
-    one from its left end, each factor moved by the simple flips read so
-    far."""
-    star = which == "alpha_star"
-    factor = abar_ij if which == "abar" else alpha_ij
-    word = reduced_word(w)
+def alpha_by_word(params, d, w):
+    """Reference for alpha_family: the twisted product along a reduced word,
+    read from its right end inward, each factor moved by the simple flips
+    read so far."""
     out = unit_poly(params, d)
     prefix = identity(d)
-    for i in (word if star else tuple(reversed(word))):
-        out = out * factor(params, d, i, i + 1).place_permute(prefix)
+    for i in reversed(reduced_word(w)):
+        out = out * alpha_ij(params, d, i, i + 1).place_permute(prefix)
         prefix = mul(prefix, simple(d, i))
     return out
-
-
-def test_alpha_family_rejects_an_unknown_name():
-    p = preset("affine_hecke")
-    for w in (identity(3), simple(3, 0)):
-        with pytest.raises(ValueError):
-            alpha_family(p, 3, w, "bogus")
 
 
 def test_alpha_family_nonscalar_dual_route():
@@ -178,8 +166,7 @@ def test_alpha_family_nonscalar_dual_route():
     even when alpha has genuinely different values on different leg pairs."""
     p = preset("pro_p")
     for w in all_perms(3):
-        for which in ("alpha", "abar", "alpha_star"):
-            assert alpha_family(p, 3, w, which) == alpha_by_word(p, 3, w, which)
+        assert alpha_family(p, 3, w) == alpha_by_word(p, 3, w)
     w0 = longest_element(3)
     prod = alpha_ij(p, 3, 0, 1) * alpha_ij(p, 3, 0, 2) * alpha_ij(p, 3, 1, 2)
     assert alpha_family(p, 3, w0) == prod
@@ -555,12 +542,11 @@ def test_of_word_rejects_a_bad_letter():
 
 
 @pytest.mark.parametrize("name", ("pro_p", "qt_hecke", "zigzag_a1"))
-@pytest.mark.parametrize("which", ("alpha", "abar", "alpha_star"))
-def test_alpha_family_matches_the_reduced_word_reference(name, which):
+def test_alpha_family_matches_the_reduced_word_reference(name):
     p = preset(name)
     for d in (3, 4):
         for w in all_perms(d):
-            assert alpha_family(p, d, w, which) == alpha_by_word(p, d, w, which)
+            assert alpha_family(p, d, w) == alpha_by_word(p, d, w)
 
 
 def test_field_scalars_multiply_on_either_side():

@@ -319,6 +319,19 @@ def test_localized_p_factor_cancel():
     assert again == LocalizedElement.one(params, 2)
 
 
+def test_localized_values_over_different_spaces_compare_unequal():
+    """Like the sparse sums, values over another pack or another size are
+    unequal rather than an error; arithmetic on them still raises."""
+    p, q = preset("affine_hecke"), preset("degenerate")
+    one = LocalizedElement.one(p, 2)
+    for other in (LocalizedElement.one(q, 2), LocalizedElement.one(p, 3),
+                  LocalizedElement(x_var(q, 2, 0)).over_lin(0, 1)):
+        assert (one == other) is False and (other == one) is False
+        assert one != other
+        with pytest.raises(SizeMismatch):
+            one + other
+
+
 def test_localized_place_permute_sign():
     params = preset("degenerate")
     x1, x2 = x_var(params, 3, 0), x_var(params, 3, 1)
