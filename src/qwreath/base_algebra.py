@@ -167,10 +167,11 @@ class SparseSum:
 
     A subclass provides ``terms`` and two methods: ``_same_space(other)``,
     which raises the subclass's own mismatch error, a ValueError, when
-    other lives in a different space, and ``_like(terms)``, the trusted
-    constructor of a result in the same space, which takes ownership of the
-    dict and only drops its zero coefficients.  An operand of another type
-    is left to Python (NotImplemented)."""
+    other lives in a different space, and ``_kept(terms)``, the trusted
+    constructor of a result in the same space, which takes ownership of a
+    dict whose coefficients are all nonzero.  ``_like(terms)`` drops zero
+    coefficients first.  An operand of another type is left to Python
+    (NotImplemented)."""
 
     __slots__ = ()
 
@@ -200,7 +201,8 @@ class SparseSum:
         return self._like(out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        # negation keeps every coefficient nonzero
+        return self._kept({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -209,6 +211,13 @@ class SparseSum:
 
     def scale(self, c):
         return self._like({k: v * c for k, v in self.terms.items()})
+
+    def _like(self, terms):
+        """The result in the same space with the nonzero terms of the dict
+        terms, which it takes ownership of."""
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
+        return self._kept(terms)
 
 
 class _Frozen:
@@ -248,11 +257,11 @@ class FTensor(SparseSum):
                     clean[tuple(key)] = c
         self.terms = clean
 
-    def _like(self, terms):
+    def _kept(self, terms):
         out = object.__new__(FTensor)
         out.algebra = self.algebra
         out.arity = self.arity
-        out.terms = {k: c for k, c in terms.items() if c}
+        out.terms = terms
         return out
 
     @staticmethod
@@ -290,7 +299,7 @@ class FTensor(SparseSum):
             for i, v in enumerate(key):
                 nk[w[i]] = v
             out[tuple(nk)] = c
-        return self._like(out)
+        return self._kept(out)
 
     def flip(self) -> "FTensor":
         if self.arity != 2:

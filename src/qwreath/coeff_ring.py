@@ -4,15 +4,23 @@ prime fields.
 Three variants, all immutable and canonical, so ``==`` is mathematical
 equality and ``bool(x)`` is a zero test:
 
-* plain rationals, represented directly by :class:`fractions.Fraction`;
+* plain rationals: an ``int`` when integral, else a
+  :class:`fractions.Fraction`.  The two mix exactly under ``+ - *``, compare
+  and hash alike (``2 == Fraction(2)``) and print alike, so the integral
+  structure constants of a rational pack run on int arithmetic.  Only true
+  division needs care, as ``int / int`` is a float: library code divides
+  rationals in this module alone (see ``echelon_pivots``);
 * :class:`RatFun`, fractions of sparse polynomials in named parameters
   with ``int`` coefficients: a Laurent numerator over a denominator with
   no monomial factor, so the usual denominator is a positive integer and
   its arithmetic needs no polynomial gcd;
 * :class:`GFElement`, residues in a prime field.
 
-Ints and Fractions embed into RatFun implicitly; every other cross-variant
-combination raises :class:`MixedVariant`.
+Ints embed into every variant and Fractions into RatFun; every other
+cross-variant combination raises :class:`MixedVariant`.  An integral
+rational is an int, so it is also a valid prime-field operand: elements
+over packs of different fields are kept apart by the packs, whose elements
+refuse to combine with those of another pack.
 """
 
 from __future__ import annotations
@@ -733,12 +741,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _fraction_is_one(c) -> bool:
-    return c.numerator == 1 and c.denominator == 1
+def _rational(c: Fraction):
+    """c as an int when it is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class Field:
-    """Handle naming the ground field; builds scalars of a single variant."""
+    """Handle naming the ground field; builds scalars of a single variant.
+
+    A rational scalar it builds is an ``int`` when integral and a
+    ``Fraction`` otherwise; a rational-function scalar is a RatFun and a
+    prime-field scalar a GFElement."""
 
     RATIONAL = "rational"
     RATFUN = "ratfun"
@@ -756,10 +769,8 @@ class Field:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_zero", self.from_int(0))
         object.__setattr__(self, "_one", self.from_int(1))
-        # is_one(c): whether the scalar c is one.  Fraction.__eq__ takes an
-        # abstract-class check on every call; numerator and denominator do not
-        object.__setattr__(self, "is_one", _fraction_is_one
-                           if kind == self.RATIONAL else partial(eq, self._one))
+        # is_one(c): whether the scalar c is one
+        object.__setattr__(self, "is_one", partial(eq, self._one))
 
     def __setattr__(self, *a):
         raise AttributeError("Field is immutable")
@@ -786,14 +797,14 @@ class Field:
 
     def from_int(self, n: int):
         if self.kind == self.RATIONAL:
-            return Fraction(n)
+            return int(n)
         if self.kind == self.RATFUN:
             return RatFun._coerce(n)
         return GFElement(self.p, n)
 
     def from_fraction(self, c: Fraction):
         if self.kind == self.RATIONAL:
-            return Fraction(c)
+            return _rational(Fraction(c))
         if self.kind == self.RATFUN:
             return RatFun._coerce(Fraction(c))
         return GFElement(self.p, Fraction(c))
@@ -811,7 +822,7 @@ class Field:
             return RatFun._coerce(val)
         if isinstance(val, RatFun):
             raise MixedVariant(f"field {self.kind!r} has no formal parameters")
-        return val
+        return val if self.kind == self.PRIME else _rational(val)
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
@@ -877,7 +888,9 @@ def parse_scalar(text: str, p: int | None = None):
 
     With ``p`` the result is a prime-field element and a parameter name
     raises MixedVariant.  Otherwise the result is a Fraction when
-    parameter-free and a RatFun when names occur.
+    parameter-free and a RatFun when names occur.  Literals are read as
+    Fractions, so ``2^-1`` is exact; ``Field.parse`` of the rational field
+    turns an integral result into an int.
     """
     # Python would read ** as a power and # as a comment; joining the text
     # into one line keeps line breaks and continuations from Python too
@@ -944,7 +957,8 @@ def echelon_pivots(rows) -> dict:
     {column: scalar} with mutually comparable columns.  Returns the reduced
     rows keyed by their leading (smallest) column, in the order of the rows
     they came from; the rank is the number of pivots, and a free column is
-    one that is not a key."""
+    one that is not a key.  Rational entries stay exact: a quotient of two
+    ints is built as a Fraction."""
     pivots = {}
     for row in rows:
         live = {c: v for c, v in row.items() if v}
@@ -954,7 +968,11 @@ def echelon_pivots(rows) -> dict:
             if prow is None:
                 pivots[lead] = live
                 break
-            factor = live[lead] / prow[lead]
+            a, b = live[lead], prow[lead]
+            if type(a) is int and type(b) is int:
+                factor = _rational(Fraction(a, b))  # a / b would be a float
+            else:
+                factor = a / b
             for c, v in prow.items():
                 nv = live.get(c, 0) - factor * v
                 if not nv:

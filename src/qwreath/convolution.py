@@ -120,8 +120,9 @@ class ConvBlock(SparseSum, _Frozen):
         return super()._make(params, d, lam, mu,
                              {g: r for g, r in terms.items() if r})
 
-    def _like(self, terms):
-        return ConvBlock._make(self.params, self.d, self.lam, self.mu, terms)
+    def _kept(self, terms):
+        # _Frozen's _make: ConvBlock._make would scan terms for zeros again
+        return super()._make(self.params, self.d, self.lam, self.mu, terms)
 
     def check_invariance(self):
         """Stored values must be fixed by the stabilizer of the base pair.
@@ -201,9 +202,8 @@ class SchurElement(SparseSum, _Frozen):
                 clean[(blk.lam, blk.mu)] = blk
         self._store(params, int(d), clean)
 
-    def _like(self, terms):
-        return SchurElement._make(self.params, self.d,
-                                  {k: b for k, b in terms.items() if b})
+    def _kept(self, terms):
+        return SchurElement._make(self.params, self.d, terms)
 
     @staticmethod
     def zero(params, d) -> "SchurElement":

@@ -51,7 +51,7 @@ def _is_xfree(p: TensorPoly) -> bool:
 class PqwpElement(SparseSum, _Frozen):
     """Normal form sum_w b_w H_w, keyed by the permutations w.  The public
     constructor checks keys (permutations of d letters) and coefficients
-    (TensorPolys over the same params and d); ``_like`` trusts its caller."""
+    (TensorPolys over the same params and d); ``_kept`` trusts its caller."""
 
     __slots__ = ("params", "d", "terms")
 
@@ -65,9 +65,8 @@ class PqwpElement(SparseSum, _Frozen):
                                     "different data")
         self._store(params, d, {tuple(w): c for w, c in terms.items() if c})
 
-    def _like(self, terms):
-        return PqwpElement._make(self.params, self.d,
-                                 {w: c for w, c in terms.items() if c})
+    def _kept(self, terms):
+        return PqwpElement._make(self.params, self.d, terms)
 
     # constructors --------------------------------------------------------
 

@@ -58,15 +58,12 @@ class TensorVector(SparseSum):
             clean[tuple(idx)] = b
         self.terms = clean
 
-    def _like(self, terms):
-        """A vector in the same tensor power, taking ownership of the dict
-        terms; only zero coefficients are dropped."""
+    def _kept(self, terms):
         out = object.__new__(TensorVector)
         out.params = self.params
         out.n = self.n
         out.d = self.d
-        out.terms = terms if all(terms.values()) else {
-            idx: b for idx, b in terms.items() if b}
+        out.terms = terms
         return out
 
     @staticmethod

@@ -57,16 +57,14 @@ class TensorPoly(SparseSum):
 
     # construction helpers
 
-    def _like(self, terms):
-        """A result in the same ring, taking ownership of the dict terms.
-        Keys made by the ring operations already have arity d and, in the
-        polynomial variant, nonnegative exponents; only zero coefficients
-        (the falsy scalars) are dropped."""
+    def _kept(self, terms):
+        """A result in the same ring with the terms of the dict terms, all
+        nonzero.  Keys made by the ring operations already have arity d
+        and, in the polynomial variant, nonnegative exponents."""
         out = object.__new__(TensorPoly)
         out.params = self.params
         out.d = self.d
-        out.terms = terms if all(terms.values()) else {
-            k: c for k, c in terms.items() if c}
+        out.terms = terms
         return out
 
     def _unit_coeff(self):
@@ -145,7 +143,7 @@ class TensorPoly(SparseSum):
                 ne[w[i]] = exps[i]
                 nf[w[i]] = fkey[i]
             out[(tuple(ne), tuple(nf))] = c
-        return self._like(out)
+        return self._kept(out)
 
     def place_permute_simple(self, i) -> "TensorPoly":
         """Swap adjacent slots i, i+1."""
@@ -157,7 +155,7 @@ class TensorPoly(SparseSum):
             ne[i], ne[j] = ne[j], ne[i]
             nf[i], nf[j] = nf[j], nf[i]
             out[(tuple(ne), tuple(nf))] = c
-        return self._like(out)
+        return self._kept(out)
 
     def demazure(self, i) -> "TensorPoly":
         """Divided difference in x_i, x_{i+1}; F-legs ride along unchanged.

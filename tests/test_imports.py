@@ -246,9 +246,11 @@ def test_pack_construction_guard_sees_each_form():
     assert pack_constructions(source) == ["<module>", "a", "inner", "m"]
 
 
-# The linear-combination operations, equality and repr are written once, in
-# SparseSum; a class deriving from it supplies terms, _same_space and _like.
-SPARSE_SUM_OPERATIONS = {"__add__", "__neg__", "__sub__", "is_zero", "__eq__", "__repr__"}
+# The linear-combination operations, equality, repr and the dropping of zero
+# coefficients are written once, in SparseSum; a class deriving from it
+# supplies terms, _same_space and _kept.
+SPARSE_SUM_OPERATIONS = {"__add__", "__neg__", "__sub__", "is_zero", "__eq__", "__repr__",
+                         "_like"}
 
 
 def sparse_sum_overrides(sources):
@@ -295,7 +297,7 @@ def test_sparse_sum_guard_sees_each_form():
     later = "class E(C):\n    def __sub__(self, o): pass\n    def _like(self, t): pass"
     assert sparse_sum_overrides([later, source]) == [
         ("A", "__add__"), ("B", "__repr__"), ("B", "is_zero"), ("C", "__eq__"),
-        ("C", "__neg__"), ("E", "__sub__")]
+        ("C", "__neg__"), ("E", "__sub__"), ("E", "_like")]
 
 
 # Cosets and shuffles are enumerated in symcomb alone (coset_reps and
@@ -351,3 +353,48 @@ def test_coset_enumeration_guard_sees_each_form():
         "permutations = sympy.permutations(3)",
     ])
     assert coset_enumerations(source) == [1, 2, 3, 4, 6, 7]
+
+
+# A rational scalar is an int when integral, and int / int is a float, so
+# scalars are divided in coeff_ring alone, which builds a Fraction from two
+# ints (echelon_pivots).
+TRUE_DIVISIONS = {"truediv", "itruediv", "__truediv__", "__rtruediv__", "__itruediv__"}
+
+
+def true_divisions(source):
+    """Line numbers where source divides with ``/`` or ``/=``, or refers to
+    operator.truediv or a __truediv__ method by name, as an attribute or in
+    an import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id in TRUE_DIVISIONS
+              or isinstance(node, ast.Attribute) and node.attr in TRUE_DIVISIONS):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name in TRUE_DIVISIONS for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "coeff_ring.py"], ids=lambda p: p.name)
+def test_scalars_are_divided_in_coeff_ring_alone(path):
+    assert true_divisions(path.read_text(encoding="utf-8")) == []
+
+
+def test_true_division_guard_sees_each_form():
+    source = "\n".join([
+        "f = a / b",
+        "x /= 2",
+        "from operator import add, truediv",
+        "g = operator.truediv(a, b)",
+        "h = a.__truediv__(b)",
+        "k = a // b",
+        "x //= 2",
+        "def __truediv__(self, other): pass",
+        "s = '/'",
+        "op = ast.Div",
+    ])
+    assert true_divisions(source) == [1, 2, 3, 4, 5]

@@ -1,10 +1,14 @@
 """TensorPoly under hypothesis: the ring axioms, the place permutations as
 an action by ring maps, and the twisted Leibniz rule rho_i(ab) =
-sigma_i(a) rho_i(b) + rho_i(a) b, over three packs at d <= 4 and every i."""
+sigma_i(a) rho_i(b) + rho_i(a) b, over three packs at d <= 4 and every i;
+and over the rational packs, no operation yields a float coefficient."""
+
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qwreath.base_algebra import preset
+from qwreath.base_algebra import load_preset_file, preset
 from qwreath.symcomb import all_perms, mul
 from qwreath.tensor_poly import monomial, unit_poly, zero_poly
 
@@ -93,3 +97,33 @@ def test_twisted_leibniz(abci):
 def test_rho_is_additive(abci):
     a, b, _, i = abci
     assert (a + b).twisted_demazure(i) == a.twisted_demazure(i) + b.twisted_demazure(i)
+
+
+# pro_p at q = 3 has structure constants 2/3, -1 and 4/3 over Q; with the
+# integral-constant Q packs, products mix int and Fraction coefficients
+Q_PACKS = {name: preset(name) for name in ("degenerate", "zigzag_a1", "savage_frobenius")}
+Q_PACKS["pro_p_q3"] = load_preset_file(str(Path(__file__).resolve().parent / "data"
+                                           / "pro_p_q3.toml"))
+
+
+@st.composite
+def q_pairs(draw):
+    """Two elements of one ring over Q with int and Fraction scalars, a
+    slot index i < d - 1 and a scalar."""
+    p = Q_PACKS[draw(st.sampled_from(sorted(Q_PACKS)))]
+    d = draw(st.integers(2, 3))
+    i = draw(st.integers(0, d - 2))
+    scalar = draw(st.sampled_from((2, -1, Fraction(1, 2), Fraction(-4, 3))))
+    a, b = (draw(polys(p, d)).scale(scalar) + draw(polys(p, d)) for _ in range(2))
+    return a, b, i, scalar
+
+
+@SETTINGS
+@hypothesis.given(q_pairs())
+def test_q_pack_operations_stay_exact(abic):
+    a, b, i, scalar = abic
+    results = (a + b, a - b, -a, a * b, b * a, a ** 2, a.scale(scalar),
+               a.place_permute_simple(i), a.demazure(i), a.twisted_demazure(i),
+               (a * b).twisted_demazure(i))
+    for r in results:
+        assert all(type(c) in (int, Fraction) for c in r.terms.values()), r
