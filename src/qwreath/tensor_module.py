@@ -39,7 +39,8 @@ class TensorVector(SparseSum):
     """Sum of v_i * b over index tuples i with entries in 1..n; the
     coefficients b live in the d-fold tensor polynomial ring.  Immutable,
     like its TensorPoly coefficients; the public constructor checks the
-    index tuples and that each b is a TensorPoly over (params, d)."""
+    index tuples and that each b is a TensorPoly over (params, d), a zero b
+    included, before it drops the zero coefficients."""
 
     __slots__ = ("params", "n", "d", "terms")
 
@@ -51,11 +52,10 @@ class TensorVector(SparseSum):
         for idx, b in (terms or {}).items():
             if not (isinstance(b, TensorPoly) and b.params is params and b.d == d):
                 raise ModuleMismatch(f"coefficient at {idx} lives over other data")
-            if not b:
-                continue
             if len(idx) != d or any(not 1 <= v <= n for v in idx):
                 raise ModuleMismatch(f"index tuple {idx} not in [1..{n}]^{d}")
-            clean[tuple(idx)] = b
+            if b:
+                clean[tuple(idx)] = b
         self.terms = clean
 
     def _kept(self, terms):
@@ -112,34 +112,77 @@ def _swap(idx, k):
 
 
 def act_H(v: TensorVector, k: int) -> TensorVector:
-    """Right action of the k-th Hecke generator, by the three-way case
-    split on the neighbouring index entries."""
-    if not 0 <= k < v.d - 1:
-        raise ValueError(f"generator index {k} out of range for d={v.d}")
-    params, d = v.params, v.d
+    """Right action of the k-th Hecke generator on one vector: the batch
+    action on a batch of one, so it shares sigma_k(b) and rho_k(b) only
+    between the terms of v that hold the same coefficient object b."""
+    return act_H_batch((v,), k)[0]
+
+
+def act_H_batch(vectors, k: int) -> list:
+    """Right action of the k-th Hecke generator on each vector of a batch,
+    in order, by the three-way case split on the neighbouring index entries
+    of each term v_i * b:
+
+        i_k < i_k+1:  v_{s_k i} * sigma_k(b) + v_i * rho_k(b)
+        i_k = i_k+1:  v_i * (abar * sigma_k(b) + rho_k(b))
+        i_k > i_k+1:  v_{s_k i} * (R * sigma_k(b)) + v_i * (rho_k(b) + S * sigma_k(b))
+
+    sigma_k(b) and rho_k(b) are computed once per coefficient object b of
+    the batch, and the products of each case once per object and case, so
+    vectors that hold the same b, as in ``tensor_relations_check``, share
+    them.  The lookup is keyed by ``id(b)`` and lives only for the call,
+    while the batch keeps every b alive; equal but distinct objects are
+    worked out separately.  All vectors must live in one tensor power
+    (ModuleMismatch otherwise); an empty batch gives []."""
+    vectors = tuple(vectors)
+    if not vectors:
+        return []
+    first = vectors[0]
+    for v in vectors:
+        first._same_space(v)
+    params, d = first.params, first.d
+    if not 0 <= k < d - 1:
+        raise ValueError(f"generator index {k} out of range for d={d}")
     abar = abar_ij(params, d, k, k + 1)
     rr = r_ij(params, d, k, k + 1)
     ss = s_ij(params, d, k, k + 1)
-    out = {}
+    sigma_rho = {}
+    cases = {}
 
-    def bump(idx, b):
-        if not b:
-            return
-        cur = out.get(idx)
-        out[idx] = b if cur is None else cur + b
+    def parts(b, case):
+        """(coefficient at the swapped index or None, coefficient at the
+        index) of a term v_i * b whose case is the sign of i_k - i_k+1."""
+        hit = cases.get((id(b), case))
+        if hit is None:
+            pair = sigma_rho.get(id(b))
+            if pair is None:
+                pair = sigma_rho[id(b)] = (b.place_permute_simple(k),
+                                           b.twisted_demazure(k))
+            swapped, rho = pair
+            if case < 0:
+                hit = (swapped, rho)
+            elif case == 0:
+                hit = (None, abar * swapped + rho)
+            else:
+                hit = (rr * swapped, rho + ss * swapped)
+            cases[(id(b), case)] = hit
+        return hit
 
-    for idx, b in v.terms.items():
-        swapped = b.place_permute_simple(k)
-        rho = b.twisted_demazure(k)
-        if idx[k] < idx[k + 1]:
-            bump(_swap(idx, k), swapped)
-            bump(idx, rho)
-        elif idx[k] == idx[k + 1]:
-            bump(idx, abar * swapped + rho)
-        else:
-            bump(_swap(idx, k), rr * swapped)
-            bump(idx, rho + ss * swapped)
-    return v._like(out)
+    out_vectors = []
+    for v in vectors:
+        out = {}
+        for idx, b in v.terms.items():
+            i, j = idx[k], idx[k + 1]
+            to_swap, to_stay = parts(b, (i > j) - (i < j))
+            if to_swap:
+                at = _swap(idx, k)
+                cur = out.get(at)
+                out[at] = to_swap if cur is None else cur + to_swap
+            if to_stay:
+                cur = out.get(idx)
+                out[idx] = to_stay if cur is None else cur + to_stay
+        out_vectors.append(v._like(out))
+    return out_vectors
 
 
 def act_word(v: TensorVector, letters) -> TensorVector:
@@ -176,7 +219,16 @@ def _random_poly(params, d, rng):
 def tensor_relations_check(params, n, d, rng=None) -> int:
     """Act with both sides of every defining relation on all pure basis
     vectors and on 20 random coefficients; the sides must agree exactly.
-    Returns the number of identities compared."""
+    Returns the number of identities compared.
+
+    The quadratic, braid and commuting relations run first, vector by
+    vector, each vector sharing its word images between them.  The
+    pass-through identities (v * H_k) * q = (v * sigma_k(q)) * H_k
+    + v * rho_k(q) follow, on the pure vectors, for each k and then each
+    random coefficient q in turn: the right-hand actions of one (k, q) are
+    one ``act_H_batch`` over all pure vectors, which share the coefficient
+    object sigma_k(q) and so its images.  Each vector's two sides are still
+    compared on their own."""
     import random
     rng = rng or random.Random(0)
     polys = [_random_poly(params, d, rng) for _ in range(20)]
@@ -187,11 +239,6 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
         idx = tuple(rng.randrange(1, n + 1) for _ in range(d))
         samples.append(TensorVector.basis(params, n, d, idx, q))
 
-    # sigma_k(q) and rho_k(q) of each random coefficient, shared by the
-    # pass-through identities of every pure vector
-    passes = [[(q, q.place_permute_simple(k), q.twisted_demazure(k)) for q in polys]
-              for k in range(d - 1)]
-
     def demand(lhs, rhs, label):
         if lhs != rhs:
             raise IdentityFailed(f"tensor action breaks {label}",
@@ -199,6 +246,9 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
                                           "left": str(lhs), "right": str(rhs)})
 
     count = 0
+    # v * H_k of each pure vector v, for the left-hand sides of its
+    # pass-through identities
+    first_steps = []
     for i, v in enumerate(samples):
         image = _word_images(v)
         for k in range(d - 1):
@@ -215,14 +265,15 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
                 demand(image((k, m)), image((m, k)),
                        f"commuting k={k + 1} m={m + 1}")
                 count += 1
-        if i >= len(pure):
-            continue
-        for k in range(d - 1):
-            vk = image((k,))
-            for q, swapped, rho in passes[k]:
-                rhs = act_H(v.times_poly(swapped), k)
-                rhs = rhs + v.times_poly(rho)
-                demand(vk.times_poly(q), rhs,
+        if i < len(pure):
+            first_steps.append([image((k,)) for k in range(d - 1)])
+
+    for k in range(d - 1):
+        for q in polys:
+            swapped, rho = q.place_permute_simple(k), q.twisted_demazure(k)
+            moved = act_H_batch([v.times_poly(swapped) for v in pure], k)
+            for v, steps, rhs in zip(pure, first_steps, moved):
+                demand(steps[k].times_poly(q), rhs + v.times_poly(rho),
                        f"coefficient pass-through k={k + 1}")
                 count += 1
     return count

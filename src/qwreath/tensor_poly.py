@@ -31,7 +31,8 @@ class InvarianceViolation(ValueError):
 class TensorPoly(SparseSum):
     """Element of F^{tensor d}[x_1..x_d]; keys are pairs (exponent vector,
     F-basis index vector).  Laurent variant admits negative exponents,
-    polynomial variant rejects them.
+    polynomial variant rejects them.  The public constructor checks every
+    key, a zero coefficient's too, before it drops the zero coefficients.
 
     No operation changes ``terms`` after construction, so results may
     share their term dict with an operand (a product by the unit returns
@@ -46,13 +47,12 @@ class TensorPoly(SparseSum):
         if terms:
             laurent = params.variant == "laurent"
             for (exps, fkey), c in terms.items():
-                if not c:
-                    continue
                 if len(exps) != d or len(fkey) != d:
                     raise SizeMismatch(f"term arity differs from d={d}")
                 if not laurent and any(e < 0 for e in exps):
                     raise ValueError("negative exponent in polynomial variant")
-                clean[(tuple(exps), tuple(fkey))] = c
+                if c:
+                    clean[(tuple(exps), tuple(fkey))] = c
         self.terms = clean
 
     # construction helpers

@@ -13,8 +13,8 @@ from qwreath.tensor_module import (
     commutant_check, invariant_basis, plus_vector, tensor_relations_check,
     theta_apply, theta_family_rank, theta_on_tensor,
 )
-from qwreath.tensor_poly import (InvarianceViolation, monomial, unit_poly,
-                                 x_var)
+from qwreath.tensor_poly import (InvarianceViolation, monomial, s_ij, unit_poly,
+                                 x_var, zero_poly)
 
 PACKS = list(shipped_presets()) + ["pro_p(4)"]
 MATRICES = theta_matrices(2, 3)
@@ -32,19 +32,59 @@ def test_tensor_relations_hold(name):
     assert tensor_relations_check(p, n=3, d=4, rng=random.Random(1)) == 5466
 
 
+@pytest.mark.parametrize("name", shipped_presets())
+def test_tensor_relations_hold_on_every_preset(name):
+    """On zigzag_a1 and savage_frobenius abar = R = 1 and S = 0; the other
+    presets give the equal and descending index cases other constants."""
+    p = preset(name)
+    assert tensor_relations_check(p, n=2, d=3, rng=random.Random(0)) == 404
+
+
+def mutant_action(monkeypatch, change):
+    """Replace the one implementation of the generator action, which act_H
+    and the batched pass-through identities both go through, by the true
+    action minus change(v, k), a vector over the space of v."""
+    true_batch = tensor_module.act_H_batch
+
+    def wrong_batch(vectors, k):
+        vectors = tuple(vectors)
+        return [w - change(v, k) for v, w in zip(vectors, true_batch(vectors, k))]
+
+    monkeypatch.setattr(tensor_module, "act_H_batch", wrong_batch)
+
+
+def without_rho(v, k):
+    """The twisted-derivation part rho_k(b) at every index."""
+    return TensorVector(v.params, v.n, v.d,
+                        {idx: b.twisted_demazure(k) for idx, b in v.terms.items()})
+
+
+def without_s(v, k):
+    """S * sigma_k(b) at every descending index, i_k > i_k+1."""
+    ss = s_ij(v.params, v.d, k, k + 1)
+    return TensorVector(v.params, v.n, v.d,
+                        {idx: ss * b.place_permute_simple(k)
+                         for idx, b in v.terms.items() if idx[k] > idx[k + 1]})
+
+
 def test_tensor_relations_catch_a_wrong_action(monkeypatch):
     """An action without its twisted-derivation part breaks the relations,
     and the check, which shares word prefixes, still notices."""
     p = preset("zigzag_a1")
-
-    def without_rho(v, k):
-        rho = TensorVector(v.params, v.n, v.d,
-                           {idx: b.twisted_demazure(k) for idx, b in v.terms.items()})
-        return act_H(v, k) - rho
-
-    monkeypatch.setattr(tensor_module, "act_H", without_rho)
+    mutant_action(monkeypatch, without_rho)
     with pytest.raises(IdentityFailed):
         tensor_relations_check(p, n=2, d=3, rng=random.Random(0))
+
+
+def test_tensor_relations_catch_a_missing_s_term(monkeypatch):
+    """Dropping S * sigma_k(b) from the descending case is caught where
+    S = (q-1)*1, and cannot be seen where S = 0."""
+    mutant_action(monkeypatch, without_s)
+    with pytest.raises(IdentityFailed):
+        tensor_relations_check(preset("affine_hecke"), n=2, d=3,
+                               rng=random.Random(0))
+    assert tensor_relations_check(preset("zigzag_a1"), n=2, d=3,
+                                  rng=random.Random(0)) == 404
 
 
 def test_theta_family_is_full_rank():
@@ -77,12 +117,17 @@ def test_negative_parts_raise_value_error():
 def test_public_vector_constructor_checks_indices():
     p = preset("zigzag_a1")
     one = unit_poly(p, 3)
-    for idx in ((1, 2, 3), (0, 1, 1), (1, 1)):
-        with pytest.raises(ModuleMismatch):
-            TensorVector(p, 2, 3, {idx: one})
+    # a zero coefficient's index is checked too, before the zero is dropped
+    for b in (one, zero_poly(p, 3)):
+        for idx in ((1, 2, 3), (0, 1, 1), (1, 1), (9, 9, 9, 9)):
+            with pytest.raises(ModuleMismatch):
+                TensorVector(p, 2, 3, {idx: b})
+            with pytest.raises(ModuleMismatch):
+                TensorVector(p, 2, 3, {(1, 1, 2): one, idx: b})
     assert TensorVector(p, 2, 3, {(1, 2, 1): one - one}).terms == {}
     # a coefficient over another pack or another d is refused as well
-    for other in (unit_poly(preset("degenerate"), 3), unit_poly(p, 2), 1):
+    for other in (unit_poly(preset("degenerate"), 3), unit_poly(p, 2),
+                  zero_poly(p, 2), 1):
         with pytest.raises(ModuleMismatch):
             TensorVector(p, 2, 3, {(1, 1, 2): other})
     with pytest.raises(ModuleMismatch):

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -555,13 +556,22 @@ def test_product_kernel_matches_generic_pair_loop(name):
 def test_public_constructor_keeps_its_checks():
     params = preset("degenerate")
     assert params.variant == "polynomial"
-    with pytest.raises(SizeMismatch):
-        TensorPoly(params, 2, {((0, 0, 0), (0, 0)): 1})
-    with pytest.raises(SizeMismatch):
-        TensorPoly(params, 2, {((0, 0), (0,)): 1})
-    with pytest.raises(ValueError, match="negative exponent"):
-        TensorPoly(params, 2, {((-1, 0), (0, 0)): 1})
+    # a zero coefficient's key is checked too, before the zero is dropped,
+    # also next to a good term
+    good = {((1, 0), (0, 0)): 1}
+    for c in (1, 0, Fraction(0)):
+        for bad in (((0, 0, 0), (0, 0)), ((0, 0), (0,)), ((0,), (0,))):
+            with pytest.raises(SizeMismatch):
+                TensorPoly(params, 2, {bad: c})
+            with pytest.raises(SizeMismatch):
+                TensorPoly(params, 2, {**good, bad: c})
+        with pytest.raises(SizeMismatch):
+            TensorPoly(params, 3, {((0, 0), (0, 0)): c})
+        with pytest.raises(ValueError, match="negative exponent"):
+            TensorPoly(params, 2, {((-1, 0), (0, 0)): c})
     assert TensorPoly(params, 2, {((1, 0), (0, 0)): 0}).terms == {}
+    # a Laurent pack takes the negative exponent, and drops the zero
+    assert TensorPoly(preset("zero_hecke"), 2, {((-1, 0), (0, 0)): 0}).terms == {}
 
 
 def test_internal_results_store_no_zero_coefficient():
