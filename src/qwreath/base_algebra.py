@@ -7,10 +7,11 @@ from __future__ import annotations
 import json
 import time
 import weakref
+from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import SCALARS, Field, _quoted, scalar_str
+from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str
 
 
 class ArityMismatch(ValueError):
@@ -436,9 +437,9 @@ class PqwpParams:
             raise InvalidConfig("alpha lives in the wrong space")
         self.alpha = alpha
         self.name = name
-        self.s_elt = packed[(1, 0)] - packed[(0, 1)]
-        self.alpha_bar = alpha.flip() + self.s_elt
-        self.r_elt = alpha * self.alpha_bar
+        self.s_elt = _ints_when_integral(packed[(1, 0)] - packed[(0, 1)])
+        self.alpha_bar = _ints_when_integral(alpha.flip() + self.s_elt)
+        self.r_elt = _ints_when_integral(alpha * self.alpha_bar)
         self.stated_r = stated_r
         self.memo = {}
         self.spec = None
@@ -449,6 +450,14 @@ class PqwpParams:
 
     def __repr__(self):
         return f"PqwpParams({self.name})"
+
+
+def _ints_when_integral(t: FTensor) -> FTensor:
+    """t with each integral Fraction coefficient as an int, as the rational
+    field builds its scalars; Fraction arithmetic keeps an integral result
+    a Fraction."""
+    return t._kept({k: _rational(c) if type(c) is Fraction else c
+                    for k, c in t.terms.items()})
 
 
 def pack_cached(fn):

@@ -10,6 +10,16 @@ multiplies a whole element by H_i (``_times_letter``); the braid moves are
 implicit in indexing by permutations.  ``pqwp_mul`` shares these right
 factors between the terms of its right operand: it sums them in Horner
 form over a tree of the weak order, one generator step per tree edge.
+
+Two kinds of work are skipped because their result is known.  A central
+coefficient c·1 (c a field scalar) commutes with every H_w, so it is never
+straightened: a right-operand term c·1 H_v contributes c·a to X_v, and a
+quadratic step whose S_i or R_i is central scales instead of multiplying.
+Coefficients are summed in an accumulator (``_add_term``) that borrows the
+first TensorPoly for a key and adds every later one into its own copy of
+that term dict in place; ``_finished`` turns it back into nonzero
+TensorPolys.  No TensorPoly's terms are ever changed, so results may share
+term dicts with their operands.
 """
 
 from .symcomb import (
@@ -170,16 +180,26 @@ class PqwpElement(SparseSum, _Frozen):
 # rewriting core ------------------------------------------------------------
 
 
+def _factor(params, e: TensorPoly):
+    """How to multiply by e on the right: by the TensorPoly e itself, or,
+    for a central e = c·1, by the field scalar c, or None when c is 1."""
+    c = e._unit_coeff()
+    if c is None:
+        return e
+    return None if params.field.is_one(c) else c
+
+
 @pack_cached
 def _right_step(params, d, z: Perm, i: int):
-    """H_z * H_i in normal form, as a tuple of (perm, coeff) pairs; coeff
-    None marks the length-increasing case, where nothing is multiplied."""
+    """H_z * H_i in normal form, as a tuple of (perm, factor) pairs, each
+    factor as ``_factor`` gives it and zero ones left out; the
+    length-increasing case is ((z*s_i, None),)."""
     zi = mul(z, simple(d, i))
     if length(zi) > length(z):
         return ((zi, None),)
     s_emb = s_ij(params, d, i, i + 1).place_permute(zi)
     r_emb = r_ij(params, d, i, i + 1).place_permute(zi)
-    return ((z, s_emb), (zi, r_emb))
+    return tuple((y, _factor(params, e)) for y, e in ((z, s_emb), (zi, r_emb)) if e)
 
 
 @pack_cached
@@ -188,41 +208,77 @@ def _left_step(params, d, i: int, z: Perm):
     iz = mul(simple(d, i), z)
     if length(iz) > length(z):
         return ((iz, None),)
-    return ((z, s_ij(params, d, i, i + 1)), (iz, r_ij(params, d, i, i + 1)))
+    return tuple((y, _factor(params, e)) for y, e in
+                 ((z, s_ij(params, d, i, i + 1)), (iz, r_ij(params, d, i, i + 1))) if e)
 
 
-def _add_term(acc, w, c):
+def _add_term(acc, w, c, scale=None):
+    """Add c (times the field scalar scale, if given) into the coefficient
+    of w in the accumulator acc.
+
+    acc maps a key to a TensorPoly it borrows, or to a term dict it owns.
+    The first term for a key is kept as it is (scaled terms go into a new
+    dict); a second one copies that term dict once, and every later one
+    adds into the copy in place.  No TensorPoly's terms are changed, and
+    the owned dicts may hold zeros until ``_finished``."""
     cur = acc.get(w)
-    acc[w] = c if cur is None else cur + c
+    if cur is None:
+        acc[w] = c if scale is None else {k: v * scale for k, v in c.terms.items()}
+        return
+    if type(cur) is not dict:
+        cur = acc[w] = dict(cur.terms)
+    get = cur.get
+    for k, v in c.terms.items():
+        if scale is not None:
+            v = v * scale
+        x = get(k)
+        cur[k] = v if x is None else x + v
+
+
+def _finished(params, d, acc) -> dict:
+    """The accumulator acc as {key: nonzero TensorPoly}."""
+    like = zero_poly(params, d)._like
+    out = {}
+    for w, c in acc.items():
+        if type(c) is dict:
+            c = like(c)
+        if c:
+            out[w] = c
+    return out
 
 
 def _add_step(acc, c, step):
     """Add c * (the normal form in step) into acc."""
     for y, e in step:
-        _add_term(acc, y, c if e is None else c * e)
+        if type(e) is TensorPoly:
+            _add_term(acc, y, c * e)
+        else:
+            _add_term(acc, y, c, e)
 
 
 def _times_letter(params, d, acc: dict, terms: dict, i: int) -> None:
-    """Add (sum_z c_z H_z) * H_i into acc, for terms = {z: c_z}; zero
-    coefficients in terms are skipped."""
+    """Add (sum_z c_z H_z) * H_i into the accumulator acc, for terms =
+    {z: c_z} with nonzero TensorPolys c_z."""
     for z, c in terms.items():
-        if c:
-            _add_step(acc, c, _right_step(params, d, z, i))
+        _add_step(acc, c, _right_step(params, d, z, i))
 
 
 def _times_word(params, d, terms: dict, letters) -> dict:
     """(sum_z c_z H_z) * H_{i_1} ... H_{i_N} for terms = {z: c_z}, one
-    letter at a time; the word need not be reduced.  The result may hold
-    zero coefficients."""
+    letter at a time; the word need not be reduced."""
     for i in letters:
         nxt = {}
         _times_letter(params, d, nxt, terms, i)
-        terms = nxt
+        terms = _finished(params, d, nxt)
     return terms
 
 
 def _push_left(params, d, w: Perm, q: TensorPoly):
-    """H_w * q as a dict perm -> left coefficient."""
+    """H_w * q as a dict perm -> left coefficient.  A central q = c·1 comes
+    back unchanged: sigma_i fixes it, and rho_i kills it because every term
+    has equal exponents."""
+    if q._unit_coeff() is not None:
+        return {w: q}
     if _is_xfree(q):
         return {w: q.place_permute(w)}
     cur = {identity(d): q}
@@ -235,7 +291,7 @@ def _push_left(params, d, w: Perm, q: TensorPoly):
             sig = c.place_permute_simple(i)
             if sig:
                 _add_step(nxt, sig, _left_step(params, d, i, z))
-        cur = {y: c for y, c in nxt.items() if c}
+        cur = _finished(params, d, nxt)
     return cur
 
 
@@ -266,7 +322,11 @@ def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
     W_u = X_u + sum over children v of W_v H_s, taken from the leaves up,
     end in W_e, the product.  That costs one generator step per tree edge,
     at most |W| - 1, instead of one per letter of every v.  The tree is
-    walked depth first, so at most one partial sum per length is alive."""
+    walked depth first, so at most one partial sum per length is alive.
+
+    A central q = c·1 is not pushed: X_v is c·a, added term by term into
+    the partial sum.  Each partial sum is built in the in-place accumulator
+    of ``_add_term``, and neither operand's coefficients are changed."""
     if not isinstance(a, PqwpElement) or not isinstance(b, PqwpElement):
         raise ParamMismatch("pqwp_mul needs two algebra elements")
     a._same_space(b)
@@ -279,12 +339,17 @@ def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
             _times_letter(params, d, acc, partial_sum(v), s)
         q = b.terms.get(u)
         if q is not None:
-            for w, p in a.terms.items():
-                for z, c in _push_left(params, d, w, q).items():
-                    _add_term(acc, z, p * c)
-        return acc
+            c = _factor(params, q)
+            if type(c) is TensorPoly:
+                for w, p in a.terms.items():
+                    for z, e in _push_left(params, d, w, q).items():
+                        _add_term(acc, z, p * e)
+            else:
+                for w, p in a.terms.items():
+                    _add_term(acc, w, p, c)
+        return _finished(params, d, acc)
 
-    return a._like(partial_sum(identity(d)))
+    return a._kept(partial_sum(identity(d)))
 
 
 def right_coefficient_form(elt: PqwpElement) -> dict:
@@ -318,7 +383,7 @@ def from_right_coefficients(params, d, rights: dict) -> PqwpElement:
     for w, c in rights.items():
         for z, e in _push_left(params, d, w, c).items():
             _add_term(acc, z, e)
-    return PqwpElement(params, d, acc)
+    return PqwpElement(params, d, _finished(params, d, acc))
 
 
 # products of alphas over inversion sets -------------------------------------

@@ -2,11 +2,12 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qwreath import pqwp
-from qwreath.base_algebra import FTensor, preset, shipped_presets
+from qwreath.base_algebra import FTensor, load_preset_file, preset, shipped_presets
 from qwreath.pqwp import (
     IdentityFailed, ParamMismatch, PqwpElement, alpha_family,
     decompose_k, eigenvector_check, from_right_coefficients, k_lambda,
@@ -679,3 +680,97 @@ def test_horner_walk_takes_one_step_per_tree_edge(monkeypatch):
     assert per_term_product(k, k, {v: reduced_word(v) for v in k.terms}) == square
     assert len(steps) == sum(length(v) for v in k.terms) == 72
     assert square == k.poly_left(m_lambda(p, 4, (4,)))
+
+
+# central right coefficients and the in-place accumulator ------------------------
+
+WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
+
+
+def walk_pack(name):
+    """A shipped preset, or k[S_3] wreath S_d (non-commutative F) from its file."""
+    return load_preset_file(WREATH_S3) if name == "wreath_s3" else preset(name)
+
+
+def push_by_definition(p, d, w, q):
+    """H_w q in normal form from H_i c = sigma_i(c) H_i + rho_i(c) alone, one
+    letter of a reduced word of w at a time, with no short cut for an x-free
+    or central q."""
+    out = PqwpElement.of_poly(q)
+    for i in reversed(reduced_word(w)):
+        nxt = PqwpElement.zero(p, d)
+        for z, c in out.terms.items():
+            nxt = (nxt + PqwpElement(p, d, {z: c.twisted_demazure(i)})
+                   + PqwpElement.of_word(p, d, (i,) + reduced_word(z)).poly_left(
+                       c.place_permute_simple(i)))
+        out = nxt
+    return out
+
+
+def product_by_definition(a, b):
+    """sum over term pairs of p_w (H_w q_v) H_v, each H_w q_v pushed by
+    definition and each H_v applied one letter at a time."""
+    p, d = a.params, a.d
+    total = PqwpElement.zero(p, d)
+    for w, pw in a.terms.items():
+        for v, q in b.terms.items():
+            left = push_by_definition(p, d, w, q).poly_left(pw)
+            total = total + PqwpElement(p, d, pqwp._times_word(
+                p, d, left.terms, reduced_word(v)))
+    return total
+
+
+def central_scalars(p, name):
+    scalars = [p.field.from_int(c) for c in (1, -1, 2)]
+    return scalars + [p.field.param("q")] if name == "qt_hecke" else scalars
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS + ("qt_hecke", "wreath_s3"))
+@pytest.mark.parametrize("d", (3, 4))
+def test_central_right_coefficients_skip_straightening(name, d):
+    """A right operand whose coefficients mix c·1 with non-central ones,
+    against the per-term walk and against straightening by definition."""
+    p = walk_pack(name)
+    rng = random.Random(400 * d + len(name))
+    scalars = central_scalars(p, name)
+    for _ in range(2):
+        perms = rng.sample(list(all_perms(d)), len(scalars) + 2)
+        terms = {w: scaled_unit(p, d, c) for w, c in zip(perms, scalars)}
+        for w in perms[len(scalars):]:
+            terms[w] = random_coeff(p, d, rng) * x_var(p, d, rng.randrange(d))
+        b = PqwpElement(p, d, terms)
+        assert {c._unit_coeff() is None for c in b.terms.values()} == {True, False}
+        a = random_element(p, d, rng, 3)
+        assert_matches_per_term_walk(a, b, rng)
+        assert pqwp_mul(a, b) == product_by_definition(a, b)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS + ("qt_hecke", "wreath_s3"))
+def test_push_left_returns_a_central_coefficient_unchanged(name):
+    p = walk_pack(name)
+    for c in central_scalars(p, name):
+        q = scaled_unit(p, 4, c)
+        for w in all_perms(4):
+            assert pqwp._push_left(p, 4, w, q) == {w: q}
+        assert push_by_definition(p, 4, longest_element(4), q) == PqwpElement(
+            p, 4, {longest_element(4): q})
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS + ("qt_hecke", "wreath_s3"))
+def test_products_leave_their_operands_unchanged(name):
+    """Results share term dicts with their operands; a product must not add
+    into an operand's terms, whatever the mix of central and other terms."""
+    p = walk_pack(name)
+    rng = random.Random(17)
+    k = k_lambda(p, 3, (3,))
+    pairs = [(k, k)]
+    for _ in range(3):
+        a = random_element(p, 3, rng, 4)
+        b = PqwpElement(p, 3, {w: scaled_unit(p, 3, c) for w, c in zip(
+            rng.sample(list(all_perms(3)), 3), central_scalars(p, name))})
+        pairs += [(a, b), (b, a), (a, a), (b, b), (a, a + b)]
+    for a, b in pairs:
+        before = [(c, dict(c.terms)) for x in (a, b) for c in x.terms.values()]
+        product = pqwp_mul(a, b)
+        assert all(c.terms == terms for c, terms in before)
+        assert pqwp_mul(a, b) == product

@@ -16,7 +16,7 @@ from qwreath.base_algebra import (
 )
 from qwreath.coeff_ring import Field, GFElement, MixedVariant, echelon_pivots, specialize
 from qwreath.pqwp import ParamMismatch, PqwpElement, k_lambda, m_lambda, pqwp_mul
-from qwreath.tensor_poly import SizeMismatch, unit_poly, x_var
+from qwreath.tensor_poly import SizeMismatch, abar_ij, r_ij, unit_poly, x_var
 
 PRO_P_Q3 = str(Path(__file__).resolve().parent / "data" / "pro_p_q3.toml")
 
@@ -73,6 +73,17 @@ def test_pro_p_q3_is_the_specialization_of_pro_p(packs):
                           (q3.r_elt, pro_p.r_elt)):
         assert mine.terms == {k: specialize(c, {"q": 3}) for k, c in general.terms.items()}
     assert {type(c) for c in q3.alpha.terms.values()} == {Fraction}
+
+
+def test_pro_p_q3_derived_constants_are_ints_when_integral(packs):
+    """s = delta10 - delta01, alpha_bar and r = alpha * alpha_bar come out of
+    Fraction arithmetic; their integral coefficients are ints all the same."""
+    q3, _ = packs
+    assert {type(c) for c in q3.s_elt.terms.values()} == {Fraction}
+    assert q3.alpha_bar.terms == {(1, 1): 2, (0, 0): 1}
+    assert q3.r_elt.terms == {(0, 0): 1}
+    for t in (q3.alpha_bar, q3.r_elt, r_ij(q3, 3, 0, 1), abar_ij(q3, 3, 1, 2)):
+        assert {type(c) for c in t.terms.values()} == {int}
 
 
 def test_pro_p_q3_passes_its_reports(packs):
