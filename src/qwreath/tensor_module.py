@@ -82,8 +82,9 @@ class TensorVector(SparseSum):
             raise ModuleMismatch("vectors live in different tensor powers")
 
     def times_poly(self, q: TensorPoly) -> "TensorVector":
-        """Right action of the coefficient ring, factor by factor."""
-        return self._like({idx: b * q for idx, b in self.terms.items()})
+        """Right action of the coefficient ring, factor by factor: the
+        batched product on a batch of one."""
+        return times_poly_batch((self,), q)[0]
 
     def support(self):
         return sorted(self.terms)
@@ -103,6 +104,25 @@ class TensorVector(SparseSum):
                     cs = "(" + cs + ")"
                 chunks.append(f"{tag}*{cs}")
         return " + ".join(chunks)
+
+
+def times_poly_batch(vectors, q: TensorPoly) -> list:
+    """Right action of the coefficient ring on each vector of a batch, in
+    order: every coefficient b becomes b * q, with b kept on the left, as F
+    need not be commutative.  The product is computed once per coefficient
+    object b of the batch, through a lookup keyed by ``id(b)`` that lives
+    only for the call, as in ``act_H_batch``; zero products are dropped."""
+    products = {}
+    out = []
+    for v in vectors:
+        terms = {}
+        for idx, b in v.terms.items():
+            bq = products.get(id(b))
+            if bq is None:
+                bq = products[id(b)] = b * q
+            terms[idx] = bq
+        out.append(v._like(terms))
+    return out
 
 
 def _swap(idx, k):
@@ -129,8 +149,11 @@ def act_H_batch(vectors, k: int) -> list:
 
     sigma_k(b) and rho_k(b) are computed once per coefficient object b of
     the batch, and the products of each case once per object and case, so
-    vectors that hold the same b, as in ``tensor_relations_check``, share
-    them.  The lookup is keyed by ``id(b)`` and lives only for the call,
+    vectors that hold the same b share them.  Images of such a batch hold
+    shared objects again, so the sharing carries over to the next generator:
+    ``tensor_relations_check`` acts on its pure vectors, which hold one
+    unit object, a letter at a time and keeps the sharing along each word.
+    The lookup is keyed by ``id(b)`` and lives only for the call,
     while the batch keeps every b alive; equal but distinct objects are
     worked out separately.  All vectors must live in one tensor power
     (ModuleMismatch otherwise); an empty batch gives []."""
@@ -219,78 +242,86 @@ def _random_poly(params, d, rng):
 def tensor_relations_check(params, n, d, rng=None) -> int:
     """Act with both sides of every defining relation on all pure basis
     vectors and on 20 random coefficients; the sides must agree exactly.
-    Returns the number of identities compared.
+    Returns the number of identities compared.  n and d must be at least 1
+    (ValueError naming the argument otherwise); at d = 1 there is no
+    relation to compare and the count is 0.
 
-    The quadratic, braid and commuting relations run first, vector by
-    vector, each vector sharing its word images between them.  The
-    pass-through identities (v * H_k) * q = (v * sigma_k(q)) * H_k
-    + v * rho_k(q) follow, on the pure vectors, for each k and then each
-    random coefficient q in turn: the right-hand actions of one (k, q) are
-    one ``act_H_batch`` over all pure vectors, which share the coefficient
-    object sigma_k(q) and so its images.  Each vector's two sides are still
-    compared on their own."""
+    The vectors are worked in batches, and each identity is still compared
+    vector by vector.  The pure vectors v_i * 1 form one batch and all hold
+    one unit object; each random coefficient sits on a batch of one.  On a
+    batch, the images under the quadratic, braid and commuting words are
+    built a letter at a time over the prefix-closed set of those words, one
+    ``act_H_batch`` per word, and the products v * S and v * R of the
+    quadratic relations are one ``times_poly_batch`` each.  The images of
+    the pure batch hold few distinct coefficient objects, so sigma_k, rho_k
+    and the coefficient products are computed once per object, not once per
+    vector.  The random samples share no coefficient object: batching them
+    together would save no work and only hold all their images at once.
+
+    The pass-through identities (v * H_k) * q = (v * sigma_k(q)) * H_k
+    + v * rho_k(q) follow on the pure vectors, for each k and then each
+    random coefficient q in turn: (v * H_k) * q, v * sigma_k(q) and
+    v * rho_k(q) are one batched product each over the pure batch, and the
+    action of H_k on the middle one is one ``act_H_batch``."""
+    for name, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {name}={size}")
     import random
     rng = rng or random.Random(0)
     polys = [_random_poly(params, d, rng) for _ in range(20)]
-    pure = [TensorVector.basis(params, n, d, idx)
+    one = unit_poly(params, d)
+    pure = [TensorVector.basis(params, n, d, idx, one)
             for idx in product(range(1, n + 1), repeat=d)]
-    samples = list(pure)
+    randoms = []
     for q in polys:
         idx = tuple(rng.randrange(1, n + 1) for _ in range(d))
-        samples.append(TensorVector.basis(params, n, d, idx, q))
+        randoms.append(TensorVector.basis(params, n, d, idx, q))
+
+    pairs = [((k, k + 1, k), (k + 1, k, k + 1), f"braid k={k + 1}")
+             for k in range(d - 2)]
+    pairs += [((k, m), (m, k), f"commuting k={k + 1} m={m + 1}")
+              for k in range(d - 1) for m in range(k + 2, d - 1)]
+    words = [(k, k) for k in range(d - 1)]
+    words += [w for left, right, _ in pairs for w in (left, right)]
+    # sorted, every proper prefix comes before the words it begins
+    prefixes = sorted({w[:end] for w in words for end in range(1, len(w) + 1)})
+    count = 0
 
     def demand(lhs, rhs, label):
+        nonlocal count
         if lhs != rhs:
             raise IdentityFailed(f"tensor action breaks {label}",
                                  witness={"relation": label,
                                           "left": str(lhs), "right": str(rhs)})
+        count += 1
 
-    count = 0
-    # v * H_k of each pure vector v, for the left-hand sides of its
-    # pass-through identities
-    first_steps = []
-    for i, v in enumerate(samples):
-        image = _word_images(v)
+    def relations(batch):
+        """Compare the quadratic, braid and commuting relations on every
+        vector of the batch; returns the images v * H_k, for each k."""
+        images = {(): batch}
+        for w in prefixes:
+            images[w] = act_H_batch(images[w[:-1]], w[-1])
         for k in range(d - 1):
-            rhs = act_H(v.times_poly(s_ij(params, d, k, k + 1)), k)
-            rhs = rhs + v.times_poly(r_ij(params, d, k, k + 1))
-            demand(image((k, k)), rhs, f"quadratic k={k + 1}")
-            count += 1
-        for k in range(d - 2):
-            demand(image((k, k + 1, k)), image((k + 1, k, k + 1)),
-                   f"braid k={k + 1}")
-            count += 1
-        for k in range(d - 1):
-            for m in range(k + 2, d - 1):
-                demand(image((k, m)), image((m, k)),
-                       f"commuting k={k + 1} m={m + 1}")
-                count += 1
-        if i < len(pure):
-            first_steps.append([image((k,)) for k in range(d - 1)])
+            moved = act_H_batch(times_poly_batch(batch, s_ij(params, d, k, k + 1)), k)
+            kept = times_poly_batch(batch, r_ij(params, d, k, k + 1))
+            for lhs, rhs, rest in zip(images[(k, k)], moved, kept):
+                demand(lhs, rhs + rest, f"quadratic k={k + 1}")
+        for left, right, label in pairs:
+            for lhs, rhs in zip(images[left], images[right]):
+                demand(lhs, rhs, label)
+        return [images[(k,)] for k in range(d - 1)]
 
+    first_steps = relations(pure)
+    for v in randoms:
+        relations([v])
     for k in range(d - 1):
         for q in polys:
-            swapped, rho = q.place_permute_simple(k), q.twisted_demazure(k)
-            moved = act_H_batch([v.times_poly(swapped) for v in pure], k)
-            for v, steps, rhs in zip(pure, first_steps, moved):
-                demand(steps[k].times_poly(q), rhs + v.times_poly(rho),
-                       f"coefficient pass-through k={k + 1}")
-                count += 1
+            lhs = times_poly_batch(first_steps[k], q)
+            moved = act_H_batch(times_poly_batch(pure, q.place_permute_simple(k)), k)
+            kept = times_poly_batch(pure, q.twisted_demazure(k))
+            for left, rhs, rest in zip(lhs, moved, kept):
+                demand(left, rhs + rest, f"coefficient pass-through k={k + 1}")
     return count
-
-
-def _word_images(v):
-    """The map word -> v acted on by the generators of word in turn.  Each
-    image is computed once, from the image of its longest proper prefix, so
-    words with a common prefix share its images."""
-    memo = {(): v}
-
-    def image(word):
-        hit = memo.get(word)
-        if hit is None:
-            hit = memo[word] = act_H(image(word[:-1]), word[-1])
-        return hit
-    return image
 
 
 # weight slices -----------------------------------------------------------------

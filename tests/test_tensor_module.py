@@ -1,23 +1,34 @@
 import random
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qwreath import tensor_module
-from qwreath.base_algebra import preset, shipped_presets
+from qwreath.base_algebra import load_preset_file, preset, shipped_presets
 from qwreath.pqwp import IdentityFailed, PqwpElement, pqwp_mul
 from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, reduced_word,
                              strip_zeros, theta_matrices)
 from qwreath.tensor_module import (
     ModuleMismatch, SpanViolation, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
     commutant_check, invariant_basis, plus_vector, tensor_relations_check,
-    theta_apply, theta_family_rank, theta_on_tensor,
+    theta_apply, theta_family_rank, theta_on_tensor, times_poly_batch,
 )
-from qwreath.tensor_poly import (InvarianceViolation, monomial, s_ij, unit_poly,
-                                 x_var, zero_poly)
+from qwreath.tensor_poly import (InvarianceViolation, TensorPoly, monomial,
+                                 s_ij, unit_poly, x_var, zero_poly)
 
 PACKS = list(shipped_presets()) + ["pro_p(4)"]
 MATRICES = theta_matrices(2, 3)
+DATA = Path(__file__).resolve().parent / "data"
+# the two test-data packs: wreath_s3's F = k[S_3] is not commutative, and
+# pro_p_q3's rational scalars mix ints and Fractions
+DATA_PACKS = ["wreath_s3.toml", "pro_p_q3.toml"]
+
+
+def pack(name):
+    """A shipped preset, or a preset file of tests/data."""
+    return load_preset_file(str(DATA / name)) if name.endswith(".toml") else preset(name)
 
 
 def basis_vectors(params, n, d):
@@ -32,23 +43,45 @@ def test_tensor_relations_hold(name):
     assert tensor_relations_check(p, n=3, d=4, rng=random.Random(1)) == 5466
 
 
-@pytest.mark.parametrize("name", shipped_presets())
+@pytest.mark.parametrize("name", list(shipped_presets()) + DATA_PACKS)
 def test_tensor_relations_hold_on_every_preset(name):
     """On zigzag_a1 and savage_frobenius abar = R = 1 and S = 0; the other
-    presets give the equal and descending index cases other constants."""
-    p = preset(name)
+    presets give the equal and descending index cases other constants.
+    wreath_s3 has a non-commutative F, but its abar, R and S are central,
+    so every coefficient product the check forms has a central factor and
+    cannot tell b * q from q * b; the batched product's own test does."""
+    p = pack(name)
     assert tensor_relations_check(p, n=2, d=3, rng=random.Random(0)) == 404
 
 
-def mutant_action(monkeypatch, change):
+@pytest.mark.parametrize("n, d, bad", ((0, 3, "n"), (-1, 2, "n"),
+                                       (2, 0, "d"), (2, -2, "d"), (0, 0, "n")))
+def test_tensor_relations_reject_bad_sizes(n, d, bad):
+    """A size below 1 is a ValueError naming it, raised before the random
+    coefficients are drawn; d = 1 has no relation to compare."""
+    p = preset("zigzag_a1")
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{bad} must be at least 1") as err:
+        tensor_relations_check(p, n=n, d=d, rng=rng)
+    assert type(err.value) is ValueError
+    assert rng.getstate() == state
+    assert tensor_relations_check(p, n=2, d=1, rng=rng) == 0
+
+
+def mutant_action(monkeypatch, change, when=lambda vectors: True):
     """Replace the one implementation of the generator action, which act_H
-    and the batched pass-through identities both go through, by the true
-    action minus change(v, k), a vector over the space of v."""
+    and the batched relation checks all go through, by the true action
+    minus change(v, k), a vector over the space of v, on every batch of
+    vectors for which when(vectors) holds."""
     true_batch = tensor_module.act_H_batch
 
     def wrong_batch(vectors, k):
         vectors = tuple(vectors)
-        return [w - change(v, k) for v, w in zip(vectors, true_batch(vectors, k))]
+        images = true_batch(vectors, k)
+        if not when(vectors):
+            return images
+        return [w - change(v, k) for v, w in zip(vectors, images)]
 
     monkeypatch.setattr(tensor_module, "act_H_batch", wrong_batch)
 
@@ -85,6 +118,73 @@ def test_tensor_relations_catch_a_missing_s_term(monkeypatch):
                                rng=random.Random(0))
     assert tensor_relations_check(preset("zigzag_a1"), n=2, d=3,
                                   rng=random.Random(0)) == 404
+
+
+@pytest.mark.parametrize("batch, when", (("pure", lambda vectors: len(vectors) > 1),
+                                         ("of one", lambda vectors: len(vectors) == 1)))
+def test_each_kind_of_batch_is_checked(monkeypatch, batch, when):
+    """At n = 2, d = 3 the eight pure vectors are acted on as one batch and
+    each random sample as a batch of one: a missing S * sigma_k(b) in only
+    one kind of batch is still caught."""
+    mutant_action(monkeypatch, without_s, when)
+    with pytest.raises(IdentityFailed):
+        tensor_relations_check(preset("affine_hecke"), n=2, d=3,
+                               rng=random.Random(0))
+
+
+@pytest.mark.parametrize("name", ["zigzag_a1", "savage_frobenius"])
+def test_relations_check_shares_products_between_vectors(monkeypatch, name):
+    """The pure vectors hold one unit object, so their word images and
+    coefficient products are worked out once per coefficient object: a
+    unit of their own for each pure vector makes about 17,000 products and
+    2,000 sigma_k and rho_k calls each."""
+    calls = Counter()
+    for attr in ("__mul__", "place_permute_simple", "twisted_demazure"):
+        def spy(self, *args, _true=getattr(TensorPoly, attr), _attr=attr):
+            calls[_attr] += 1
+            return _true(self, *args)
+        monkeypatch.setattr(TensorPoly, attr, spy)
+    assert tensor_relations_check(preset(name), n=3, d=4,
+                                  rng=random.Random(1)) == 5466
+    assert calls["__mul__"] <= 2000
+    assert calls["place_permute_simple"] <= 800
+    assert calls["twisted_demazure"] <= 800
+
+
+def test_batched_product_is_the_product_of_each_vector():
+    """times_poly_batch gives b * q for every term of every vector, also
+    where vectors share b, and stores no zero coefficient: on zigzag_a1
+    (c⊗1⊗1)^2 = 0."""
+    p = preset("zigzag_a1")
+    b = monomial(p, 3, (1, 0, 0), (1, 0, 2)) + unit_poly(p, 3)
+    c = monomial(p, 3, (1, 0, 0), (0, 0, 0))
+    batch = [TensorVector(p, 2, 3, {(1, 1, 2): b, (2, 1, 1): c}),
+             TensorVector(p, 2, 3, {(1, 2, 1): b, (2, 2, 2): c}),
+             TensorVector.zero(p, 2, 3)]
+    for q in (c, b, x_var(p, 3, 1) + c, unit_poly(p, 3), zero_poly(p, 3)):
+        out = times_poly_batch(batch, q)
+        assert out == [TensorVector(p, 2, 3, {idx: a * q for idx, a in v.terms.items()})
+                       for v in batch]
+        assert out == [v.times_poly(q) for v in batch]
+        assert all(all(w.terms.values()) for w in out)
+    out = times_poly_batch(batch, c)
+    assert set(out[0].terms) == {(1, 1, 2)} and set(out[1].terms) == {(1, 2, 1)}
+    assert times_poly_batch([], c) == []
+
+
+def test_batched_product_keeps_the_coefficient_on_the_left():
+    """F = k[S_3] is not commutative: a vector's coefficient b, shared by
+    two vectors, is multiplied by q on the right."""
+    p = pack("wreath_s3.toml")
+    labels = p.algebra.labels
+    s, t = labels.index("s"), labels.index("t")
+    b = monomial(p, 2, (s, 0), (1, 0))
+    q = monomial(p, 2, (t, 0), (0, 0))
+    assert b * q != q * b
+    batch = [TensorVector.basis(p, 2, 2, (1, 2), b),
+             TensorVector.basis(p, 2, 2, (2, 2), b)]
+    assert times_poly_batch(batch, q) == [TensorVector.basis(p, 2, 2, idx, b * q)
+                                          for idx in ((1, 2), (2, 2))]
 
 
 def test_theta_family_is_full_rank():
