@@ -155,11 +155,65 @@ class FAlgebra:
         return f"FAlgebra({self.name}, dim={self.dim})"
 
 
+# marks a key that a lookup living for one call has not met yet
+_UNSEEN = object()
+
+
+def _add_terms(terms, other, sums):
+    """Add the coefficients of the dict other into the dict terms, which the
+    caller owns, and return it.  Where both hold a coefficient at one key,
+    a and c, the sum a + c is computed and tested for zero once per pair of
+    coefficient objects, through the lookup sums keyed by ``(id(a), id(c))``,
+    which the caller keeps for as long as every a and c it has met stays
+    alive; a sum that cancels drops its key."""
+    for key, c in other.items():
+        a = terms.get(key)
+        if a is None:
+            terms[key] = c
+            continue
+        pair = (id(a), id(c))
+        total = sums.get(pair, _UNSEEN)
+        if total is _UNSEEN:
+            total = sums[pair] = a + c or None
+        if total is None:
+            del terms[key]
+        else:
+            terms[key] = total
+    return terms
+
+
+def add_batch(lefts, rights) -> list:
+    """x + y for each pair of sparse sums x, y of two batches of equal
+    length, in order (ValueError otherwise).  The sum of two coefficients
+    is computed once per pair of coefficient objects in the whole batch, so
+    elements that hold shared coefficient objects, as the images of
+    ``tensor_relations_check``'s pure vectors do, share their sums; the
+    lookup lives only for the call, while the batches keep every coefficient
+    alive.  A sum that cancels drops its key when it is formed, so the
+    results need no second zero scan.  All sums must be of one type and
+    live in one space (TypeError, or the type's own mismatch error); empty
+    batches give []."""
+    lefts, rights = tuple(lefts), tuple(rights)
+    if len(lefts) != len(rights):
+        raise ValueError(f"batches of {len(lefts)} and {len(rights)} sums")
+    if not lefts:
+        return []
+    first = lefts[0]
+    for x in lefts + rights:
+        if type(x) is not type(first):
+            raise TypeError(f"cannot add {type(x).__name__} and {type(first).__name__}")
+        first._same_space(x)
+    sums = {}
+    return [x._kept(_add_terms(dict(x.terms), y.terms, sums))
+            for x, y in zip(lefts, rights)]
+
+
 class SparseSum:
     """A finite linear combination over a basis, stored as ``terms``, a dict
     from basis key to nonzero coefficient.  Addition, negation, subtraction,
     scaling, ``==`` and ``repr`` are written here once, and ``bool(x)`` is
-    the zero test, as it is for the scalars.
+    the zero test, as it is for the scalars.  ``x + y`` adds the
+    coefficients as ``add_batch`` does on a batch of one.
 
     Every constructor drops zero coefficients, so two sums over the same
     space are equal exactly when their term dicts are: the same keys, and
@@ -195,11 +249,7 @@ class SparseSum:
         if type(other) is not type(self):
             return NotImplemented
         self._same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            out[key] = c if v is None else v + c
-        return self._like(out)
+        return self._kept(_add_terms(dict(self.terms), other.terms, {}))
 
     def __neg__(self):
         # negation keeps every coefficient nonzero
@@ -530,7 +580,10 @@ class ValidationReport:
 def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport:
     """Check the structural conditions A1-A3 and C1-C3 for one parameter
     pack.  C3 is a bounded certificate: absence of annihilators of
-    P = alpha*(x1-x2) + beta up to the given x-degree."""
+    P = alpha*(x1-x2) + beta up to the given x-degree.  A negative
+    degree_bound is a ValueError."""
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got degree_bound={degree_bound}")
     rep = ValidationReport(f"pqwp axioms [{params.name}]")
 
     def a1():
@@ -612,7 +665,10 @@ def _pbw_family(params, d, degree):
 def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationReport:
     """Evaluate the nine basis-existence conditions as operator identities,
     P1-P4 on B^{tensor 2} and P5-P9 on B^{tensor 3}, over the spanning
-    family f*x^e with exponents up to the given degree."""
+    family f*x^e with exponents up to the given degree.  A negative degree
+    is a ValueError."""
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got degree={degree}")
     from . import tensor_poly as tp
     rep = ValidationReport(f"pbw conditions [{params.name}]")
 

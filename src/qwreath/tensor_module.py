@@ -11,7 +11,7 @@ is v_lam+ * (sum of H_w c_w): its coefficients are right coefficients."""
 
 from itertools import product
 
-from .base_algebra import SparseSum
+from .base_algebra import _UNSEEN, SparseSum, add_batch
 from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement,
                    from_right_coefficients, k_lambda, pqwp_mul)
@@ -109,19 +109,21 @@ class TensorVector(SparseSum):
 def times_poly_batch(vectors, q: TensorPoly) -> list:
     """Right action of the coefficient ring on each vector of a batch, in
     order: every coefficient b becomes b * q, with b kept on the left, as F
-    need not be commutative.  The product is computed once per coefficient
-    object b of the batch, through a lookup keyed by ``id(b)`` that lives
-    only for the call, as in ``act_H_batch``; zero products are dropped."""
+    need not be commutative.  The product is computed and tested for zero
+    once per coefficient object b of the batch, through a lookup keyed by
+    ``id(b)`` that lives only for the call, as in ``act_H_batch``; only the
+    nonzero products are stored, so the results need no second zero scan."""
     products = {}
     out = []
     for v in vectors:
         terms = {}
         for idx, b in v.terms.items():
-            bq = products.get(id(b))
-            if bq is None:
-                bq = products[id(b)] = b * q
-            terms[idx] = bq
-        out.append(v._like(terms))
+            bq = products.get(id(b), _UNSEEN)
+            if bq is _UNSEEN:
+                bq = products[id(b)] = b * q or None
+            if bq is not None:
+                terms[idx] = bq
+        out.append(v._kept(terms))
     return out
 
 
@@ -251,18 +253,21 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
     one unit object; each random coefficient sits on a batch of one.  On a
     batch, the images under the quadratic, braid and commuting words are
     built a letter at a time over the prefix-closed set of those words, one
-    ``act_H_batch`` per word, and the products v * S and v * R of the
-    quadratic relations are one ``times_poly_batch`` each.  The images of
-    the pure batch hold few distinct coefficient objects, so sigma_k, rho_k
-    and the coefficient products are computed once per object, not once per
-    vector.  The random samples share no coefficient object: batching them
-    together would save no work and only hold all their images at once.
+    ``act_H_batch`` per word, the products v * S and v * R of the
+    quadratic relations are one ``times_poly_batch`` each, and their sums
+    (v * S) * H_k + v * R one ``add_batch``.  The images of the pure batch
+    hold few distinct coefficient objects, so sigma_k, rho_k, the
+    coefficient products and the coefficient sums are computed once per
+    object or pair of objects, not once per vector.  The random samples
+    share no coefficient object: batching them together would save no work
+    and only hold all their images at once.
 
     The pass-through identities (v * H_k) * q = (v * sigma_k(q)) * H_k
     + v * rho_k(q) follow on the pure vectors, for each k and then each
     random coefficient q in turn: (v * H_k) * q, v * sigma_k(q) and
-    v * rho_k(q) are one batched product each over the pure batch, and the
-    action of H_k on the middle one is one ``act_H_batch``."""
+    v * rho_k(q) are one batched product each over the pure batch, the
+    action of H_k on the middle one is one ``act_H_batch``, and the sum of
+    the right-hand side one ``add_batch``."""
     for name, size in (("n", n), ("d", d)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {name}={size}")
@@ -304,8 +309,8 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
         for k in range(d - 1):
             moved = act_H_batch(times_poly_batch(batch, s_ij(params, d, k, k + 1)), k)
             kept = times_poly_batch(batch, r_ij(params, d, k, k + 1))
-            for lhs, rhs, rest in zip(images[(k, k)], moved, kept):
-                demand(lhs, rhs + rest, f"quadratic k={k + 1}")
+            for lhs, rhs in zip(images[(k, k)], add_batch(moved, kept)):
+                demand(lhs, rhs, f"quadratic k={k + 1}")
         for left, right, label in pairs:
             for lhs, rhs in zip(images[left], images[right]):
                 demand(lhs, rhs, label)
@@ -319,8 +324,8 @@ def tensor_relations_check(params, n, d, rng=None) -> int:
             lhs = times_poly_batch(first_steps[k], q)
             moved = act_H_batch(times_poly_batch(pure, q.place_permute_simple(k)), k)
             kept = times_poly_batch(pure, q.twisted_demazure(k))
-            for left, rhs, rest in zip(lhs, moved, kept):
-                demand(left, rhs + rest, f"coefficient pass-through k={k + 1}")
+            for left, rhs in zip(lhs, add_batch(moved, kept)):
+                demand(left, rhs, f"coefficient pass-through k={k + 1}")
     return count
 
 
@@ -467,7 +472,10 @@ def invariant_basis(params, d, delta, degree) -> list:
 def theta_family_rank(params, lam, mu, degree) -> dict:
     """Linear independence of the block maps with fixed source and target
     weights, over the degree-bounded invariant coefficients: returns the
-    number of maps and the rank of their expansion matrix."""
+    number of maps and the rank of their expansion matrix.  A negative
+    degree is a ValueError."""
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got degree={degree}")
     lam, mu = tuple(lam), tuple(mu)
     d = sum(lam)
     if sum(mu) != d:

@@ -584,7 +584,10 @@ def require_invariant(value, lam):
 def annihilator_certificate(params, degree_bound: int = 3):
     """Look for a nonzero zeta of x-degree at most degree_bound with
     zeta*P = 0 or P*zeta = 0 where P = alpha*(x1-x2) + beta.  Returns
-    (True, rank note) if none exists in the window, else (False, witness)."""
+    (True, rank note) if none exists in the window, else (False, witness).
+    A negative degree_bound is a ValueError."""
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be non-negative, got degree_bound={degree_bound}")
     d = 2
     P = p_ij(params, d, 0, 1)
     if not P:

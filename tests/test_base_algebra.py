@@ -11,7 +11,8 @@ from qwreath.base_algebra import (
 )
 from qwreath.coeff_ring import Field
 from qwreath.pqwp import k_lambda, m_lambda, pqwp_mul
-from qwreath.tensor_poly import x_var
+from qwreath.tensor_module import theta_family_rank
+from qwreath.tensor_poly import annihilator_certificate, x_var
 
 WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
 
@@ -263,10 +264,28 @@ def test_derived_s_stays_weak_frobenius(name):
     assert is_weak_frobenius(params.s_elt)
 
 
-@pytest.mark.parametrize("name", ["degenerate", "wreath", "affine_hecke", "zigzag_a1"])
+@pytest.mark.parametrize("name", shipped_presets())
 def test_pbw_conditions_pass(name):
     rep = verify_pbw_conditions(preset(name), degree=2)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("check, arg", (
+    (lambda p: validate_pqwp(p, -1), "degree_bound"),
+    (lambda p: validate_pqwp(p, degree_bound=-3), "degree_bound"),
+    (lambda p: verify_pbw_conditions(p, -1), "degree"),
+    (lambda p: annihilator_certificate(p, -1), "degree_bound"),
+    (lambda p: theta_family_rank(p, (2, 1), (1, 2), -1), "degree"),
+    # the degree is checked before the weights
+    (lambda p: theta_family_rank(p, (2, 1), (1, 1), -1), "degree"),
+), ids=("validate_pqwp", "validate_pqwp_keyword", "verify_pbw_conditions",
+        "annihilator_certificate", "theta_family_rank",
+        "theta_family_rank_bad_weights"))
+def test_negative_degrees_are_value_errors(check, arg):
+    """A negative degree bound would pass on an empty family; each check
+    refuses it, naming the argument."""
+    with pytest.raises(ValueError, match=f"^{arg} must be non-negative"):
+        check(preset("zigzag_a1"))
 
 
 def test_pbw_conditions_reject_mixed_beta():

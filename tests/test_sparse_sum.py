@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from qwreath.base_algebra import ArityMismatch, FTensor, SparseSum, preset
+from qwreath.base_algebra import ArityMismatch, FTensor, SparseSum, add_batch, preset
 from qwreath.convolution import BlockMismatch, ConvBlock, SchurElement
 from qwreath.pqwp import ParamMismatch, PqwpElement
 from qwreath.symcomb import identity, simple
@@ -79,6 +79,25 @@ def test_mixed_types_raise_type_error(kind):
             a - b
     with pytest.raises(TypeError):
         a + 1
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_batched_sum_adds_each_pair(kind):
+    """add_batch, which x + y runs on a batch of one, on batches whose
+    elements share their coefficient objects; a batch mixing spaces or
+    types is refused."""
+    cases = _cases()
+    a, other, error = cases[kind]
+    field = a.algebra.field if isinstance(a, FTensor) else a.params.field
+    zero = a.scale(field.zero())
+    out = add_batch([a, a, -a, zero], [a, -a, zero, -a])
+    assert out == [a.scale(field.from_int(2)), zero, -a, -a]
+    assert out[1].terms == {}
+    with pytest.raises(error):
+        add_batch([a, a], [a, other])
+    b = next(case[0] for name, case in cases.items() if name != kind)
+    with pytest.raises(TypeError):
+        add_batch([a, b], [a, a])
 
 
 @pytest.mark.parametrize("kind", CASES)

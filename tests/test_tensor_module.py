@@ -12,8 +12,9 @@ from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, reduced_word,
                              strip_zeros, theta_matrices)
 from qwreath.tensor_module import (
     ModuleMismatch, SpanViolation, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
-    commutant_check, invariant_basis, plus_vector, tensor_relations_check,
-    theta_apply, theta_family_rank, theta_on_tensor, times_poly_batch,
+    add_batch, commutant_check, invariant_basis, plus_vector,
+    tensor_relations_check, theta_apply, theta_family_rank, theta_on_tensor,
+    times_poly_batch,
 )
 from qwreath.tensor_poly import (InvarianceViolation, TensorPoly, monomial,
                                  s_ij, unit_poly, x_var, zero_poly)
@@ -135,17 +136,19 @@ def test_each_kind_of_batch_is_checked(monkeypatch, batch, when):
 @pytest.mark.parametrize("name", ["zigzag_a1", "savage_frobenius"])
 def test_relations_check_shares_products_between_vectors(monkeypatch, name):
     """The pure vectors hold one unit object, so their word images and
-    coefficient products are worked out once per coefficient object: a
-    unit of their own for each pure vector makes about 17,000 products and
-    2,000 sigma_k and rho_k calls each."""
+    coefficient products are worked out once per coefficient object, and
+    the sums of the two sides once per pair of objects: a unit of their own
+    for each pure vector makes about 17,000 products and 2,000 sigma_k and
+    rho_k calls each, and summing vector by vector about 5,400 sums."""
     calls = Counter()
-    for attr in ("__mul__", "place_permute_simple", "twisted_demazure"):
+    for attr in ("__add__", "__mul__", "place_permute_simple", "twisted_demazure"):
         def spy(self, *args, _true=getattr(TensorPoly, attr), _attr=attr):
             calls[_attr] += 1
             return _true(self, *args)
         monkeypatch.setattr(TensorPoly, attr, spy)
     assert tensor_relations_check(preset(name), n=3, d=4,
                                   rng=random.Random(1)) == 5466
+    assert calls["__add__"] <= 1000
     assert calls["__mul__"] <= 2000
     assert calls["place_permute_simple"] <= 800
     assert calls["twisted_demazure"] <= 800
@@ -185,6 +188,69 @@ def test_batched_product_keeps_the_coefficient_on_the_left():
              TensorVector.basis(p, 2, 2, (2, 2), b)]
     assert times_poly_batch(batch, q) == [TensorVector.basis(p, 2, 2, idx, b * q)
                                           for idx in ((1, 2), (2, 2))]
+
+
+def test_batched_sum_is_the_sum_of_each_pair():
+    """add_batch gives x + y for every pair, also where vectors share
+    coefficient objects, and a sum that cancels stores no index."""
+    p = preset("zigzag_a1")
+    b = monomial(p, 3, (1, 0, 0), (1, 0, 2)) + unit_poly(p, 3)
+    c = monomial(p, 3, (1, 0, 0), (0, 0, 0))
+    lefts = [TensorVector(p, 2, 3, {(1, 1, 2): b, (2, 1, 1): c}),
+             TensorVector(p, 2, 3, {(1, 1, 2): c, (2, 1, 1): b}),
+             TensorVector(p, 2, 3, {(1, 2, 1): b}),
+             TensorVector.zero(p, 2, 3)]
+    rights = [TensorVector(p, 2, 3, {(1, 1, 2): b, (2, 1, 1): -c}),
+              TensorVector(p, 2, 3, {(1, 1, 2): b, (2, 2, 2): c}),
+              TensorVector(p, 2, 3, {(1, 2, 1): -b}),
+              TensorVector.basis(p, 2, 3, (2, 2, 1), c)]
+    for xs, ys in ((lefts, rights), (rights, lefts), (lefts, lefts)):
+        out = add_batch(xs, ys)
+        assert out == [TensorVector(p, 2, 3, {idx: x.terms.get(idx, zero_poly(p, 3))
+                                              + y.terms.get(idx, zero_poly(p, 3))
+                                              for idx in set(x.terms) | set(y.terms)})
+                       for x, y in zip(xs, ys)]
+        assert out == [x + y for x, y in zip(xs, ys)]
+        assert all(all(w.terms.values()) for w in out)
+    out = add_batch(lefts, rights)
+    assert set(out[0].terms) == {(1, 1, 2)}
+    assert out[2].terms == {}
+    assert add_batch([], []) == []
+
+
+def test_batched_sum_rejects_mixed_spaces_and_unequal_batches():
+    p = preset("zigzag_a1")
+    v = TensorVector.basis(p, 2, 3, (1, 1, 2))
+    others = (TensorVector.basis(p, 3, 3, (1, 1, 2)),
+              TensorVector.basis(p, 2, 2, (1, 1)),
+              TensorVector.basis(preset("savage_frobenius"), 2, 3, (1, 1, 2)))
+    for w in others:
+        for lefts, rights in (([v], [w]), ([v, w], [v, v]), ([v, v], [v, w])):
+            with pytest.raises(ModuleMismatch):
+                add_batch(lefts, rights)
+        with pytest.raises(ModuleMismatch):
+            v + w
+    with pytest.raises(ValueError, match="batches of 2 and 1"):
+        add_batch([v, v], [v])
+    with pytest.raises(ValueError):
+        add_batch([], [v])
+    with pytest.raises(TypeError):
+        v + unit_poly(p, 3)
+
+
+def test_tensor_relations_catch_a_batched_sum_that_reuses_one_pair(monkeypatch):
+    """A batched sum that gives every pair the first pair's sum is caught
+    on the pure batch; batches of one are unaffected by it."""
+    true_add = tensor_module.add_batch
+
+    def wrong_add(lefts, rights):
+        out = true_add(lefts, rights)
+        return [out[0]] * len(out) if out else out
+
+    monkeypatch.setattr(tensor_module, "add_batch", wrong_add)
+    with pytest.raises(IdentityFailed):
+        tensor_relations_check(preset("affine_hecke"), n=2, d=3,
+                               rng=random.Random(0))
 
 
 def test_theta_family_is_full_rank():
