@@ -816,12 +816,11 @@ class Field:
 
     def parse(self, text: str):
         """A scalar of this field; a parameter name raises MixedVariant
-        unless the field is the rational function field."""
-        val = parse_scalar(text, p=self.p if self.kind == self.PRIME else None)
+        unless the field is the rational function field, also where it
+        cancels, as in ``q/q``."""
         if self.kind == self.RATFUN:
-            return RatFun._coerce(val)
-        if isinstance(val, RatFun):
-            raise MixedVariant(f"field {self.kind!r} has no formal parameters")
+            return RatFun._coerce(parse_scalar(text))
+        val = _parse(text, self.p, names_allowed=False)
         return val if self.kind == self.PRIME else _rational(val)
 
     def __eq__(self, other):
@@ -892,6 +891,16 @@ def parse_scalar(text: str, p: int | None = None):
     Fractions, so ``2^-1`` is exact; ``Field.parse`` of the rational field
     turns an integral result into an int.
     """
+    val = _parse(text, p, names_allowed=p is None)
+    if isinstance(val, RatFun) and not val.parameters():
+        return val.as_fraction()
+    return val
+
+
+def _parse(text: str, p: int | None, names_allowed: bool):
+    """The value of text as ``parse_scalar`` reads it, a parameter-free
+    RatFun left as it is; a parameter name raises MixedVariant unless
+    names_allowed."""
     # Python would read ** as a power and # as a comment; joining the text
     # into one line keeps line breaks and continuations from Python too
     if "**" in text or "#" in text:
@@ -901,9 +910,8 @@ def parse_scalar(text: str, p: int | None = None):
         with warnings.catch_warnings():  # "1if" warns, then fails
             warnings.simplefilter("error", SyntaxWarning)
             tree = ast.parse(src, mode="eval")
-        val = _evaluate(tree.body, src, names_allowed=p is None)
-        if p is not None:
-            return GFElement(p, val)
+        val = _evaluate(tree.body, src, names_allowed)
+        return val if p is None else GFElement(p, val)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse scalar {_quoted(text)}: {exc.msg}") from None
     except ZeroDivisionError:
@@ -913,9 +921,6 @@ def parse_scalar(text: str, p: int | None = None):
         # the other
         raise ValueError(f"scalar {_quoted(text)} is nested too deeply or too "
                          "large") from None
-    if isinstance(val, RatFun) and not val.parameters():
-        return val.as_fraction()
-    return val
 
 
 # the types a scalar of some field can have; the algebra types multiply

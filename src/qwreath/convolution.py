@@ -336,11 +336,9 @@ def _phi_word(params, d, w) -> ConvBlock:
         return ConvBlock._make(params, d, omega, omega,
                                {identity(d): LocalizedElement.one(params, d)})
     wi = inverse(w)
-    for i in range(d - 1):
-        if wi[i] > wi[i + 1]:
-            return _phi_gen(params, d, i).mul(
-                _phi_word(params, d, mul(simple(d, i), w)))
-    raise AssertionError("unreachable")
+    # w is not the identity, so it has a left descent
+    i = next(i for i in range(d - 1) if wi[i] > wi[i + 1])
+    return _phi_gen(params, d, i).mul(_phi_word(params, d, mul(simple(d, i), w)))
 
 
 def phi_embed(a: PqwpElement) -> SchurElement:
@@ -554,13 +552,12 @@ def dumb_vs_smart_identity(params, d, lam, oracle="values") -> dict:
 
 def coil_basis_element(params, d, lam, mu, g, b) -> SchurElement:
     """Merge, braid word with invariant coefficient, split: the spanning
-    elements of the block with the given rows and columns."""
+    elements of the block with the given rows and columns.  The coefficient
+    b is a TensorPoly over the pack; an algebra element raises
+    ParamMismatch."""
     lam, mu, g, nu, _ = _coset_datum(d, lam, mu, g)
-    if isinstance(b, TensorPoly):
-        require_invariant(b, nu)
-        elt = PqwpElement.of_poly(b)
-    else:
-        elt = b
+    elt = PqwpElement.of_poly(b)
+    require_invariant(b, nu)
     word = pqwp_mul(elt, PqwpElement.h_of_perm(params, d, g))
     return split_merge(params, d, lam, kind="merge") * phi_embed(word) * \
         split_merge(params, d, mu, kind="split")

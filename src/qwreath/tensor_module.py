@@ -11,7 +11,7 @@ is v_lam+ * (sum of H_w c_w): its coefficients are right coefficients."""
 
 from itertools import product
 
-from .base_algebra import _UNSEEN, SparseSum, add_batch
+from .base_algebra import _UNSEEN, SparseSum, _add_terms, add_batch
 from .coeff_ring import echelon_pivots
 from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement,
                    from_right_coefficients, k_lambda, pqwp_mul)
@@ -155,9 +155,11 @@ def act_H_batch(vectors, k: int) -> list:
     shared objects again, so the sharing carries over to the next generator:
     ``tensor_relations_check`` acts on its pure vectors, which hold one
     unit object, a letter at a time and keeps the sharing along each word.
-    The lookup is keyed by ``id(b)`` and lives only for the call,
-    while the batch keeps every b alive; equal but distinct objects are
-    worked out separately.  All vectors must live in one tensor power
+    Each image adds its swapped terms to its kept ones as ``add_batch``
+    does, with one lookup of sums for the whole call.  The lookups are
+    keyed by ``id`` and live only for the call, while the batch and the
+    case lookup keep every b and summand alive; equal but distinct objects
+    are worked out separately.  All vectors must live in one tensor power
     (ModuleMismatch otherwise); an empty batch gives []."""
     vectors = tuple(vectors)
     if not vectors:
@@ -173,10 +175,11 @@ def act_H_batch(vectors, k: int) -> list:
     ss = s_ij(params, d, k, k + 1)
     sigma_rho = {}
     cases = {}
+    sums = {}
 
     def parts(b, case):
-        """(coefficient at the swapped index or None, coefficient at the
-        index) of a term v_i * b whose case is the sign of i_k - i_k+1."""
+        """(coefficient at the swapped index, coefficient at the index) of a
+        term v_i * b whose case is the sign of i_k - i_k+1; None for zero."""
         hit = cases.get((id(b), case))
         if hit is None:
             pair = sigma_rho.get(id(b))
@@ -185,28 +188,25 @@ def act_H_batch(vectors, k: int) -> list:
                                            b.twisted_demazure(k))
             swapped, rho = pair
             if case < 0:
-                hit = (swapped, rho)
+                hit = (swapped, rho or None)
             elif case == 0:
-                hit = (None, abar * swapped + rho)
+                hit = (None, abar * swapped + rho or None)
             else:
-                hit = (rr * swapped, rho + ss * swapped)
+                hit = (rr * swapped or None, rho + ss * swapped or None)
             cases[(id(b), case)] = hit
         return hit
 
     out_vectors = []
     for v in vectors:
-        out = {}
+        stay, swap = {}, {}
         for idx, b in v.terms.items():
             i, j = idx[k], idx[k + 1]
             to_swap, to_stay = parts(b, (i > j) - (i < j))
-            if to_swap:
-                at = _swap(idx, k)
-                cur = out.get(at)
-                out[at] = to_swap if cur is None else cur + to_swap
-            if to_stay:
-                cur = out.get(idx)
-                out[idx] = to_stay if cur is None else cur + to_stay
-        out_vectors.append(v._like(out))
+            if to_swap is not None:
+                swap[_swap(idx, k)] = to_swap
+            if to_stay is not None:
+                stay[idx] = to_stay
+        out_vectors.append(v._kept(_add_terms(stay, swap, sums)))
     return out_vectors
 
 

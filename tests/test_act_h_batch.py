@@ -151,6 +151,45 @@ def test_images_of_a_shared_object_are_computed_once(monkeypatch):
     assert sorted(calls) == ["place_permute_simple", "twisted_demazure"]
 
 
+@pytest.mark.parametrize("name", PACKS)
+def test_a_cancelling_sum_stores_no_index(name):
+    """v = v_12 * b + v_21 * c under H_1: the swapped image sigma(b) of the
+    first term and the kept image rho(c) + S sigma(c) of the second meet at
+    index 21, and b is chosen so that they cancel there."""
+    p = preset(name)
+    c = random_poly(p, 2, random.Random(5))
+    kept = c.twisted_demazure(0) + s_ij(p, 2, 0, 1) * c.place_permute_simple(0)
+    b = -kept.place_permute_simple(0)
+    assert b
+    v = TensorVector(p, N, 2, {(1, 2): b, (2, 1): c})
+    twin = TensorVector(p, N, 2, {(1, 2): b, (2, 1): c, (2, 2): c})
+    got = act_H_batch([v, twin], 0)
+    assert (2, 1) not in got[0].terms and (2, 1) not in got[1].terms
+    for w in got:
+        assert all(w.terms.values())
+    assert_matches_reference([v, twin], 0)
+
+
+def test_images_are_built_without_a_zero_scan(monkeypatch):
+    """Each image is built from nonzero parts and sums whose zero test was
+    made when they were formed, so act_H_batch calls no TensorVector._like."""
+    p = preset("zigzag_a1")
+    calls = []
+    true_like = TensorVector._like
+
+    def counted(self, terms):
+        calls.append(len(terms))
+        return true_like(self, terms)
+    monkeypatch.setattr(TensorVector, "_like", counted)
+    shared = random_poly(p, D, random.Random(6))
+    vectors = [TensorVector(p, N, D, {idx: shared, (2, 1, 1): shared * shared})
+               for idx in indices(N, D)]
+    for k in range(D - 1):
+        got = act_H_batch(vectors, k)
+        assert calls == []
+        assert got == [reference_act_H(v, k) for v in vectors]
+
+
 def test_generator_index_out_of_range():
     p = preset("zigzag_a1")
     v = TensorVector.basis(p, N, D, (1, 2, 1))

@@ -399,6 +399,11 @@ def test_preset_file_errors(tmp_path):
                           '"alpha": [[["1", "1"], "1/5"]]}')
     with pytest.raises(InvalidConfig, match="'1/5'"):
         load_preset_file(str(zero_mod_p))
+    cancelling = tmp_path / "cancelling.json"
+    cancelling.write_text('{"field": {"kind": "rational"}, '
+                          '"alpha": [[["1", "1"], "q/q"]]}')
+    with pytest.raises(InvalidConfig, match="formal parameters"):
+        load_preset_file(str(cancelling))
     named = tmp_path / "named.json"
     named.write_text('{"preset": "nil"}')
     assert load_preset_file(str(named)) is preset("nil")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,38 @@ def test_failed_report_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["pbw", str(path), "--degree", "1", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+WREATH_S3 = (Path(__file__).resolve().parent / "data" / "wreath_s3.toml").read_text()
+
+
+@pytest.mark.parametrize("old, new, failing", [
+    # alpha = s⊗1 over k[S_3] is not central, and neither is R = s⊗s
+    ('alpha = [[["1", "1"], "1"]]', 'alpha = [[["s", "1"], "1"]]',
+     {"A1": "R = s⊗s not central", "C1": "stated R = 1⊗1",
+      "C2": "alpha = s⊗1 not central"}),
+    # delta00 = s⊗t is neither weak Frobenius nor central, and its beta
+    # breaks beta - flip(beta) = S*(x1-x2)
+    ('r = [[["1", "1"], "1"]]\n',
+     'r = [[["1", "1"], "1"]]\n[delta]\n"00" = [[["s", "t"], "1"]]\n',
+     {"A2": "delta00 = s⊗t not weak Frobenius",
+      "A3": "beta - flip(beta) differs from S*(x1-x2)",
+      "C2": "delta00 not central"}),
+])
+def test_validate_fails_a_broken_table_pack(tmp_path, capsys, old, new, failing):
+    """wreath_s3.toml with one entry changed: validate exits with 1 and the
+    JSON report names each failing rule with its witness."""
+    assert old in WREATH_S3
+    path = tmp_path / "broken.toml"
+    path.write_text(WREATH_S3.replace(old, new))
+    assert main(["validate", str(path), "--degree", "1", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    rows = {row["rule"]: row for row in report["results"]}
+    assert {rule for rule, row in rows.items()
+            if row["status"] == "fail"} == set(failing)
+    for rule, witness in failing.items():
+        assert witness in rows[rule]["witness"]
 
 
 def test_negative_degree_is_a_usage_error(capsys):

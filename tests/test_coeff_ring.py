@@ -311,6 +311,17 @@ def test_only_the_ratfun_field_parses_parameters():
     assert Field.prime(5).parse("4") == GFElement(5, 4)
 
 
+@pytest.mark.parametrize("text, value", [("q/q", 1), ("q-q", 0), ("(q+1)-q", 1),
+                                         ("0*q", 0), ("q^0", 1), ("2*t/t", 2)])
+def test_a_cancelling_parameter_is_refused_too(text, value):
+    """A parameter name has no value in the rational or a prime field, also
+    where it cancels; the rational function field reads the constant."""
+    for field in (Field.rationals(), Field.prime(5)):
+        with pytest.raises(MixedVariant):
+            field.parse(text)
+    assert Field.rational_functions().parse(text) == value
+
+
 def test_echelon_pivots_rank_and_leads():
     rows = [{0: Fraction(1), 1: Fraction(2)},
             {1: Fraction(1), 2: Fraction(3)},

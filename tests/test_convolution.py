@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qwreath import convolution
 from qwreath.base_algebra import preset, rebase_field, shipped_presets
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
@@ -11,7 +12,8 @@ from qwreath.convolution import (
     phi_embed, poly_rep_apply, poly_value, poly_vector, split_merge, twist_e,
     zero_test_via_poly_rep,
 )
-from qwreath.pqwp import PqwpElement, k_lambda, m_lambda, multinomial, pqwp_mul
+from qwreath.pqwp import (IdentityFailed, ParamMismatch, PqwpElement, k_lambda,
+                          m_lambda, multinomial, pqwp_mul)
 from qwreath.symcomb import (
     NotARefinement, all_perms, compositions, coset_shapes,
     double_coset_decompose, double_coset_reps, identity, inverse,
@@ -603,6 +605,23 @@ def test_dumb_vs_smart_rejects_an_unknown_oracle():
             dumb_vs_smart_identity(p, 2, (1, 1), oracle=oracle)
 
 
+def test_dumb_vs_smart_reports_a_failed_oracle(monkeypatch):
+    """A crossing sum that is off by a factor 2 fails the stored values; a
+    detecting family that reports a difference fails oracle='both' only."""
+    p = preset("affine_hecke")
+    true_crossing = convolution.crossing
+    monkeypatch.setattr(convolution, "crossing",
+                        lambda *args: true_crossing(*args).scale(2))
+    for oracle in ("values", "both"):
+        with pytest.raises(IdentityFailed, match=r"failed for \(1, 1\): "):
+            dumb_vs_smart_identity(p, 2, (1, 1), oracle=oracle)
+    monkeypatch.setattr(convolution, "crossing", true_crossing)
+    monkeypatch.setattr(convolution, "elements_equal", lambda x, y: False)
+    assert dumb_vs_smart_identity(p, 2, (1, 1), oracle="values")["terms"] == 2
+    with pytest.raises(IdentityFailed, match="on the detecting family for"):
+        dumb_vs_smart_identity(p, 2, (1, 1), oracle="both")
+
+
 @pytest.mark.parametrize("name", ("affine_hecke", "pro_p"))
 def test_dumb_vs_smart_d4(name):
     p = preset(name)
@@ -660,6 +679,17 @@ def test_spanning_elements_demand_invariant_coefficients():
         coil_basis_element(p, d, lam, lam, identity(d), bad)
     with pytest.raises(InvarianceViolation):
         laurel_basis_element(p, d, lam, lam, identity(d), bad)
+
+
+def test_coil_elements_take_a_coefficient_only():
+    """The coefficient of a coil element is a TensorPoly; an algebra
+    element in its place is refused, whatever the blocks."""
+    p = preset("affine_hecke")
+    d = 3
+    elt = PqwpElement.of_poly(unit_poly(p, d))
+    for lam in ((2, 1), (1, 1, 1)):
+        with pytest.raises(ParamMismatch):
+            coil_basis_element(p, d, lam, lam, identity(d), elt)
 
 
 # associativity and commutant ---------------------------------------------------

@@ -14,11 +14,11 @@ from qwreath.pqwp import (
     m_lambda, mackey_expansion, multinomial, pqwp_mul, right_coefficient_form,
 )
 from qwreath.symcomb import (
-    NotARefinement, all_perms, compositions, double_coset_reps, from_word,
+    NotARefinement, all_perms, blocks, compositions, double_coset_reps, from_word,
     identity, inverse, length, longest_element, mul, reduced_word, simple,
 )
 from qwreath.tensor_poly import (
-    alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
+    abar_ij, alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
     zero_poly,
 )
 
@@ -240,10 +240,18 @@ def test_partial_k_argument_errors():
 
 @pytest.mark.parametrize("name", WORKING)
 def test_k_eigenvector_property(name):
+    """K_lam H_i = K_lam abar_i, also after multiplying K_lam on the left
+    by an element f: (f K_lam) H_i = (f K_lam) abar_i."""
     p = preset(name)
-    extra = (PqwpElement.h_gen(p, 3, 0) + PqwpElement.of_poly(x_var(p, 3, 1)),)
+    f = PqwpElement.h_gen(p, 3, 0) + PqwpElement.of_poly(x_var(p, 3, 1))
     for lam in ((3,), (2, 1), (1, 2)):
-        eigenvector_check(p, 3, lam, extra_left=extra)
+        eigenvector_check(p, 3, lam)
+        fk = pqwp_mul(f, k_lambda(p, 3, lam))
+        for blk in blocks(lam):
+            for i in range(blk.start, blk.stop - 1):
+                bar = PqwpElement.of_poly(abar_ij(p, 3, i, i + 1))
+                assert (pqwp_mul(fk, PqwpElement.h_gen(p, 3, i))
+                        == pqwp_mul(fk, bar))
 
 
 @pytest.mark.parametrize("name", ("affine_hecke", "qt_hecke", "pro_p",
@@ -403,6 +411,26 @@ def test_decompose_k_over_double_cosets(name):
                 assert out["k_lam"] == k_lambda(p, 3, lam)
 
 
+def test_a_failed_identity_names_its_shortest_difference():
+    """Two elements that differ at the identity and at s_2: the witness is
+    the shorter key, with both coefficients, a missing one as 0."""
+    p = preset("affine_hecke")
+    x1 = x_var(p, 3, 0)
+    a = PqwpElement.of_word(p, 3, (0, 1)) + PqwpElement.of_poly(x1)
+    b = PqwpElement.of_word(p, 3, (0, 1)) + PqwpElement.h_gen(p, 3, 1)
+    assert pqwp._first_difference(a, a) is None
+    assert pqwp._first_difference(a, b) == (identity(3), x1, zero_poly(p, 3))
+    pqwp._require_equal(a, a, "same")
+    with pytest.raises(IdentityFailed, match=r"differs: \(1⊗1⊗1\)\*x1 vs 0") as caught:
+        pqwp._require_equal(a, b, "a = b")
+    assert caught.value.witness == {"identity": "a = b", "perm": "|1 2 3|",
+                                    "left": "(1⊗1⊗1)*x1", "right": "0"}
+    with pytest.raises(IdentityFailed) as caught:
+        pqwp._require_equal(b, a, "b = a")
+    assert (caught.value.witness["left"], caught.value.witness["right"]) == (
+        "0", "(1⊗1⊗1)*x1")
+
+
 def test_decompose_k_trivial_blocks():
     p = preset("pro_p")
     out = decompose_k(p, 3, (1, 1, 1), identity(3), (3,))
@@ -423,6 +451,30 @@ def test_right_coefficient_roundtrip(name):
                 elt = elt + PqwpElement.h_of_perm(p, 3, w).poly_left(c)
         rights = right_coefficient_form(elt)
         assert from_right_coefficients(p, 3, rights) == elt
+
+
+def test_right_coefficients_come_back_from_the_left_form():
+    """H_1 x_1 = x_2 H_1 + (q-1) x_1 on affine_hecke: the correction of the
+    top term cancels the (q-1) x_1 of the left form."""
+    p = preset("affine_hecke")
+    s1 = simple(2, 0)
+    rights = {s1: x_var(p, 2, 0)}
+    elt = from_right_coefficients(p, 2, rights)
+    q = p.field.param("q")
+    assert elt == (PqwpElement.h_gen(p, 2, 0).poly_left(x_var(p, 2, 1))
+                   + PqwpElement.of_poly(x_var(p, 2, 0).scale(q - 1)))
+    assert right_coefficient_form(elt) == rights
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "pro_p", "qt_hecke", "wreath_s3"))
+def test_right_coefficient_reverse_roundtrip(name):
+    p = walk_pack(name)
+    rng = random.Random(98)
+    for _ in range(4):
+        rights = {w: random_coeff(p, 3, rng) * x_var(p, 3, rng.randrange(3))
+                  for w in all_perms(3) if rng.random() < 0.6}
+        rights = {w: c for w, c in rights.items() if c}
+        assert right_coefficient_form(from_right_coefficients(p, 3, rights)) == rights
 
 
 def test_right_coefficient_form_of_full_k():

@@ -190,6 +190,33 @@ def test_batched_product_keeps_the_coefficient_on_the_left():
                                           for idx in ((1, 2), (2, 2))]
 
 
+def test_coefficient_pass_through_with_non_central_coefficients():
+    """(v * H_k) * q = (v * sigma_k(q)) * H_k + v * rho_k(q) for v = v_i * b
+    over F = k[S_3], with b and q not central, at every index tuple i.  The
+    right-hand side is written out as v_i * (b * sigma_k(q)) and
+    v_i * (b * rho_k(q)), so an action that multiplied b by q on the left
+    would break it; the relation check itself only multiplies by central
+    factors here."""
+    p = pack("wreath_s3.toml")
+    labels = p.algebra.labels
+    s, t, st = (labels.index(a) for a in ("s", "t", "st"))
+    n, d = 2, 3
+    bs = [monomial(p, d, (s, 0, t), (1, 0, 0))
+          + monomial(p, d, (0, st, 0), (0, 2, 1), 2),
+          monomial(p, d, (t, s, 0), (0, 1, 0))]
+    qs = [monomial(p, d, (t, t, s), (0, 0, 1))
+          + monomial(p, d, (st, 0, 0), (1, 0, 0), 3),
+          monomial(p, d, (s, t, st), (2, 0, 0))]
+    assert all(b * q != q * b for b in bs for q in qs)
+    for b, q in product(bs, qs):
+        for idx in product(range(1, n + 1), repeat=d):
+            v = TensorVector.basis(p, n, d, idx, b)
+            for k in range(d - 1):
+                moved = TensorVector.basis(p, n, d, idx, b * q.place_permute_simple(k))
+                kept = TensorVector(p, n, d, {idx: b * q.twisted_demazure(k)})
+                assert act_H(v, k).times_poly(q) == act_H(moved, k) + kept
+
+
 def test_batched_sum_is_the_sum_of_each_pair():
     """add_batch gives x + y for every pair, also where vectors share
     coefficient objects, and a sum that cancels stores no index."""
