@@ -376,15 +376,6 @@ def right_coefficient_form(elt: PqwpElement) -> dict:
     return out
 
 
-def from_right_coefficients(params, d, rights: dict) -> PqwpElement:
-    """Assemble sum H_w c_w from a {perm: coefficient} map."""
-    acc = {}
-    for w, c in rights.items():
-        for z, e in _push_left(params, d, w, c).items():
-            _add_term(acc, z, e)
-    return PqwpElement(params, d, _finished(params, d, acc))
-
-
 # products of alphas over inversion sets -------------------------------------
 
 

@@ -5,21 +5,24 @@ indexed by integer matrices with a partially symmetric coefficient.
 The permutation module y_lam * H and the weight-lam slice are linked by one
 right-linear map, psi_lam(y_lam * a) = v_lam+ * a, where v_lam+ is the basis
 vector of weight lam with sorted index tuple and coefficient one.  For a
-shortest representative w, v_lam+ * H_w is the basis vector indexed by the
-sorted tuple shuffled through w, so a slice vector sum of v_{lam+ . w} * c_w
-is v_lam+ * (sum of H_w c_w): its coefficients are right coefficients."""
+shortest representative w, v_mu+ * H_w is the basis vector indexed by the
+sorted tuple shuffled through w, so v_mu+ generates the weight-mu slice, and
+a block map from it is fixed by one vector, z = v_lam+ * core, the image of
+v_mu+: it sends v_{mu+ . w} * c to z * H_w * c."""
 
+from functools import cached_property
 from itertools import product
 
 from .base_algebra import _UNSEEN, SparseSum, _add_terms, add_batch
 from .coeff_ring import echelon_pivots
-from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement,
-                   from_right_coefficients, k_lambda, pqwp_mul)
-from .symcomb import (ThetaMatrix, check_comp, coset_reps, coset_shapes,
-                      double_coset_decompose, double_coset_reps, length,
-                      longest_in_young, matrix_from_triple, matrix_to_perm,
-                      mul, reduced_word, sort_index, strip_zeros, to_one_line,
-                      weak_compositions, young_subgroup)
+from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement, k_lambda,
+                   pqwp_mul)
+from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
+                      coset_shapes, double_coset_decompose, double_coset_reps,
+                      length, longest_in_young, matrix_from_triple,
+                      matrix_to_perm, mul, reduced_word, sort_index,
+                      strip_zeros, to_one_line, weak_compositions,
+                      young_subgroup)
 from .tensor_poly import (TensorPoly, abar_ij, monomial, r_ij,
                           require_invariant, s_ij, unit_poly, zero_poly)
 
@@ -355,9 +358,10 @@ class ThetaMap:
     coefficient P invariant under the column-reading Young subgroup.
 
     The map sends y_mu to y_lam * core, where core is the normal form of
-    P * H_g * y_mu^delta, and extends by right linearity; every term of core
-    sits on a shortest representative of the target.  ``source`` and
-    ``target`` are the weights mu and lam, zero parts kept."""
+    H_g * P * K^upper_{mu,delta} (P * H_g * K is no module map in general),
+    and extends by right linearity; every term of core sits on a shortest
+    representative of the target.  ``source`` and ``target`` are the weights
+    mu and lam, zero parts kept."""
 
     def __init__(self, params, A: ThetaMatrix, P: TensorPoly = None):
         self.params = params
@@ -370,10 +374,15 @@ class ThetaMap:
         if P.params is not params or P.d != self.d:
             raise ModuleMismatch("coefficient lives over different data")
         self.P = require_invariant(P, self.delta)
-        rest = pqwp_mul(PqwpElement.h_of_perm(params, self.d, self.g),
-                        k_lambda(params, self.d, strip_zeros(self.source),
-                                 "upper", self.delta))
-        self.core = rest.poly_left(P)
+        k_upper = k_lambda(params, self.d, strip_zeros(self.source), "upper",
+                           self.delta)
+        self.core = pqwp_mul(PqwpElement.h_of_perm(params, self.d, self.g),
+                             k_upper.poly_left(P))
+
+    @cached_property
+    def z(self) -> TensorVector:
+        """v_lam+ * core, the image of v_mu+, which fixes the map."""
+        return act_pqwp(plus_vector(self.params, self.target), self.core)
 
 
 def theta_apply(theta: ThetaMap, coords) -> dict:
@@ -411,9 +420,9 @@ def theta_apply(theta: ThetaMap, coords) -> dict:
 
 
 def theta_on_tensor(theta: ThetaMap, v: TensorVector) -> TensorVector:
-    """The block map as an operator on the whole tensor power, through psi:
-    the source slice of v is v_mu+ * a with a = sum of H_w c_w over its
-    terms v_{mu+ . w} * c_w, and its image is v_lam+ * core * a.  Every
+    """The block map as an operator on the whole tensor power, through z:
+    each term v_{mu+ . w} * c of the source slice of v is v_mu+ * H_w * c,
+    so its image is z * H_w * c, with w read off the index tuple.  Every
     other slice is killed."""
     if v.params is not theta.params or v.d != theta.d:
         raise ModuleMismatch("vector and block map live over different data")
@@ -421,26 +430,22 @@ def theta_on_tensor(theta: ThetaMap, v: TensorVector) -> TensorVector:
         raise ModuleMismatch(
             f"block map from {theta.source} to {theta.target} does not act "
             f"on the tensor power of rank {v.n}")
-    rights = {}
+    out = TensorVector.zero(v.params, v.n, v.d)
     for idx, c in v.terms.items():
         if weight_of(idx, v.n) == theta.source:
-            rights[sort_index(idx)] = c
-    if not rights:
-        return TensorVector.zero(v.params, v.n, v.d)
-    a = from_right_coefficients(theta.params, theta.d, rights)
-    return act_pqwp(plus_vector(theta.params, theta.target),
-                    pqwp_mul(theta.core, a))
+            word = reduced_word(sort_index(idx))
+            out = out + act_word(theta.z, word).times_poly(c)
+    return out
 
 
-def commutant_check(theta: ThetaMap, samples) -> bool:
-    """Whether the block map commutes with every generator action on every
-    sample vector."""
-    for v in samples:
-        for k in range(theta.d - 1):
-            if theta_on_tensor(theta, act_H(v, k)) != act_H(
-                    theta_on_tensor(theta, v), k):
-                return False
-    return True
+def is_module_map(theta: ThetaMap) -> bool:
+    """Whether the block map commutes with the generator action.  The source
+    slice is generated by v_mu+ subject to v_mu+ * H_k = v_mu+ * abar_k for
+    each s_k in S_mu, wherever the PBW conditions hold, so the map is a
+    module map exactly when z * H_k = z * abar_k for those k."""
+    z, p, d = theta.z, theta.params, theta.d
+    return all(act_H(z, k) == z.times_poly(abar_ij(p, d, k, k + 1))
+               for blk in blocks(strip_zeros(theta.source)) for k in blk[:-1])
 
 
 # degree-bounded invariant coefficients ------------------------------------------

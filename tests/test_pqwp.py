@@ -10,7 +10,7 @@ from qwreath import pqwp
 from qwreath.base_algebra import FTensor, load_preset_file, preset, shipped_presets
 from qwreath.pqwp import (
     IdentityFailed, ParamMismatch, PqwpElement, alpha_family,
-    decompose_k, eigenvector_check, from_right_coefficients, k_lambda,
+    decompose_k, eigenvector_check, k_lambda,
     m_lambda, mackey_expansion, multinomial, pqwp_mul, right_coefficient_form,
 )
 from qwreath.symcomb import (
@@ -436,6 +436,14 @@ def test_decompose_k_trivial_blocks():
     out = decompose_k(p, 3, (1, 1, 1), identity(3), (3,))
     assert out["nu"] == (1, 1, 1)
     assert out["k_mu"] == k_lambda(p, 3, (3,))
+
+
+def from_right_coefficients(p, d, rights):
+    """sum H_w c_w from a {perm: coefficient} map, as products in the algebra."""
+    out = PqwpElement.zero(p, d)
+    for w, c in rights.items():
+        out = out + pqwp_mul(PqwpElement.h_of_perm(p, d, w), PqwpElement.of_poly(c))
+    return out
 
 
 @pytest.mark.parametrize("name", ("affine_hecke", "pro_p", "qt_hecke"))

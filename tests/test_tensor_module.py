@@ -7,14 +7,16 @@ import pytest
 
 from qwreath import tensor_module
 from qwreath.base_algebra import load_preset_file, preset, shipped_presets
-from qwreath.pqwp import IdentityFailed, PqwpElement, pqwp_mul
-from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, reduced_word,
-                             strip_zeros, theta_matrices)
+from qwreath.pqwp import IdentityFailed, PqwpElement, k_lambda, pqwp_mul
+from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, coset_shapes,
+                             double_coset_reps, matrix_from_triple,
+                             reduced_word, sort_index, strip_zeros,
+                             theta_matrices)
 from qwreath.tensor_module import (
     ModuleMismatch, SpanViolation, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
-    add_batch, commutant_check, invariant_basis, plus_vector,
+    add_batch, invariant_basis, is_module_map, plus_vector,
     tensor_relations_check, theta_apply, theta_family_rank, theta_on_tensor,
-    times_poly_batch,
+    times_poly_batch, weight_of,
 )
 from qwreath.tensor_poly import (InvarianceViolation, TensorPoly, monomial,
                                  s_ij, unit_poly, x_var, zero_poly)
@@ -363,6 +365,53 @@ def commutant_samples(p, n, d, seed=0):
     return out
 
 
+def commutant_check(theta, samples):
+    """The sampled oracle for ``is_module_map``: whether the block map
+    commutes with every generator action on every sample vector."""
+    for v in samples:
+        for k in range(theta.d - 1):
+            if theta_on_tensor(theta, act_H(v, k)) != act_H(
+                    theta_on_tensor(theta, v), k):
+                return False
+    return True
+
+
+def block_map_data(p, lam, mu, degree, per_coset=None):
+    """(A, P) for every block map from mu to lam whose coefficient P is a
+    degree-bounded invariant, at most per_coset of them per double coset."""
+    for g in double_coset_reps(strip_zeros(lam), strip_zeros(mu)):
+        A = matrix_from_triple(lam, g, mu)
+        _, delta = coset_shapes(lam, g, mu)
+        for P in invariant_basis(p, sum(lam), delta, degree)[:per_coset]:
+            yield A, P
+
+
+def unfixed_core(theta):
+    """P * H_g * K^upper_{mu,delta}, with P on the left of H_g: the core of
+    ``ThetaMap`` before it was fixed, and not a module map for every P."""
+    rest = pqwp_mul(PqwpElement.h_of_perm(theta.params, theta.d, theta.g),
+                    k_lambda(theta.params, theta.d, strip_zeros(theta.source),
+                             "upper", theta.delta))
+    return rest.poly_left(theta.P)
+
+
+@pytest.mark.parametrize("lam, mu", (((2, 1), (1, 2)), ((1, 2), (2, 1))))
+@pytest.mark.parametrize("name, degree, per_coset", (
+    ("affine_hecke", 1, None), ("nil", 1, None), ("zigzag_a1", 1, None),
+    ("pro_p", 1, None), ("wreath_s3.toml", 0, 40)))
+def test_block_maps_with_a_coefficient_are_module_maps(name, degree, per_coset,
+                                                       lam, mu):
+    """H_g * P * K is a module map for every invariant P, not only P = 1:
+    with P on the left of H_g, 2 of 7 maps fail on affine_hecke and nil,
+    18 of 52 on zigzag_a1 and pro_p, and 38 of 80 on k[S_3] at (2,1)/(1,2)."""
+    p = pack(name)
+    maps = [ThetaMap(p, A, P) for A, P in block_map_data(p, lam, mu, degree, per_coset)]
+    assert maps
+    bad = [(theta.A.rows, str(theta.P)) for theta in maps
+           if not is_module_map(theta)]
+    assert not bad
+
+
 @pytest.mark.parametrize("A", MATRICES, ids=repr)
 @pytest.mark.parametrize("name", PACKS)
 def test_every_block_map_commutes_with_generators(name, A):
@@ -377,6 +426,53 @@ def test_commutant_check_sees_a_wrong_block_map():
     theta.core = pqwp_mul(PqwpElement.of_poly(theta.P),
                           PqwpElement.h_of_perm(p, 3, theta.g))
     assert not commutant_check(theta, commutant_samples(p, 2, 3))
+    assert not is_module_map(theta)
+
+
+@pytest.mark.parametrize("name, degree, per_coset", (
+    ("affine_hecke", 1, None), ("zigzag_a1", 1, None), ("wreath_s3.toml", 0, 40)))
+def test_is_module_map_agrees_with_the_sampled_check(name, degree, per_coset):
+    """Map by map, the exact check and the sampled one give the same answer
+    on the fixed cores and on the unfixed ones, among which both answers
+    occur; (3,0) appears as a target and as a source with a zero part."""
+    p = pack(name)
+    samples = commutant_samples(p, 2, 3)
+    answers = set()
+    for lam, mu in (((2, 1), (1, 2)), ((3, 0), (1, 2)), ((1, 2), (3, 0))):
+        for A, P in block_map_data(p, lam, mu, degree, per_coset):
+            fixed, unfixed = ThetaMap(p, A, P), ThetaMap(p, A, P)
+            unfixed.core = unfixed_core(unfixed)
+            for theta in (fixed, unfixed):
+                exact = is_module_map(theta)
+                assert exact == commutant_check(theta, samples), (A.rows, str(P))
+                answers.add(exact)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "zigzag_a1", "pro_p", "wreath_s3.toml"))
+def test_theta_on_tensor_is_the_core_times_the_right_coefficients(name):
+    """On the source slice, a sum of v_{mu+ . w} * c_w is v_mu+ * a with
+    a = sum of H_w c_w, and theta_on_tensor gives v_lam+ * core * a, also
+    for a non-constant P; every other slice goes to zero."""
+    p = pack(name)
+    rng = random.Random(5)
+    for A in MATRICES:
+        P = invariant_basis(p, 3, ThetaMap(p, A).delta, 1)[-1]
+        assert all(sum(exps) == 1 for exps, _ in P.terms)
+        theta = ThetaMap(p, A, P)
+        terms = {idx: random_poly(p, 3, rng, terms=1)
+                 for idx in product((1, 2), repeat=3)}
+        source = {idx: c for idx, c in terms.items()
+                  if weight_of(idx, 2) == A.mu}
+        rest = TensorVector(p, 2, 3, {idx: c for idx, c in terms.items()
+                                      if idx not in source})
+        a = PqwpElement.zero(p, 3)
+        for idx, c in source.items():
+            a = a + pqwp_mul(PqwpElement.h_of_perm(p, 3, sort_index(idx)),
+                             PqwpElement.of_poly(c))
+        expected = act_pqwp(plus_vector(p, A.lam), pqwp_mul(theta.core, a))
+        assert theta_on_tensor(theta, TensorVector(p, 2, 3, terms)) == expected, A
+        assert theta_on_tensor(theta, rest) == TensorVector.zero(p, 2, 3), A
 
 
 def psi(p, lam, coords):
