@@ -615,12 +615,16 @@ def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport
         lin = x1 - tp.x_var(params, 2, 1)
         if beta - beta.place_permute((1, 0)) != s12 * lin:
             return False, "beta - flip(beta) differs from S*(x1-x2)", None
-        for e1 in range(degree_bound + 1):
-            for e2 in range(degree_bound + 1):
-                m = tp.monomial(params, 2, (params.algebra.unit_index,) * 2, (e1, e2))
-                lhs = m.place_permute((1, 0)).twisted_demazure(0)
-                if lhs != -(m.twisted_demazure(0)):
-                    return False, f"rho(sigma(x^({e1},{e2}))) != -rho(x^({e1},{e2}))", None
+        # rho of each monomial once: sigma of a monomial is again one of them
+        units = (params.algebra.unit_index,) * 2
+        monos = {e: tp.monomial(params, 2, units, e)
+                 for e in iproduct(range(degree_bound + 1), repeat=2)}
+        rhos = {e: m.twisted_demazure(0) for e, m in monos.items()}
+        for (e1, e2), m in monos.items():
+            sm = m.place_permute((1, 0))
+            lhs = rhos[e2, e1] if sm == monos[e2, e1] else sm.twisted_demazure(0)
+            if lhs != -rhos[e1, e2]:
+                return False, f"rho(sigma(x^({e1},{e2}))) != -rho(x^({e1},{e2}))", None
         return True, None, None
 
     def c1():
@@ -662,11 +666,62 @@ def _pbw_family(params, d, degree):
     return fam
 
 
+def _value_key(p):
+    """A hashable key of a sparse sum's value: equal sums of one space have
+    equal keys, since the scalars keep == and hash consistent."""
+    return frozenset(p.terms.items())
+
+
+class _FamilyImages:
+    """sigma_i and rho_i of each member of a PBW family, for i < count, each
+    computed once by ``place_permute_simple`` and ``twisted_demazure``.
+
+    A value here is a member's index in the family or a TensorPoly.
+    sigma_i of a member is stored as the index of the member it equals, or,
+    where it equals none, as the TensorPoly itself, a value like any other;
+    rho_i of a member is stored as a TensorPoly.  ``s`` and ``r`` read the
+    image of a member from these tables and compute that of any other value
+    afresh; ``value`` gives the TensorPoly of a value."""
+
+    __slots__ = ("members", "sigma", "rho")
+
+    def __init__(self, fam, count):
+        self.members = [f for _, f in fam]
+        index = {_value_key(f): n for n, f in enumerate(self.members)}
+        self.sigma = []
+        for i in range(count):
+            images = [f.place_permute_simple(i) for f in self.members]
+            self.sigma.append([index.get(_value_key(g), g) for g in images])
+        self.rho = [[f.twisted_demazure(i) for f in self.members] for i in range(count)]
+
+    def value(self, x):
+        return self.members[x] if type(x) is int else x
+
+    def s(self, i, x):
+        return self.sigma[i][x] if type(x) is int else x.place_permute_simple(i)
+
+    def r(self, i, x):
+        return self.rho[i][x] if type(x) is int else x.twisted_demazure(i)
+
+
 def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationReport:
     """Evaluate the nine basis-existence conditions as operator identities,
     P1-P4 on B^{tensor 2} and P5-P9 on B^{tensor 3}, over the spanning
     family f*x^e with exponents up to the given degree.  A negative degree
-    is a ValueError."""
+    is a ValueError.
+
+    Every pair of P2 and every member of P4-P7 is checked.  What one report
+    shares, and for how long:
+    - sigma_i and rho_i of each member, computed once into a table per
+      tensor power (``_FamilyImages``): P2 builds B^{tensor 2}'s and P4
+      reads it, P5 builds B^{tensor 3}'s and P6 and P7 read it; both are
+      freed after P7;
+    - sigma_1 and rho_1 of each distinct product a*b, keyed by its value,
+      computed once in P2 and freed when P2 returns.
+    Images of any other value, such as rho_i(sigma_j(rho_i(f))), are
+    computed where they are used, for one member f.  A sigma-image of a
+    member that is no member (sigma_i does not permute the family) is kept
+    as a TensorPoly and checked like any other value."""
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got degree={degree}")
     from . import tensor_poly as tp
@@ -683,7 +738,13 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
     R2 = tp.r_ij(params, 2, 0, 1)
     one2 = tp.unit_poly(params, 2)
     zero2 = tp.zero_poly(params, 2)
-    fam2 = _pbw_family(params, 2, degree)
+    fams = {d: _pbw_family(params, d, degree) for d in (2, 3)}
+    tables = {}
+
+    def images(d):
+        if d not in tables:
+            tables[d] = _FamilyImages(fams[d], d - 1)
+        return tables[d]
 
     def p1():
         if s1(one2) != one2:
@@ -693,13 +754,20 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
         return True, None, None
 
     def p2():
-        for (ka, a) in fam2:
-            sa, ra = s1(a), r1(a)
-            for (kb, b) in fam2:
+        im = images(2)
+        rows = [(k, a, im.value(im.s(0, n)), im.r(0, n))
+                for n, (k, a) in enumerate(fams[2])]
+        of_product = {}  # (sigma_1(ab), rho_1(ab)) by the value of ab
+        for (ka, a, sa, ra) in rows:
+            for (kb, b, sb, rb) in rows:
                 ab = a * b
-                if s1(ab) != sa * s1(b):
+                key = _value_key(ab)
+                images_ab = of_product.get(key)
+                if images_ab is None:
+                    images_ab = of_product[key] = (s1(ab), r1(ab))
+                if images_ab[0] != sa * sb:
                     return False, f"sigma not multiplicative at {ka},{kb}", None
-                if r1(ab) != sa * r1(b) + ra * b:
+                if images_ab[1] != sa * rb + ra * b:
                     return False, f"twisted Leibniz fails at {ka},{kb}", None
         return True, None, None
 
@@ -711,11 +779,14 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
         return True, None, None
 
     def p4():
-        for (k, f) in fam2:
-            sf = s1(f)
-            if s1(sf) * S2 + r1(sf) + s1(r1(f)) != S2 * sf:
+        im = images(2)
+        s, r, value = im.s, im.r, im.value
+        for n, (k, f) in enumerate(fams[2]):
+            sf, rf = s(0, n), r(0, n)
+            ssf = value(s(0, sf))
+            if ssf * S2 + r(0, sf) + s(0, rf) != S2 * value(sf):
                 return False, f"first quadratic identity fails at {k}", None
-            if s1(sf) * R2 + r1(r1(f)) != S2 * r1(f) + R2 * f:
+            if ssf * R2 + r(0, rf) != S2 * rf + R2 * f:
                 return False, f"second quadratic identity fails at {k}", None
         return True, None, None
 
@@ -723,33 +794,37 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
     rh = (rho(0), rho(1))
     S3 = (tp.s_ij(params, 3, 0, 1), tp.s_ij(params, 3, 1, 2))
     R3 = (tp.r_ij(params, 3, 0, 1), tp.r_ij(params, 3, 1, 2))
-    fam3 = _pbw_family(params, 3, degree)
     orders = ((0, 1), (1, 0))
 
     def p5():
-        for (k, f) in fam3:
+        im = images(3)
+        s, r, value = im.s, im.r, im.value
+        for n, (k, _) in enumerate(fams[3]):
             for (i, j) in orders:
-                if sg[i](sg[j](sg[i](f))) != sg[j](sg[i](sg[j](f))):
+                if value(s(i, s(j, s(i, n)))) != value(s(j, s(i, s(j, n)))):
                     return False, f"braid identity for sigma fails at {k}", None
-                if rh[i](sg[j](sg[i](f))) != sg[j](sg[i](rh[j](f))):
+                if r(i, s(j, s(i, n))) != s(j, s(i, r(j, n))):
                     return False, f"sigma/rho braid identity fails at {k} (i={i+1},j={j+1})", None
         return True, None, None
 
     def p6():
-        for (k, f) in fam3:
+        im = images(3)
+        s, r = im.s, im.r
+        for n, (k, _) in enumerate(fams[3]):
             for (i, j) in orders:
-                sjf = sg[j](f)
-                lhs = rh[i](sg[j](rh[i](f)))
-                rhs = sg[j](rh[i](sjf)) * S3[j] + rh[j](rh[i](sjf)) + sg[j](rh[i](rh[j](f)))
+                risjf = r(i, s(j, n))
+                lhs = r(i, s(j, r(i, n)))
+                rhs = s(j, risjf) * S3[j] + r(j, risjf) + s(j, r(i, r(j, n)))
                 if lhs != rhs:
                     return False, f"f={k}, i={i+1}, j={j+1}", None
         return True, None, None
 
     def p7():
-        for (k, f) in fam3:
-            i, j = 0, 1
-            lhs = rh[i](rh[j](rh[i](f))) + sg[i](rh[j](sg[i](f))) * R3[i]
-            rhs = rh[j](rh[i](rh[j](f))) + sg[j](rh[i](sg[j](f))) * R3[j]
+        im = images(3)
+        s, r = im.s, im.r
+        for n, (k, _) in enumerate(fams[3]):
+            lhs = r(0, r(1, r(0, n))) + s(0, r(1, s(0, n))) * R3[0]
+            rhs = r(1, r(0, r(1, n))) + s(1, r(0, s(1, n))) * R3[1]
             if lhs != rhs:
                 return False, f"f={k}", None
         return True, None, None
@@ -782,6 +857,7 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
     rep.timed("P5", p5)
     rep.timed("P6", p6)
     rep.timed("P7", p7)
+    tables.clear()
     rep.timed("P8", p8)
     rep.timed("P9", p9)
     return rep

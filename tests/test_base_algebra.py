@@ -1,18 +1,21 @@
 import json
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
 from qwreath.base_algebra import (
     ArityMismatch, FAlgebra, FTensor, InvalidConfig, PqwpParams, PresetNotFound,
-    corrupted_beta_params, ftensor_mul, is_weak_frobenius, load_preset_file,
-    preset, rebase_field, shipped_presets, two_frobs_commute_check,
-    validate_pqwp, verify_pbw_conditions,
+    ValidationReport, corrupted_beta_params, ftensor_mul, is_weak_frobenius,
+    load_preset_file, preset, rebase_field, shipped_presets,
+    two_frobs_commute_check, validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
 from qwreath.pqwp import k_lambda, m_lambda, pqwp_mul
 from qwreath.tensor_module import theta_family_rank
-from qwreath.tensor_poly import annihilator_certificate, x_var
+from qwreath.tensor_poly import (
+    TensorPoly, annihilator_certificate, monomial, unit_poly, x_var,
+)
 
 WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
 
@@ -157,10 +160,12 @@ def test_group_algebra_of_s3_is_a_non_commutative_table():
     assert s * t != t * s
 
 
-def test_wreath_s3_reports_pass_at_degree_one():
+@pytest.mark.parametrize("degree", (1, 2))
+def test_wreath_s3_reports_pass(degree):
+    """k[S_3], where a*b != b*a; degree 2 gives P2 104,976 pairs."""
     params = load_preset_file(WREATH_S3)
-    assert validate_pqwp(params, 1).passed
-    assert verify_pbw_conditions(params, 1).passed
+    assert validate_pqwp(params, degree).passed
+    assert verify_pbw_conditions(params, degree).passed
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -294,6 +299,82 @@ def test_pbw_conditions_reject_mixed_beta():
     assert "P6" in failed and "P7" in failed
     for e in rep.failures():
         assert e["witness"]
+
+
+def _one_monomial_wrong(true, d, exps, error):
+    """sigma_i or rho_i, given as true, made wrong only for i = 0 and only on
+    the monomial x^exps with unit F-legs in B^{tensor d}: to the true image
+    it adds that monomial's coefficient times error(params)."""
+    def wrong(self, i):
+        out = true(self, i)
+        if self.d == d and i == 0:
+            c = self.terms.get((exps, (self.params.algebra.unit_index,) * d))
+            if c is not None:
+                out = out + error(self.params).scale(c)
+        return out
+    return wrong
+
+
+@pytest.mark.parametrize("method, d, exps, error, failures", (
+    ("twisted_demazure", 2, (2, 0), lambda p: unit_poly(p, 2), {
+        "P2": "twisted Leibniz fails at ((0, 0), (0, 1)),((0, 0), (2, 0))",
+        "P4": "first quadratic identity fails at ((0, 0), (0, 2))"}),
+    ("place_permute_simple", 2, (1, 0), lambda p: x_var(p, 2, 1), {
+        "P2": "sigma not multiplicative at ((0, 0), (0, 1)),((0, 0), (1, 0))",
+        "P4": "second quadratic identity fails at ((0, 0), (0, 1))"}),
+    ("twisted_demazure", 3, (1, 0, 2), lambda p: unit_poly(p, 3), {
+        "P5": "sigma/rho braid identity fails at ((0, 0, 0), (1, 0, 2)) (i=2,j=1)",
+        "P6": "f=((0, 0, 0), (1, 2, 0)), i=1, j=2",
+        "P7": "f=((0, 0, 0), (1, 2, 0))"}),
+    # sigma_1(x1) = x2 + x3 is no member of the family: the report still
+    # checks it and names the rows it breaks
+    ("place_permute_simple", 3, (1, 0, 0), lambda p: x_var(p, 3, 2), {
+        "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 1, 0))",
+        "P7": "f=((0, 0, 0), (1, 0, 0))"}),
+), ids=("rho_d2_x1^2", "sigma_d2_x1", "rho_d3_x1x3^2", "sigma_d3_x1"))
+def test_pbw_rows_see_a_map_wrong_on_one_monomial(monkeypatch, method, d, exps,
+                                                  error, failures):
+    """Each row that loops over the family fails, with its first witness,
+    when sigma_1 or rho_1 is wrong on one monomial of affine_hecke."""
+    wrong = _one_monomial_wrong(getattr(TensorPoly, method), d, exps, error)
+    monkeypatch.setattr(TensorPoly, method, wrong)
+    rep = verify_pbw_conditions(preset("affine_hecke"), 2)
+    assert {e["rule"]: e["witness"] for e in rep.failures()} == failures
+
+
+@pytest.mark.parametrize("name, degree", (("affine_hecke", 2), ("pro_p", 1),
+                                          ("wreath_s3", 1)))
+def test_pbw_p2_checks_every_pair_with_one_image_per_product(monkeypatch, name, degree):
+    """P2 forms four products for each of the |family|^2 pairs (so checks
+    every pair), and computes sigma_1 and rho_1 once for each member and
+    once for each distinct product a*b."""
+    params = load_preset_file(WREATH_S3) if name == "wreath_s3" else preset(name)
+    fam = [monomial(params, 2, fkey, exps)
+           for fkey in iproduct(range(params.algebra.dim), repeat=2)
+           for exps in iproduct(range(degree + 1), repeat=2)]
+    products = {frozenset((a * b).terms.items()) for a in fam for b in fam}
+    # fill the pack's tables of two-slot images, whose products are not P2's
+    verify_pbw_conditions(params, degree)
+    calls = {}
+    rule = [None]
+    true_timed = ValidationReport.timed
+
+    def timed(self, rule_name, thunk):
+        rule[0] = rule_name
+        return true_timed(self, rule_name, thunk)
+    monkeypatch.setattr(ValidationReport, "timed", timed)
+    for method in ("place_permute_simple", "twisted_demazure", "__mul__"):
+        true = getattr(TensorPoly, method)
+
+        def counted(self, arg, true=true, method=method):
+            key = (rule[0], method)
+            calls[key] = calls.get(key, 0) + 1
+            return true(self, arg)
+        monkeypatch.setattr(TensorPoly, method, counted)
+    assert verify_pbw_conditions(params, degree).passed
+    assert calls[("P2", "__mul__")] == 4 * len(fam) ** 2
+    assert calls[("P2", "twisted_demazure")] == len(fam) + len(products)
+    assert calls[("P2", "place_permute_simple")] == len(fam) + len(products)
 
 
 def test_zero_divisor_is_reported():
