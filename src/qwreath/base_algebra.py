@@ -577,6 +577,56 @@ class ValidationReport:
 
 # axiom checks -------------------------------------------------------------------
 
+class _Images:
+    """sigma_i and rho_i, for i < d - 1, of TensorPolys in B^{tensor d}, each
+    computed once per kept value.
+
+    ``keep(f)`` returns the one object kept for f's value; the table holds
+    it, so its ``id`` names it for the table's life.  ``s(i, f)`` and
+    ``r(i, f)`` of a kept f are stored under that id, by
+    ``place_permute_simple`` and ``twisted_demazure``, and are kept in turn,
+    so a chain such as r(i, s(j, r(i, f))) is computed once however many
+    members reach it.  The image of a value never kept is computed afresh
+    and not stored."""
+
+    __slots__ = ("count", "kept", "sigma", "rho")
+
+    def __init__(self, d):
+        self.count = d - 1
+        # the value of a kept object -> the object; equal sums of one space
+        # have equal term sets, since the scalars keep == and hash consistent
+        self.kept = {}
+        self.sigma = {}  # id of a kept object -> [sigma_0 of it, sigma_1, ..]
+        self.rho = {}    # id of a kept object -> [rho_0 of it, rho_1, ..]
+
+    def keep(self, f):
+        value = frozenset(f.terms.items())
+        g = self.kept.get(value)
+        if g is None:
+            g = self.kept[value] = f
+            self.sigma[id(f)] = [None] * self.count
+            self.rho[id(f)] = [None] * self.count
+        return g
+
+    def s(self, i, f):
+        images = self.sigma.get(id(f))
+        if images is None:
+            return f.place_permute_simple(i)
+        g = images[i]
+        if g is None:
+            g = images[i] = self.keep(f.place_permute_simple(i))
+        return g
+
+    def r(self, i, f):
+        images = self.rho.get(id(f))
+        if images is None:
+            return f.twisted_demazure(i)
+        g = images[i]
+        if g is None:
+            g = images[i] = self.keep(f.twisted_demazure(i))
+        return g
+
+
 def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport:
     """Check the structural conditions A1-A3 and C1-C3 for one parameter
     pack.  C3 is a bounded certificate: absence of annihilators of
@@ -604,26 +654,24 @@ def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport
 
     def a3():
         from . import tensor_poly as tp
-        one = tp.unit_poly(params, 2)
-        if one.twisted_demazure(0) != tp.zero_poly(params, 2):
+        im = _Images(2)
+        s, r = im.s, im.r
+        if r(0, tp.unit_poly(params, 2)) != tp.zero_poly(params, 2):
             return False, "rho(1) nonzero", None
         x1 = tp.x_var(params, 2, 0)
         beta = tp.beta_ij(params, 2, 0, 1)
-        if x1.twisted_demazure(0) != beta:
+        if r(0, x1) != beta:
             return False, "rho(x1) differs from beta", None
         s12 = tp.s_ij(params, 2, 0, 1)
         lin = x1 - tp.x_var(params, 2, 1)
-        if beta - beta.place_permute((1, 0)) != s12 * lin:
+        if beta - s(0, beta) != s12 * lin:
             return False, "beta - flip(beta) differs from S*(x1-x2)", None
         # rho of each monomial once: sigma of a monomial is again one of them
         units = (params.algebra.unit_index,) * 2
-        monos = {e: tp.monomial(params, 2, units, e)
-                 for e in iproduct(range(degree_bound + 1), repeat=2)}
-        rhos = {e: m.twisted_demazure(0) for e, m in monos.items()}
-        for (e1, e2), m in monos.items():
-            sm = m.place_permute((1, 0))
-            lhs = rhos[e2, e1] if sm == monos[e2, e1] else sm.twisted_demazure(0)
-            if lhs != -rhos[e1, e2]:
+        monos = [(e, im.keep(tp.monomial(params, 2, units, e)))
+                 for e in iproduct(range(degree_bound + 1), repeat=2)]
+        for (e1, e2), m in monos:
+            if r(0, s(0, m)) != -r(0, m):
                 return False, f"rho(sigma(x^({e1},{e2}))) != -rho(x^({e1},{e2}))", None
         return True, None, None
 
@@ -657,51 +705,13 @@ def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport
     return rep
 
 
-def _pbw_family(params, d, degree):
+def _pbw_family(params, d, degree, keep):
+    """The spanning family f*x^e of B^{tensor d}, exponents up to degree, as
+    (key, kept monomial) pairs."""
     from . import tensor_poly as tp
-    fam = []
-    for fkey in iproduct(range(params.algebra.dim), repeat=d):
-        for exps in iproduct(range(degree + 1), repeat=d):
-            fam.append(((fkey, exps), tp.monomial(params, d, fkey, exps)))
-    return fam
-
-
-def _value_key(p):
-    """A hashable key of a sparse sum's value: equal sums of one space have
-    equal keys, since the scalars keep == and hash consistent."""
-    return frozenset(p.terms.items())
-
-
-class _FamilyImages:
-    """sigma_i and rho_i of each member of a PBW family, for i < count, each
-    computed once by ``place_permute_simple`` and ``twisted_demazure``.
-
-    A value here is a member's index in the family or a TensorPoly.
-    sigma_i of a member is stored as the index of the member it equals, or,
-    where it equals none, as the TensorPoly itself, a value like any other;
-    rho_i of a member is stored as a TensorPoly.  ``s`` and ``r`` read the
-    image of a member from these tables and compute that of any other value
-    afresh; ``value`` gives the TensorPoly of a value."""
-
-    __slots__ = ("members", "sigma", "rho")
-
-    def __init__(self, fam, count):
-        self.members = [f for _, f in fam]
-        index = {_value_key(f): n for n, f in enumerate(self.members)}
-        self.sigma = []
-        for i in range(count):
-            images = [f.place_permute_simple(i) for f in self.members]
-            self.sigma.append([index.get(_value_key(g), g) for g in images])
-        self.rho = [[f.twisted_demazure(i) for f in self.members] for i in range(count)]
-
-    def value(self, x):
-        return self.members[x] if type(x) is int else x
-
-    def s(self, i, x):
-        return self.sigma[i][x] if type(x) is int else x.place_permute_simple(i)
-
-    def r(self, i, x):
-        return self.rho[i][x] if type(x) is int else x.twisted_demazure(i)
+    return [((fkey, exps), keep(tp.monomial(params, d, fkey, exps)))
+            for fkey in iproduct(range(params.algebra.dim), repeat=d)
+            for exps in iproduct(range(degree + 1), repeat=d)]
 
 
 def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationReport:
@@ -710,157 +720,133 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
     family f*x^e with exponents up to the given degree.  A negative degree
     is a ValueError.
 
-    Every pair of P2 and every member of P4-P7 is checked.  What one report
-    shares, and for how long:
-    - sigma_i and rho_i of each member, computed once into a table per
-      tensor power (``_FamilyImages``): P2 builds B^{tensor 2}'s and P4
-      reads it, P5 builds B^{tensor 3}'s and P6 and P7 read it; both are
-      freed after P7;
-    - sigma_1 and rho_1 of each distinct product a*b, keyed by its value,
-      computed once in P2 and freed when P2 returns.
-    Images of any other value, such as rho_i(sigma_j(rho_i(f))), are
-    computed where they are used, for one member f.  A sigma-image of a
-    member that is no member (sigma_i does not permute the family) is kept
-    as a TensorPoly and checked like any other value."""
+    Every pair of P2 and every member of P4-P7 is checked.  Each tensor
+    power has one ``_Images`` table, freed when its rules end: P1-P4 keep
+    the family members, S, R and P2's distinct products a*b, and P5-P9 the
+    members, S_i and R_i; the images of kept values are kept too.  So each
+    sigma_i and rho_i of a value the rules reach from a member, S or R is
+    computed once per report, and P7 reads the images of images that P6
+    computed."""
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got degree={degree}")
-    from . import tensor_poly as tp
     rep = ValidationReport(f"pbw conditions [{params.name}]")
+    _pbw_on_two_slots(params, degree, rep)
+    _pbw_on_three_slots(params, degree, rep)
+    return rep
 
-    def sig(i):
-        return lambda f, i=i: f.place_permute_simple(i)
 
-    def rho(i):
-        return lambda f, i=i: f.twisted_demazure(i)
-
-    s1, r1 = sig(0), rho(0)
-    S2 = tp.s_ij(params, 2, 0, 1)
-    R2 = tp.r_ij(params, 2, 0, 1)
-    one2 = tp.unit_poly(params, 2)
-    zero2 = tp.zero_poly(params, 2)
-    fams = {d: _pbw_family(params, d, degree) for d in (2, 3)}
-    tables = {}
-
-    def images(d):
-        if d not in tables:
-            tables[d] = _FamilyImages(fams[d], d - 1)
-        return tables[d]
+def _pbw_on_two_slots(params, degree, rep):
+    from . import tensor_poly as tp
+    im = _Images(2)
+    s, r, keep = im.s, im.r, im.keep
+    S = keep(tp.s_ij(params, 2, 0, 1))
+    R = keep(tp.r_ij(params, 2, 0, 1))
+    fam = _pbw_family(params, 2, degree, keep)
 
     def p1():
-        if s1(one2) != one2:
+        one = tp.unit_poly(params, 2)
+        if s(0, one) != one:
             return False, "sigma(1) != 1", None
-        if r1(one2) != zero2:
+        if r(0, one) != tp.zero_poly(params, 2):
             return False, "rho(1) != 0", None
         return True, None, None
 
     def p2():
-        im = images(2)
-        rows = [(k, a, im.value(im.s(0, n)), im.r(0, n))
-                for n, (k, a) in enumerate(fams[2])]
-        of_product = {}  # (sigma_1(ab), rho_1(ab)) by the value of ab
+        rows = [(k, a, s(0, a), r(0, a)) for k, a in fam]
         for (ka, a, sa, ra) in rows:
             for (kb, b, sb, rb) in rows:
-                ab = a * b
-                key = _value_key(ab)
-                images_ab = of_product.get(key)
-                if images_ab is None:
-                    images_ab = of_product[key] = (s1(ab), r1(ab))
-                if images_ab[0] != sa * sb:
+                ab = keep(a * b)
+                if s(0, ab) != sa * sb:
                     return False, f"sigma not multiplicative at {ka},{kb}", None
-                if images_ab[1] != sa * rb + ra * b:
+                if r(0, ab) != sa * rb + ra * b:
                     return False, f"twisted Leibniz fails at {ka},{kb}", None
         return True, None, None
 
     def p3():
-        if s1(S2) * S2 + r1(S2) + s1(R2) != S2 * S2 + R2:
+        if s(0, S) * S + r(0, S) + s(0, R) != S * S + R:
             return False, "sigma(S)S + rho(S) + sigma(R) != S^2 + R", None
-        if r1(R2) + s1(S2) * R2 != S2 * R2:
+        if r(0, R) + s(0, S) * R != S * R:
             return False, "rho(R) + sigma(S)R != SR", None
         return True, None, None
 
     def p4():
-        im = images(2)
-        s, r, value = im.s, im.r, im.value
-        for n, (k, f) in enumerate(fams[2]):
-            sf, rf = s(0, n), r(0, n)
-            ssf = value(s(0, sf))
-            if ssf * S2 + r(0, sf) + s(0, rf) != S2 * value(sf):
+        for (k, f) in fam:
+            sf, rf = s(0, f), r(0, f)
+            if s(0, sf) * S + r(0, sf) + s(0, rf) != S * sf:
                 return False, f"first quadratic identity fails at {k}", None
-            if ssf * R2 + r(0, rf) != S2 * rf + R2 * f:
+            if s(0, sf) * R + r(0, rf) != S * rf + R * f:
                 return False, f"second quadratic identity fails at {k}", None
-        return True, None, None
-
-    sg = (sig(0), sig(1))
-    rh = (rho(0), rho(1))
-    S3 = (tp.s_ij(params, 3, 0, 1), tp.s_ij(params, 3, 1, 2))
-    R3 = (tp.r_ij(params, 3, 0, 1), tp.r_ij(params, 3, 1, 2))
-    orders = ((0, 1), (1, 0))
-
-    def p5():
-        im = images(3)
-        s, r, value = im.s, im.r, im.value
-        for n, (k, _) in enumerate(fams[3]):
-            for (i, j) in orders:
-                if value(s(i, s(j, s(i, n)))) != value(s(j, s(i, s(j, n)))):
-                    return False, f"braid identity for sigma fails at {k}", None
-                if r(i, s(j, s(i, n))) != s(j, s(i, r(j, n))):
-                    return False, f"sigma/rho braid identity fails at {k} (i={i+1},j={j+1})", None
-        return True, None, None
-
-    def p6():
-        im = images(3)
-        s, r = im.s, im.r
-        for n, (k, _) in enumerate(fams[3]):
-            for (i, j) in orders:
-                risjf = r(i, s(j, n))
-                lhs = r(i, s(j, r(i, n)))
-                rhs = s(j, risjf) * S3[j] + r(j, risjf) + s(j, r(i, r(j, n)))
-                if lhs != rhs:
-                    return False, f"f={k}, i={i+1}, j={j+1}", None
-        return True, None, None
-
-    def p7():
-        im = images(3)
-        s, r = im.s, im.r
-        for n, (k, _) in enumerate(fams[3]):
-            lhs = r(0, r(1, r(0, n))) + s(0, r(1, s(0, n))) * R3[0]
-            rhs = r(1, r(0, r(1, n))) + s(1, r(0, s(1, n))) * R3[1]
-            if lhs != rhs:
-                return False, f"f={k}", None
-        return True, None, None
-
-    def p8():
-        for (i, j) in orders:
-            if tp.of_ftensor(params, 3, params.s_elt.embed((i, i + 1), 3)) != sg[j](sg[i](S3[j])):
-                return False, f"S_{i+1} != sigma_{j+1}sigma_{i+1}(S_{j+1})", None
-            if tp.of_ftensor(params, 3, params.r_elt.embed((i, i + 1), 3)) != sg[j](sg[i](R3[j])):
-                return False, f"R_{i+1} != sigma_{j+1}sigma_{i+1}(R_{j+1})", None
-            if rh[j](sg[i](S3[j])) != tp.zero_poly(params, 3):
-                return False, f"rho_{j+1}sigma_{i+1}(S_{j+1}) != 0", None
-            if rh[j](sg[i](R3[j])) != tp.zero_poly(params, 3):
-                return False, f"rho_{j+1}sigma_{i+1}(R_{j+1}) != 0", None
-        return True, None, None
-
-    def p9():
-        z3 = tp.zero_poly(params, 3)
-        for (i, j) in orders:
-            if sg[j](rh[i](S3[j])) * S3[j] + rh[j](rh[i](S3[j])) + sg[j](rh[i](R3[j])) != z3:
-                return False, f"first cubic identity fails (i={i+1},j={j+1})", None
-            if rh[j](rh[i](R3[j])) + sg[j](rh[i](S3[j])) * R3[j] != z3:
-                return False, f"second cubic identity fails (i={i+1},j={j+1})", None
         return True, None, None
 
     rep.timed("P1", p1)
     rep.timed("P2", p2)
     rep.timed("P3", p3)
     rep.timed("P4", p4)
+
+
+def _pbw_on_three_slots(params, degree, rep):
+    from . import tensor_poly as tp
+    im = _Images(3)
+    s, r, keep = im.s, im.r, im.keep
+    S = (keep(tp.s_ij(params, 3, 0, 1)), keep(tp.s_ij(params, 3, 1, 2)))
+    R = (keep(tp.r_ij(params, 3, 0, 1)), keep(tp.r_ij(params, 3, 1, 2)))
+    fam = _pbw_family(params, 3, degree, keep)
+    orders = ((0, 1), (1, 0))
+
+    def p5():
+        for (k, f) in fam:
+            for (i, j) in orders:
+                if s(i, s(j, s(i, f))) != s(j, s(i, s(j, f))):
+                    return False, f"braid identity for sigma fails at {k}", None
+                if r(i, s(j, s(i, f))) != s(j, s(i, r(j, f))):
+                    return False, f"sigma/rho braid identity fails at {k} (i={i+1},j={j+1})", None
+        return True, None, None
+
+    def p6():
+        for (k, f) in fam:
+            for (i, j) in orders:
+                risjf = r(i, s(j, f))
+                lhs = r(i, s(j, r(i, f)))
+                rhs = s(j, risjf) * S[j] + r(j, risjf) + s(j, r(i, r(j, f)))
+                if lhs != rhs:
+                    return False, f"f={k}, i={i+1}, j={j+1}", None
+        return True, None, None
+
+    def p7():
+        for (k, f) in fam:
+            lhs = r(0, r(1, r(0, f))) + s(0, r(1, s(0, f))) * R[0]
+            rhs = r(1, r(0, r(1, f))) + s(1, r(0, s(1, f))) * R[1]
+            if lhs != rhs:
+                return False, f"f={k}", None
+        return True, None, None
+
+    def p8():
+        zero = tp.zero_poly(params, 3)
+        for (i, j) in orders:
+            if tp.of_ftensor(params, 3, params.s_elt.embed((i, i + 1), 3)) != s(j, s(i, S[j])):
+                return False, f"S_{i+1} != sigma_{j+1}sigma_{i+1}(S_{j+1})", None
+            if tp.of_ftensor(params, 3, params.r_elt.embed((i, i + 1), 3)) != s(j, s(i, R[j])):
+                return False, f"R_{i+1} != sigma_{j+1}sigma_{i+1}(R_{j+1})", None
+            if r(j, s(i, S[j])) != zero:
+                return False, f"rho_{j+1}sigma_{i+1}(S_{j+1}) != 0", None
+            if r(j, s(i, R[j])) != zero:
+                return False, f"rho_{j+1}sigma_{i+1}(R_{j+1}) != 0", None
+        return True, None, None
+
+    def p9():
+        zero = tp.zero_poly(params, 3)
+        for (i, j) in orders:
+            if s(j, r(i, S[j])) * S[j] + r(j, r(i, S[j])) + s(j, r(i, R[j])) != zero:
+                return False, f"first cubic identity fails (i={i+1},j={j+1})", None
+            if r(j, r(i, R[j])) + s(j, r(i, S[j])) * R[j] != zero:
+                return False, f"second cubic identity fails (i={i+1},j={j+1})", None
+        return True, None, None
+
     rep.timed("P5", p5)
     rep.timed("P6", p6)
     rep.timed("P7", p7)
-    tables.clear()
     rep.timed("P8", p8)
     rep.timed("P9", p9)
-    return rep
 
 
 # presets -------------------------------------------------------------------------

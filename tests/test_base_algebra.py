@@ -331,7 +331,25 @@ def _one_monomial_wrong(true, d, exps, error):
     ("place_permute_simple", 3, (1, 0, 0), lambda p: x_var(p, 3, 2), {
         "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 1, 0))",
         "P7": "f=((0, 0, 0), (1, 0, 0))"}),
-), ids=("rho_d2_x1^2", "sigma_d2_x1", "rho_d3_x1x3^2", "sigma_d3_x1"))
+    # wrong on 1: P1 reads rho(1), and P3, P8 and P9 read the images of S
+    # and R, which have a constant term
+    ("twisted_demazure", 2, (0, 0), lambda p: unit_poly(p, 2), {
+        "P1": "rho(1) != 0",
+        "P2": "twisted Leibniz fails at ((0, 0), (0, 0)),((0, 0), (0, 0))",
+        "P3": "sigma(S)S + rho(S) + sigma(R) != S^2 + R",
+        "P4": "first quadratic identity fails at ((0, 0), (0, 0))"}),
+    ("twisted_demazure", 3, (0, 0, 0), lambda p: unit_poly(p, 3), {
+        "P5": "sigma/rho braid identity fails at ((0, 0, 0), (0, 0, 0)) (i=1,j=2)",
+        "P6": "f=((0, 0, 0), (0, 0, 0)), i=1, j=2",
+        "P7": "f=((0, 0, 0), (0, 0, 0))",
+        "P8": "rho_1sigma_2(S_1) != 0",
+        "P9": "first cubic identity fails (i=1,j=2)"}),
+    ("place_permute_simple", 3, (0, 0, 0), lambda p: x_var(p, 3, 2), {
+        "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 0, 0))",
+        "P7": "f=((0, 0, 0), (0, 0, 0))",
+        "P8": "S_1 != sigma_2sigma_1(S_2)"}),
+), ids=("rho_d2_x1^2", "sigma_d2_x1", "rho_d3_x1x3^2", "sigma_d3_x1",
+        "rho_d2_1", "rho_d3_1", "sigma_d3_1"))
 def test_pbw_rows_see_a_map_wrong_on_one_monomial(monkeypatch, method, d, exps,
                                                   error, failures):
     """Each row that loops over the family fails, with its first witness,
@@ -342,18 +360,25 @@ def test_pbw_rows_see_a_map_wrong_on_one_monomial(monkeypatch, method, d, exps,
     assert {e["rule"]: e["witness"] for e in rep.failures()} == failures
 
 
-@pytest.mark.parametrize("name, degree", (("affine_hecke", 2), ("pro_p", 1),
-                                          ("wreath_s3", 1)))
-def test_pbw_p2_checks_every_pair_with_one_image_per_product(monkeypatch, name, degree):
-    """P2 forms four products for each of the |family|^2 pairs (so checks
-    every pair), and computes sigma_1 and rho_1 once for each member and
-    once for each distinct product a*b."""
-    params = load_preset_file(WREATH_S3) if name == "wreath_s3" else preset(name)
-    fam = [monomial(params, 2, fkey, exps)
-           for fkey in iproduct(range(params.algebra.dim), repeat=2)
-           for exps in iproduct(range(degree + 1), repeat=2)]
-    products = {frozenset((a * b).terms.items()) for a in fam for b in fam}
-    # fill the pack's tables of two-slot images, whose products are not P2's
+@pytest.mark.parametrize("exps, failure", (
+    ((0, 0), "rho(1) nonzero"),
+    ((1, 0), "rho(x1) differs from beta"),
+    ((2, 1), "rho(sigma(x^(1,2))) != -rho(x^(1,2))"),
+), ids=("rho_1", "rho_x1", "rho_x1^2x2"))
+def test_a3_sees_rho_wrong_on_one_monomial(monkeypatch, exps, failure):
+    """A3 alone fails, naming its first broken identity, when rho_1 of
+    affine_hecke is wrong on one two-slot monomial (1 is added to it)."""
+    wrong = _one_monomial_wrong(TensorPoly.twisted_demazure, 2, exps,
+                                lambda p: unit_poly(p, 2))
+    monkeypatch.setattr(TensorPoly, "twisted_demazure", wrong)
+    rep = validate_pqwp(preset("affine_hecke"), 2)
+    assert {e["rule"]: e["witness"] for e in rep.failures()} == {"A3": failure}
+
+
+def _pbw_calls_per_rule(monkeypatch, params, degree):
+    """Calls of sigma_i, rho_i and the product, per PBW rule, in one report
+    that passes.  A first report fills the pack's tables of two-slot
+    images, which are not the rules' own work."""
     verify_pbw_conditions(params, degree)
     calls = {}
     rule = [None]
@@ -372,9 +397,56 @@ def test_pbw_p2_checks_every_pair_with_one_image_per_product(monkeypatch, name, 
             return true(self, arg)
         monkeypatch.setattr(TensorPoly, method, counted)
     assert verify_pbw_conditions(params, degree).passed
+    return calls
+
+
+def _family(params, d, degree):
+    return [monomial(params, d, fkey, exps)
+            for fkey in iproduct(range(params.algebra.dim), repeat=d)
+            for exps in iproduct(range(degree + 1), repeat=d)]
+
+
+COUNTED_PACKS = (("affine_hecke", 2), ("pro_p", 1), ("wreath_s3", 1))
+
+
+def _counted_pack(name):
+    return load_preset_file(WREATH_S3) if name == "wreath_s3" else preset(name)
+
+
+@pytest.mark.parametrize("name, degree", COUNTED_PACKS)
+def test_pbw_p2_checks_every_pair_with_one_image_per_product(monkeypatch, name, degree):
+    """P2 forms four products for each of the |family|^2 pairs (so checks
+    every pair), and computes sigma_1 and rho_1 once for each distinct value
+    among the members and the products a*b.  The family holds 1, so every
+    member is also a product: 25, 36 and 324 values on these packs."""
+    params = _counted_pack(name)
+    fam = _family(params, 2, degree)
+    values = {frozenset(f.terms.items()) for f in fam}
+    values |= {frozenset((a * b).terms.items()) for a in fam for b in fam}
+    calls = _pbw_calls_per_rule(monkeypatch, params, degree)
     assert calls[("P2", "__mul__")] == 4 * len(fam) ** 2
-    assert calls[("P2", "twisted_demazure")] == len(fam) + len(products)
-    assert calls[("P2", "place_permute_simple")] == len(fam) + len(products)
+    assert calls[("P2", "twisted_demazure")] == len(values)
+    assert calls[("P2", "place_permute_simple")] == len(values)
+
+
+@pytest.mark.parametrize("name, degree", COUNTED_PACKS)
+def test_pbw_three_slot_rules_compute_each_image_once(monkeypatch, name, degree):
+    """P5-P7 compute no more sigma_i and rho_i images than computing each
+    member's own images once and every composite image afresh would:
+    - P5: sigma_1, sigma_2, rho_1 and rho_2 of each member, and
+      sigma_j(sigma_i(rho_j f)) for both orders: 6 sigmas and 2 rhos;
+    - P6: 3 sigmas and 3 rhos per order: 6 and 6 per member.
+    P7 computes no sigma and at most rho_1(rho_2(rho_1 f)) and
+    rho_2(rho_1(rho_2 f)) per member, where afresh it would take 2 sigmas
+    and 4 rhos: P5 and P6 computed every other image it needs."""
+    params = _counted_pack(name)
+    n = len(_family(params, 3, degree))
+    calls = _pbw_calls_per_rule(monkeypatch, params, degree)
+    bounds = {("P5", "place_permute_simple"): 6 * n, ("P5", "twisted_demazure"): 2 * n,
+              ("P6", "place_permute_simple"): 6 * n, ("P6", "twisted_demazure"): 6 * n,
+              ("P7", "place_permute_simple"): 0, ("P7", "twisted_demazure"): 2 * n}
+    for key, bound in bounds.items():
+        assert calls.get(key, 0) <= bound, key
 
 
 def test_zero_divisor_is_reported():
