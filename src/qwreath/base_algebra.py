@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str
+from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str, signed_join
 
 
 class ArityMismatch(ValueError):
@@ -379,8 +379,6 @@ class FTensor(SparseSum):
         return True
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         labels = self.algebra.labels
         parts = []
         for key in sorted(self.terms):
@@ -395,10 +393,7 @@ class FTensor(SparseSum):
                 if any(ch in cs for ch in "+-") and not cs.lstrip("-").isdigit():
                     cs = f"({cs})"
                 parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_join(parts)
 
 
 def ftensor_mul(a: FTensor, b: FTensor) -> FTensor:
@@ -823,9 +818,9 @@ def _pbw_on_three_slots(params, degree, rep):
     def p8():
         zero = tp.zero_poly(params, 3)
         for (i, j) in orders:
-            if tp.of_ftensor(params, 3, params.s_elt.embed((i, i + 1), 3)) != s(j, s(i, S[j])):
+            if S[i] != s(j, s(i, S[j])):
                 return False, f"S_{i+1} != sigma_{j+1}sigma_{i+1}(S_{j+1})", None
-            if tp.of_ftensor(params, 3, params.r_elt.embed((i, i + 1), 3)) != s(j, s(i, R[j])):
+            if R[i] != s(j, s(i, R[j])):
                 return False, f"R_{i+1} != sigma_{j+1}sigma_{i+1}(R_{j+1})", None
             if r(j, s(i, S[j])) != zero:
                 return False, f"rho_{j+1}sigma_{i+1}(S_{j+1}) != 0", None

@@ -9,12 +9,14 @@ runs the axiom checks A1-A3 and C1-C3, ``pbw`` the basis-existence
 conditions P1-P9.  The report goes to standard output, as text or with
 ``--json`` as one JSON object.  The exit code is 0 when every check passed,
 1 when one failed, and 2 for a preset that cannot be loaded or bad
-arguments.
+arguments.  A reader that closes standard output early (``| head``) leaves
+the exit code that of the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .base_algebra import (
@@ -54,7 +56,11 @@ def main(argv=None) -> int:
         return 2
     check, _ = _COMMANDS[args.command]
     report = check(params, args.degree)
-    print(report.to_json() if args.json else report)
+    try:
+        print(report.to_json() if args.json else report, flush=True)
+    except BrokenPipeError:
+        # the reader is gone; devnull takes the flush at exit instead
+        sys.stdout = open(os.devnull, "w")
     return 0 if report.passed else 1
 
 

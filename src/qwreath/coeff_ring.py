@@ -532,13 +532,7 @@ class RatFun:
             if not self.num:
                 raise DivisionByZero("inverse of zero scalar")
             base, n = _new(*_inverse(self.num, self.den)), -n
-        out = _ONE
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(base, n, _ONE)
 
     # structure ------------------------------------------------------------
 
@@ -933,6 +927,28 @@ def scalar_str(x) -> str:
     if isinstance(x, SCALARS):
         return str(x)
     raise TypeError(f"not a scalar: {x!r}")
+
+
+def signed_join(parts) -> str:
+    """Term strings as one sum: " + " before a later term, " - " before one
+    that starts with "-"; "0" for no term."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def power(base, n: int, one):
+    """base**n for an int n >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
 
 
 def specialize(x, bindings: dict[str, int | Fraction]):

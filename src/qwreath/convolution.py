@@ -29,7 +29,6 @@ the convolution product.
 """
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .base_algebra import SparseSum, _Frozen, pack_cached
@@ -53,27 +52,14 @@ class CharacteristicTooSmall(ValueError):
 
 # twists ----------------------------------------------------------------------
 
-def twist_e(params, d: int, lam) -> TensorPoly:
-    """Value of the twist at the base point of Y_lam: linear factors over the
-    cross-block pairs N_lam, P factors over the complementary ordered pairs."""
-    return _e_localized(params, d, lam, False).numerator()
-
-
-@lru_cache(maxsize=None)
-def _e_factors(d: int, lam) -> tuple:
-    """The twist at the base point as a factor list: lin tags and P tags."""
-    fac = []
-    for (i, j) in sorted(region_N(lam)):
-        fac.append(("lin", i, j))
-    for (i, j) in sorted(region_P(lam)):
-        fac.append(("P", i, j))
-    return tuple(fac)
-
-
 def _e_localized(params, d: int, lam, invert: bool) -> LocalizedElement:
-    """e_lam, or its inverse, kept entirely in factored form so that
-    products cancel syntactically."""
-    tags = Counter(_e_factors(d, check_comp(d, lam)))
+    """e_lam, or its inverse, the value of the twist at the base point of
+    Y_lam: linear factors over the cross-block pairs N_lam, P factors over
+    the complementary ordered pairs.  It is kept entirely in factored form
+    so that products cancel syntactically."""
+    lam = check_comp(d, lam)
+    tags = Counter([("lin", i, j) for (i, j) in sorted(region_N(lam))]
+                   + [("P", i, j) for (i, j) in sorted(region_P(lam))])
     if invert:
         return LocalizedElement(unit_poly(params, d), None, tags)
     return LocalizedElement(unit_poly(params, d), tags, None)

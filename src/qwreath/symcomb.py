@@ -259,20 +259,22 @@ def double_coset_reps(lam: Composition, mu: Composition) -> tuple[Perm, ...]:
 
 # inversion regions ----------------------------------------------------------
 
+def _pairs(lam: Composition, same: bool) -> frozenset[tuple[int, int]]:
+    """Pairs i < j in the same block if same, else in different blocks."""
+    bo = block_of(lam)
+    d = len(bo)
+    return frozenset((i, j) for i in range(d) for j in range(i + 1, d)
+                     if (bo[i] == bo[j]) is same)
+
+
 def region_N(lam: Composition) -> frozenset[tuple[int, int]]:
     """Pairs i < j in different blocks."""
-    bo = block_of(lam)
-    d = sum(lam)
-    return frozenset((i, j) for i in range(d) for j in range(i + 1, d)
-                     if bo[i] != bo[j])
+    return _pairs(lam, False)
 
 
 def region_L(lam: Composition) -> frozenset[tuple[int, int]]:
     """Pairs i < j in the same block."""
-    bo = block_of(lam)
-    d = sum(lam)
-    return frozenset((i, j) for i in range(d) for j in range(i + 1, d)
-                     if bo[i] == bo[j])
+    return _pairs(lam, True)
 
 
 def region_P(lam: Composition) -> frozenset[tuple[int, int]]:

@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from operator import add
 
-from .coeff_ring import SCALARS, echelon_pivots, scalar_str
+from .coeff_ring import SCALARS, echelon_pivots, power, scalar_str, signed_join
 from .base_algebra import FTensor, SparseSum, _Frozen, pack_cached
 from .symcomb import blocks, simple
 
@@ -120,14 +120,7 @@ class TensorPoly(SparseSum):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a TensorPoly")
-        out = unit_poly(self.params, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, unit_poly(self.params, self.d))
 
     # structure maps
 
@@ -226,13 +219,8 @@ class TensorPoly(SparseSum):
         return f"{cs}*{body}"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [self._term_str(k) for k in sorted(self.terms, reverse=True)]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_join([self._term_str(k)
+                            for k in sorted(self.terms, reverse=True)])
 
     def to_json(self) -> str:
         rows = []
@@ -506,18 +494,18 @@ class LocalizedElement(_Frozen):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, LocalizedElement):
-            self.core._same_space(other.core)
-            return LocalizedElement(self.core * other.core,
-                                    self.nfac + other.nfac,
-                                    self.dfac + other.dfac)
         if isinstance(other, TensorPoly):
-            return LocalizedElement(self.core * other, self.nfac, self.dfac)
-        return self.scale(other)
+            other = LocalizedElement(other)
+        elif not isinstance(other, LocalizedElement):
+            return self.scale(other)
+        return LocalizedElement(self.core * other.core,
+                                self.nfac + other.nfac,
+                                self.dfac + other.dfac)
 
     def __rmul__(self, other):
+        # F need not be commutative: the TensorPoly stays the left factor
         if isinstance(other, TensorPoly):
-            return LocalizedElement(other * self.core, self.nfac, self.dfac)
+            return LocalizedElement(other) * self
         return self.scale(other)
 
     def numerator(self) -> TensorPoly:

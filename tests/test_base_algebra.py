@@ -175,6 +175,46 @@ def test_wreath_s3_k_squared_is_m_times_k(d):
     assert pqwp_mul(k, k) == k.poly_left(m_lambda(params, d, (d,)))
 
 
+def _alpha_s_wreath_s3(tmp_path):
+    """wreath_s3.toml with alpha = s⊗1, which is not central, and neither is
+    R = s⊗s."""
+    path = tmp_path / "alpha_s.toml"
+    path.write_text(Path(WREATH_S3).read_text().replace(
+        'alpha = [[["1", "1"], "1"]]', 'alpha = [[["s", "1"], "1"]]'))
+    return load_preset_file(str(path))
+
+
+def _text_rows(report):
+    """The rows of a text report by rule, each without its rule, status and
+    time: what follows the time, its detail and witness."""
+    lines = str(report).splitlines()
+    assert lines[0] == report.title
+    return {line.split()[0]: (line.split()[1], line.split(" ms)")[1])
+            for line in lines[1:]}
+
+
+def test_text_report_shows_details_and_witnesses(tmp_path):
+    alg = FAlgebra.ground(Field.rationals())
+    bare = PqwpParams(alg, "polynomial", {}, FTensor.unit(alg, 2), name="bare")
+    rows = _text_rows(validate_pqwp(bare, 1))
+    assert rows["C1"] == ("skip", "  no R stated")
+    assert rows["C3"] == ("pass", "  no annihilator up to x-degree 1 (both sides full rank)")
+    assert rows["A1"] == ("pass", "")
+    rows = _text_rows(validate_pqwp(_alpha_s_wreath_s3(tmp_path), 1))
+    assert rows["A1"] == ("fail", "  witness: R = s⊗s not central")
+    assert rows["C2"] == ("fail", "  witness: alpha = s⊗1 not central")
+
+
+def test_p8_compares_each_r_i_with_its_own_image(tmp_path):
+    """R = s⊗s puts R_1 = s⊗s⊗1 and R_2 = 1⊗s⊗s apart, and sigma_2 sigma_1
+    maps R_2 to R_1 (sigma_1 sigma_2 maps R_1 to R_2), so P8 holds; P4
+    does not."""
+    rows = {e["rule"]: e["status"]
+            for e in verify_pbw_conditions(_alpha_s_wreath_s3(tmp_path), 0).entries}
+    assert rows["P8"] == "pass"
+    assert rows["P4"] == "fail"
+
+
 def test_rebase_needs_preset_data():
     alg = FAlgebra.ground(Field.rationals())
     direct = PqwpParams(alg, PqwpParams.POLYNOMIAL, {}, FTensor.unit(alg, 2))

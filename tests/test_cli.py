@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qwreath
 from qwreath.cli import main
 
 
@@ -35,18 +39,22 @@ def test_stub_preset_and_bad_file_exit_nonzero(tmp_path, capsys):
     assert main(["pbw", str(tmp_path / "missing.json")]) == 2
 
 
-def test_failed_report_exits_one(tmp_path, capsys):
-    # delta00 and delta11 both 1⊗1 breaks the mixed-component condition
-    data = {
+def corrupted_file(tmp_path) -> str:
+    """A preset file whose PBW report fails: delta00 and delta11 both 1⊗1
+    break the mixed-component condition."""
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps({
         "name": "corrupted",
         "field": {"kind": "rational"},
         "algebra": {"kind": "ground"},
         "delta": {"00": [[["1", "1"], "1"]], "11": [[["1", "1"], "1"]]},
         "alpha": [[["1", "1"], "1"]],
-    }
-    path = tmp_path / "corrupted.json"
-    path.write_text(json.dumps(data))
-    assert main(["pbw", str(path), "--degree", "1", "--json"]) == 1
+    }))
+    return str(path)
+
+
+def test_failed_report_exits_one(tmp_path, capsys):
+    assert main(["pbw", corrupted_file(tmp_path), "--degree", "1", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
@@ -86,3 +94,41 @@ def test_negative_degree_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "degenerate", "--degree", "-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("passing", (True, False))
+def test_closed_pipe_keeps_the_report_exit_code(tmp_path, passing):
+    """The console run writing into a pipe whose reader has already gone:
+    no traceback on stderr, and the exit code is the report's own."""
+    spec = "degenerate" if passing else corrupted_file(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(qwreath.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "qwreath.cli", "pbw", spec, "--degree", "1", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == (0 if passing else 1)
+    assert run.stderr == b""
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_at_the_print_is_not_a_failed_check(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["validate", "degenerate", "--degree", "1", "--json"]) == 0
+    # stdout now points at devnull: later writes, and the flush at exit, pass
+    print("after the pipe closed", flush=True)
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["pbw", corrupted_file(tmp_path), "--degree", "1"]) == 1
+    sys.stdout.close()

@@ -7,10 +7,10 @@ from qwreath.base_algebra import preset, rebase_field, shipped_presets
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
     BlockMismatch, CharacteristicTooSmall, ConvBlock, SchurElement,
-    coil_basis_element, crossing, diagonal_element, dumb_vs_smart_identity,
-    elements_equal, h_tilde, k_block, laurel_basis_element, merge_apply,
-    phi_embed, poly_rep_apply, poly_value, poly_vector, split_merge, twist_e,
-    zero_test_via_poly_rep,
+    _e_localized, coil_basis_element, crossing, diagonal_element,
+    dumb_vs_smart_identity, elements_equal, h_tilde, k_block,
+    laurel_basis_element, merge_apply, phi_embed, poly_rep_apply, poly_value,
+    poly_vector, split_merge, zero_test_via_poly_rep,
 )
 from qwreath.pqwp import (IdentityFailed, ParamMismatch, PqwpElement, k_lambda,
                           m_lambda, multinomial, pqwp_mul)
@@ -50,10 +50,12 @@ def lin(p, d, i, j):
 
 def test_twist_display():
     p = preset("affine_hecke")
-    assert twist_e(p, 2, (2,)) == p_ij(p, 2, 0, 1) * p_ij(p, 2, 1, 0)
-    assert twist_e(p, 2, (1, 1)) == lin(p, 2, 0, 1) * p_ij(p, 2, 1, 0)
+    assert (_e_localized(p, 2, (2,), False).numerator()
+            == p_ij(p, 2, 0, 1) * p_ij(p, 2, 1, 0))
+    assert (_e_localized(p, 2, (1, 1), False).numerator()
+            == lin(p, 2, 0, 1) * p_ij(p, 2, 1, 0))
     # coarsening only moves pairs from the linear region to the P region
-    e3 = twist_e(p, 3, (2, 1))
+    e3 = _e_localized(p, 3, (2, 1), False).numerator()
     assert e3 == (p_ij(p, 3, 0, 1) * lin(p, 3, 0, 2) * lin(p, 3, 1, 2)
                   * p_ij(p, 3, 1, 0) * p_ij(p, 3, 2, 0) * p_ij(p, 3, 2, 1))
 
@@ -356,7 +358,8 @@ def test_vectors_are_column_blocks():
     v = poly_vector(p, d, lam, b)
     assert set(v.terms) == {(lam, (d,))}
     stored = v.block(lam, (d,)).terms[identity(d)]
-    assert LocalizedElement(twist_e(p, d, lam)) * stored == LocalizedElement(b)
+    e_lam = _e_localized(p, d, lam, False).numerator()
+    assert LocalizedElement(e_lam) * stored == LocalizedElement(b)
     assert poly_value(v, lam) == LocalizedElement(b)
     assert not poly_value(v, (1, 2)) and not poly_value(v, (3,))
     with pytest.raises(InvarianceViolation):

@@ -5,11 +5,15 @@ from collections import Counter
 
 import pytest
 
-from qwreath.base_algebra import ArityMismatch, FTensor, SparseSum, add_batch, preset
-from qwreath.convolution import BlockMismatch, ConvBlock, SchurElement
-from qwreath.pqwp import ParamMismatch, PqwpElement
-from qwreath.symcomb import identity, simple
-from qwreath.tensor_module import ModuleMismatch, TensorVector
+from qwreath.base_algebra import (ArityMismatch, FTensor, SparseSum, add_batch, preset,
+                                  shipped_presets)
+from qwreath.convolution import (BlockMismatch, ConvBlock, SchurElement, crossing,
+                                 phi_embed, split_merge)
+from qwreath.pqwp import ParamMismatch, PqwpElement, k_lambda, pqwp_mul
+from qwreath.symcomb import (coset_shapes, double_coset_reps, identity,
+                             matrix_from_triple, simple)
+from qwreath.tensor_module import (ModuleMismatch, TensorVector, ThetaMap, act_H_batch,
+                                   invariant_basis)
 from qwreath.tensor_poly import LocalizedElement, SizeMismatch, p_ij, unit_poly, x_var
 
 
@@ -146,3 +150,53 @@ def test_blocks_compare_values_in_different_factored_forms():
     assert expanded == tagged
     assert not expanded != tagged
     assert SchurElement.from_block(expanded) == SchurElement.from_block(tagged)
+
+
+# no constructor stores a zero coefficient --------------------------------------
+
+
+def zero_values(x, path="x"):
+    """The paths of the zero values stored anywhere inside x: coefficients
+    of a sparse sum, at any depth, and localized values with a zero core."""
+    if isinstance(x, LocalizedElement):
+        return [path] if not x else zero_values(x.core, f"{path}.core")
+    if not isinstance(x, SparseSum):
+        return []
+    out = []
+    for key, value in x.terms.items():
+        at = f"{path}[{key!r}]"
+        out += [at] if not value else zero_values(value, at)
+    return out
+
+
+def built_values(p):
+    """(name, value) for the values the library's builders return at d = 3."""
+    d = 3
+    K = k_lambda(p, d, (d,))
+    yield "K", K
+    yield "K*K", pqwp_mul(K, K)
+    for i in range(d - 1):
+        yield f"phi(H_{i + 1})", phi_embed(PqwpElement.h_gen(p, d, i))
+    for kind in ("split", "merge"):
+        yield kind, split_merge(p, d, (2, 1), kind=kind)
+    for kind in ("partial_split", "partial_merge"):
+        yield kind, split_merge(p, d, (3,), (2, 1), kind=kind)
+    yield "crossing", crossing(p, d, (2, 1))
+    pure = [TensorVector.basis(p, 2, d, (a, b, c))
+            for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+    for k in range(d - 1):
+        for v, image in zip(pure, act_H_batch(pure, k)):
+            yield f"{v} * H_{k + 1}", image
+    lam, mu = (2, 1), (1, 2)
+    for g in double_coset_reps(lam, mu):
+        _, delta = coset_shapes(lam, g, mu)
+        for P in invariant_basis(p, d, delta, 1):
+            yield f"theta[{g}, {P}]", ThetaMap(p, matrix_from_triple(lam, g, mu), P).core
+
+
+@pytest.mark.parametrize("name", shipped_presets())
+def test_builders_store_no_zero_coefficient(name):
+    """SparseSum's promise that every constructor drops zero coefficients,
+    held by the values the builders return on each shipped preset."""
+    for label, value in built_values(preset(name)):
+        assert zero_values(value) == [], label

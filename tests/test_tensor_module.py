@@ -577,3 +577,16 @@ def test_block_map_rejects_a_non_invariant_coefficient():
     with pytest.raises(InvarianceViolation):
         ThetaMap(p, A, x_var(p, 3, 0))
     ThetaMap(p, A, x_var(p, 3, 0) + x_var(p, 3, 1))
+
+
+def test_vector_rendering():
+    """Zero is "0", a unit coefficient shows the bare index, and a sum
+    coefficient is bracketed."""
+    p = preset("degenerate")
+    d = 2
+    assert str(TensorVector.zero(p, 2, d)) == "0"
+    x1 = x_var(p, d, 0)
+    v = (TensorVector.basis(p, 2, d, (1, 2))
+         + TensorVector.basis(p, 2, d, (2, 1), x1 + unit_poly(p, d))
+         + TensorVector.basis(p, 2, d, (2, 2), x1))
+    assert str(v) == "v[1,2] + v[2,1]*((1⊗1)*x1 + (1⊗1)) + v[2,2]*(1⊗1)*x1"

@@ -331,6 +331,8 @@ def test_localized_values_over_different_spaces_compare_unequal():
         assert one != other
         with pytest.raises(SizeMismatch):
             one + other
+        with pytest.raises(SizeMismatch):
+            one * other
 
 
 def test_localized_place_permute_sign():
@@ -475,6 +477,21 @@ def test_poly_times_algebra_and_localized_elements(name):
     assert isinstance(prod, LocalizedElement)
     assert prod == LocalizedElement(x) * L
     assert x * 3 == 3 * x == x.scale(3)
+
+
+def test_localized_products_keep_the_operand_order():
+    """A TensorPoly on either side of a LocalizedElement multiplies as the
+    localized value it is, on its side: over the triangular matrices of
+    ``triangular_pack``, n*p = n but p*n = 0."""
+    params = triangular_pack()
+    n = monomial(params, 2, (1, 0), (1, 0))
+    pm = monomial(params, 2, (2, 0), (0, 0))
+    L = LocalizedElement(n).over_lin(0, 1)
+    assert L * pm == L * LocalizedElement(pm) == L
+    assert (L * pm).dfac == Counter([("lin", 0, 1)])
+    assert pm * L == LocalizedElement(pm) * L
+    assert isinstance(pm * L, LocalizedElement) and not pm * L
+    assert L * 2 == 2 * L == L.scale(2)
 
 
 # the product kernel against the generic pair loop ------------------------------
