@@ -700,15 +700,6 @@ def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport
     return rep
 
 
-def _pbw_family(params, d, degree, keep):
-    """The spanning family f*x^e of B^{tensor d}, exponents up to degree, as
-    (key, kept monomial) pairs."""
-    from . import tensor_poly as tp
-    return [((fkey, exps), keep(tp.monomial(params, d, fkey, exps)))
-            for fkey in iproduct(range(params.algebra.dim), repeat=d)
-            for exps in iproduct(range(degree + 1), repeat=d)]
-
-
 def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationReport:
     """Evaluate the nine basis-existence conditions as operator identities,
     P1-P4 on B^{tensor 2} and P5-P9 on B^{tensor 3}, over the spanning
@@ -736,7 +727,7 @@ def _pbw_on_two_slots(params, degree, rep):
     s, r, keep = im.s, im.r, im.keep
     S = keep(tp.s_ij(params, 2, 0, 1))
     R = keep(tp.r_ij(params, 2, 0, 1))
-    fam = _pbw_family(params, 2, degree, keep)
+    fam = [(k, keep(f)) for k, f in tp.monomial_box(params, 2, degree)]
 
     def p1():
         one = tp.unit_poly(params, 2)
@@ -785,7 +776,7 @@ def _pbw_on_three_slots(params, degree, rep):
     s, r, keep = im.s, im.r, im.keep
     S = (keep(tp.s_ij(params, 3, 0, 1)), keep(tp.s_ij(params, 3, 1, 2)))
     R = (keep(tp.r_ij(params, 3, 0, 1)), keep(tp.r_ij(params, 3, 1, 2)))
-    fam = _pbw_family(params, 3, degree, keep)
+    fam = [(k, keep(f)) for k, f in tp.monomial_box(params, 3, degree)]
     orders = ((0, 1), (1, 0))
 
     def p5():

@@ -131,10 +131,6 @@ def _pneg(f):
     return {m: -c for m, c in f.items()}
 
 
-def _psub(f, g):
-    return _padd(f, _pneg(g))
-
-
 def _pscale(f, k):
     return {m: c * k for m, c in f.items()} if k != 1 else f
 
@@ -250,7 +246,7 @@ def _prem(F, G):
             if d2 == n:
                 continue
             nd = d2 + m - n
-            newF[nd] = _psub(newF.get(nd, {}), _pmul(fl, c))
+            newF[nd] = _padd(newF.get(nd, {}), _pneg(_pmul(fl, c)))
         F = {dd: cc for dd, cc in newF.items() if cc}
     return F
 

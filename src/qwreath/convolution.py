@@ -67,6 +67,12 @@ def _e_localized(params, d: int, lam, invert: bool) -> LocalizedElement:
 
 # blocks ----------------------------------------------------------------------
 
+def _same_data(a, b):
+    """Blocks and elements combine only over one (params, d)."""
+    if (a.params, a.d) != (b.params, b.d):
+        raise BlockMismatch("mixed parameter sets")
+
+
 class ConvBlock(SparseSum, _Frozen):
     """One block of the convolution algebra: rows indexed by Y_lam, columns by
     Y_mu.  ``terms[g]`` holds the normalized value at ([1],[g]) for each
@@ -76,7 +82,8 @@ class ConvBlock(SparseSum, _Frozen):
 
     The public constructor checks that every key is a minimal representative
     and every value lives over the same (params, d) and is invariant under
-    the stabilizer of its base pair; ``_make`` trusts its caller."""
+    the stabilizer of its base pair; ``_make`` trusts its caller, who drops
+    zero values."""
 
     __slots__ = ("params", "d", "lam", "mu", "terms")
 
@@ -99,16 +106,8 @@ class ConvBlock(SparseSum, _Frozen):
         self._store(params, d, lam, mu, clean)
         self.check_invariance()
 
-    @classmethod
-    def _make(cls, params, d, lam, mu, terms) -> "ConvBlock":
-        """A block with checked lam and mu, and keys and values right by
-        construction; only zero values are dropped."""
-        return super()._make(params, d, lam, mu,
-                             {g: r for g, r in terms.items() if r})
-
     def _kept(self, terms):
-        # _Frozen's _make: ConvBlock._make would scan terms for zeros again
-        return super()._make(self.params, self.d, self.lam, self.mu, terms)
+        return ConvBlock._make(self.params, self.d, self.lam, self.mu, terms)
 
     def check_invariance(self):
         """Stored values must be fixed by the stabilizer of the base pair.
@@ -124,15 +123,13 @@ class ConvBlock(SparseSum, _Frozen):
                                check_comp(d, mu), {})
 
     def _same_space(self, other):
-        if (self.params, self.d) != (other.params, other.d):
-            raise BlockMismatch("mixed parameter sets")
+        _same_data(self, other)
         if (self.lam, self.mu) != (other.lam, other.mu):
             raise BlockMismatch(f"({self.lam},{self.mu}) vs "
                                 f"({other.lam},{other.mu})")
 
     def mul(self, other: "ConvBlock") -> "ConvBlock":
-        if (self.params, self.d) != (other.params, other.d):
-            raise BlockMismatch("mixed parameter sets")
+        _same_data(self, other)
         if self.mu != other.lam:
             raise BlockMismatch(f"cannot compose ({self.lam},{self.mu}) with "
                                 f"({other.lam},{other.mu})")
@@ -152,7 +149,8 @@ class ConvBlock(SparseSum, _Frozen):
                 term = left * rh.place_permute(mul(z, u2))
                 cur = out.get(y)
                 out[y] = term if cur is None else cur + term
-        return ConvBlock._make(self.params, self.d, self.lam, other.mu, out)
+        return ConvBlock._make(self.params, self.d, self.lam, other.mu,
+                               {y: r for y, r in out.items() if r})
 
     def leading(self):
         """(g, value) with g of maximal length in the support."""
@@ -214,9 +212,7 @@ class SchurElement(SparseSum, _Frozen):
             return ConvBlock.zero(self.params, self.d, lam, mu)
         return blk
 
-    def _same_space(self, other):
-        if (self.params, self.d) != (other.params, other.d):
-            raise BlockMismatch("mixed parameter sets")
+    _same_space = _same_data
 
     def scale(self, c) -> "SchurElement":
         return self._like({k: b.scale(c) for k, b in self.terms.items()})
@@ -311,8 +307,9 @@ def _phi_gen(params, d, i) -> ConvBlock:
     omega = (1,) * d
     lower = LocalizedElement(beta_ij(params, d, i, i + 1)).over_lin(i, i + 1)
     upper = _p_over_lin(params, d, ((i, i + 1),))
-    return ConvBlock._make(params, d, omega, omega,
-                           {identity(d): lower, simple(d, i): upper})
+    # lower is zero where beta is, on wreath products
+    terms = ((identity(d), lower), (simple(d, i), upper))
+    return ConvBlock._make(params, d, omega, omega, {g: r for g, r in terms if r})
 
 
 @pack_cached
@@ -335,10 +332,10 @@ def phi_embed(a: PqwpElement) -> SchurElement:
     omega = (1,) * d
     out = None
     for w, b in a.terms.items():
-        blk = _phi_word(params, d, w)
-        piece = ConvBlock._make(params, d, omega, omega,
-                                {g: LocalizedElement(b * r.core, r.nfac, r.dfac)
-                                 for g, r in blk.terms.items()})
+        # b * r.core is zero for some r when F has zero divisors
+        piece = ConvBlock._make(params, d, omega, omega, {
+            g: LocalizedElement(c, r.nfac, r.dfac)
+            for g, r in _phi_word(params, d, w).terms.items() if (c := b * r.core)})
         out = piece if out is None else out + piece
     if out is None:
         out = ConvBlock.zero(params, d, omega, omega)
@@ -353,8 +350,6 @@ def poly_vector(params, d, lam, value) -> SchurElement:
     value / e_lam.  e_lam is S_lam-invariant, so the block's constructor
     checks the invariance of value; a value over other data is refused."""
     d = int(d)
-    if isinstance(value, TensorPoly):
-        value = LocalizedElement(value)
     if value.params is not params or value.d != d:
         raise BlockMismatch("vector value lives over different data")
     blk = ConvBlock(params, d, lam, (d,),
@@ -415,10 +410,12 @@ def poly_rep_apply(s: SchurElement, v: SchurElement) -> SchurElement:
 def _detecting_family(params, d, mu) -> tuple:
     """The column blocks of the symmetrized products (staircase monomial) x
     (basis tensor): vectors of the mu component enough to separate every
-    block with column composition mu."""
+    block with column composition mu.  The staircase monomials are the d!
+    monomials x_1^e_1 ... x_d^e_d with e_j <= d - j, a basis of the
+    polynomials over the symmetric ones."""
     alg = params.algebra
     family = []
-    exp_ranges = [range(d - j) for j in range(1, d)]
+    exp_ranges = [range(d - j + 1) for j in range(1, d)]
     for fkey in iproduct(range(alg.dim), repeat=d):
         for exps in iproduct(*exp_ranges):
             base = monomial(params, d, fkey, tuple(exps) + (0,))

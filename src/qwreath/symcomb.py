@@ -131,12 +131,22 @@ def to_one_line(w: Perm) -> str:
 
 # compositions ---------------------------------------------------------------
 
+def _integers(values: tuple, what: str) -> tuple:
+    """values as ints; ValueError naming the first one that is not integral,
+    such as 1.5.  Ints, bools and floats such as 2.0 pass."""
+    out = tuple(map(int, values))
+    if out != values:
+        bad = next(x for x in values if x != int(x))
+        raise ValueError(f"non-integral {what} {bad!r} in {values!r}")
+    return out
+
+
 def strip_zeros(lam) -> Composition:
     """Drop zero parts; compositions differing by zeros name the same
-    Young subgroup.  A negative part raises ValueError."""
+    Young subgroup.  A negative or non-integral part raises ValueError."""
     if any(x < 0 for x in lam):
         raise ValueError(f"negative part in {lam!r}")
-    return tuple(int(x) for x in lam if x)
+    return _integers(tuple(x for x in lam if x), "part")
 
 
 def check_comp(d: int, lam) -> Composition:
@@ -298,9 +308,11 @@ class ThetaMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
+        self.rows = tuple(_integers(tuple(r), "entry") for r in rows)
         if any(x < 0 for r in self.rows for x in r):
             raise ValueError("negative entry")
+        if len(set(map(len, self.rows))) > 1:
+            raise ValueError(f"rows of unequal lengths {[len(r) for r in self.rows]}")
 
     @property
     def lam(self) -> Composition:

@@ -15,8 +15,8 @@ from itertools import product
 
 from .base_algebra import _UNSEEN, SparseSum, _add_terms, add_batch
 from .coeff_ring import echelon_pivots
-from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement, k_lambda,
-                   pqwp_mul)
+from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement, _check_letter,
+                   k_lambda, pqwp_mul)
 from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       length, longest_in_young, matrix_from_triple,
@@ -171,8 +171,7 @@ def act_H_batch(vectors, k: int) -> list:
     for v in vectors:
         first._same_space(v)
     params, d = first.params, first.d
-    if not 0 <= k < d - 1:
-        raise ValueError(f"generator index {k} out of range for d={d}")
+    _check_letter(d, k)
     abar = abar_ij(params, d, k, k + 1)
     rr = r_ij(params, d, k, k + 1)
     ss = s_ij(params, d, k, k + 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import product as iproduct
 from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, power, scalar_str, signed_join
@@ -250,6 +251,15 @@ def x_var(params, d, i) -> TensorPoly:
 def monomial(params, d, fkey, exps, coeff=None) -> TensorPoly:
     c = params.field.one() if coeff is None else coeff
     return TensorPoly(params, d, {(tuple(exps), tuple(fkey)): c})
+
+
+def monomial_box(params, d, degree) -> list:
+    """The monomials f*x^e of F^{tensor d}[x] with every exponent at most
+    degree, as ((F-key, exponents), monomial) pairs, F-keys outermost and
+    both in lexicographic order."""
+    return [((fkey, exps), monomial(params, d, fkey, exps))
+            for fkey in iproduct(range(params.algebra.dim), repeat=d)
+            for exps in iproduct(range(degree + 1), repeat=d)]
 
 
 def of_ftensor(params, d, ft: FTensor) -> TensorPoly:
@@ -580,17 +590,12 @@ def annihilator_certificate(params, degree_bound: int = 3):
     P = p_ij(params, d, 0, 1)
     if not P:
         return False, "P = alpha*(x1-x2) + beta is itself zero"
-    alg = params.algebra
-    from itertools import product as iproduct
-    unknowns = [(fkey, exps)
-                for fkey in iproduct(range(alg.dim), repeat=d)
-                for exps in iproduct(range(degree_bound + 1), repeat=d)]
+    unknowns = [zeta for _, zeta in monomial_box(params, d, degree_bound)]
     one = params.field.one()
     for side in ("left", "right"):
         # one row per unknown: its product with P, then a tag column (1, idx)
         rows = []
-        for idx, (fkey, exps) in enumerate(unknowns):
-            zeta = monomial(params, d, fkey, exps)
+        for idx, zeta in enumerate(unknowns):
             prod = zeta * P if side == "left" else P * zeta
             rows.append({**{(0, k): c for k, c in prod.terms.items()},
                          (1, idx): one})
@@ -602,7 +607,6 @@ def annihilator_certificate(params, degree_bound: int = 3):
         if witness is not None:
             zeta = zero_poly(params, d)
             for (_, idx), coeff in witness.items():
-                fkey, exps = unknowns[idx]
-                zeta = zeta + monomial(params, d, fkey, exps, coeff)
+                zeta = zeta + unknowns[idx].scale(coeff)
             return False, f"{side} annihilator of P found: {zeta}"
     return True, f"no annihilator up to x-degree {degree_bound} (both sides full rank)"

@@ -205,6 +205,45 @@ def test_text_report_shows_details_and_witnesses(tmp_path):
     assert rows["C2"] == ("fail", "  witness: alpha = s⊗1 not central")
 
 
+def test_c3_fails_when_p_is_zero():
+    """With no alpha and no delta, P = alpha*(x1-x2) + beta is zero, and C3
+    says so instead of looking for annihilators."""
+    alg = FAlgebra.ground(Field.rationals())
+    empty = PqwpParams(alg, "polynomial", {}, FTensor(alg, 2), name="empty")
+    rows = {e["rule"]: (e["status"], e["witness"]) for e in validate_pqwp(empty, 1).entries}
+    assert rows["C3"] == ("fail", "P = alpha*(x1-x2) + beta is itself zero")
+
+
+# Sweedler's four-dimensional algebra: g^2 = 1, x^2 = 0, xg = -gx
+SWEEDLER_TOML = """
+name = "sweedler"
+alpha = [[["1", "1"], "1"]]
+[algebra]
+kind = "table"
+labels = ["1", "g", "x", "gx"]
+table = [
+  [[[0, "1"]], [[1, "1"]], [[2, "1"]], [[3, "1"]]],
+  [[[1, "1"]], [[0, "1"]], [[3, "1"]], [[2, "1"]]],
+  [[[2, "1"]], [[3, "-1"]], [], []],
+  [[[3, "1"]], [[2, "-1"]], [], []],
+]
+[delta]
+"00" = [[["gx", "x"], "1"], [["x", "gx"], "-1"]]
+"""
+
+
+def test_a2_names_a_weak_frobenius_delta_that_is_not_flip_symmetric(tmp_path):
+    """On Sweedler's algebra gx⊗x - x⊗gx is weak Frobenius, and its flip is
+    its negative: A2 names it as not flip-symmetric."""
+    path = tmp_path / "sweedler.toml"
+    path.write_text(SWEEDLER_TOML)
+    params = load_preset_file(str(path))
+    assert is_weak_frobenius(params.deltas[(0, 0)])
+    rows = {e["rule"]: (e["status"], e["witness"])
+            for e in validate_pqwp(params, 1).entries}
+    assert rows["A2"] == ("fail", "delta00 = -x⊗gx + gx⊗x not flip-symmetric")
+
+
 def test_p8_compares_each_r_i_with_its_own_image(tmp_path):
     """R = s⊗s puts R_1 = s⊗s⊗1 and R_2 = 1⊗s⊗s apart, and sigma_2 sigma_1
     maps R_2 to R_1 (sigma_1 sigma_2 maps R_1 to R_2), so P8 holds; P4
@@ -355,48 +394,95 @@ def _one_monomial_wrong(true, d, exps, error):
     return wrong
 
 
-@pytest.mark.parametrize("method, d, exps, error, failures", (
-    ("twisted_demazure", 2, (2, 0), lambda p: unit_poly(p, 2), {
+# a ground pack over GF(7) with alpha = 2 and delta10 = 1: S = 1 and
+# R = alpha*(alpha + S) = 6 = -S^2, which lets the first cubic identity of P9
+# hold where the second fails
+CUBE_ROOT_GF7 = {"name": "cube_root_gf7", "variant": "laurent",
+                 "field": {"kind": "prime", "p": 7},
+                 "alpha": [[["1", "1"], "2"]], "delta": {"10": [[["1", "1"], "1"]]}}
+
+
+@pytest.mark.parametrize("pack, method, d, exps, error, failures", (
+    ("affine_hecke", "twisted_demazure", 2, (2, 0), lambda p: unit_poly(p, 2), {
         "P2": "twisted Leibniz fails at ((0, 0), (0, 1)),((0, 0), (2, 0))",
         "P4": "first quadratic identity fails at ((0, 0), (0, 2))"}),
-    ("place_permute_simple", 2, (1, 0), lambda p: x_var(p, 2, 1), {
+    ("affine_hecke", "place_permute_simple", 2, (1, 0), lambda p: x_var(p, 2, 1), {
         "P2": "sigma not multiplicative at ((0, 0), (0, 1)),((0, 0), (1, 0))",
         "P4": "second quadratic identity fails at ((0, 0), (0, 1))"}),
-    ("twisted_demazure", 3, (1, 0, 2), lambda p: unit_poly(p, 3), {
+    ("affine_hecke", "twisted_demazure", 3, (1, 0, 2), lambda p: unit_poly(p, 3), {
         "P5": "sigma/rho braid identity fails at ((0, 0, 0), (1, 0, 2)) (i=2,j=1)",
         "P6": "f=((0, 0, 0), (1, 2, 0)), i=1, j=2",
         "P7": "f=((0, 0, 0), (1, 2, 0))"}),
     # sigma_1(x1) = x2 + x3 is no member of the family: the report still
     # checks it and names the rows it breaks
-    ("place_permute_simple", 3, (1, 0, 0), lambda p: x_var(p, 3, 2), {
+    ("affine_hecke", "place_permute_simple", 3, (1, 0, 0), lambda p: x_var(p, 3, 2), {
         "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 1, 0))",
         "P7": "f=((0, 0, 0), (1, 0, 0))"}),
     # wrong on 1: P1 reads rho(1), and P3, P8 and P9 read the images of S
     # and R, which have a constant term
-    ("twisted_demazure", 2, (0, 0), lambda p: unit_poly(p, 2), {
+    ("affine_hecke", "twisted_demazure", 2, (0, 0), lambda p: unit_poly(p, 2), {
         "P1": "rho(1) != 0",
         "P2": "twisted Leibniz fails at ((0, 0), (0, 0)),((0, 0), (0, 0))",
         "P3": "sigma(S)S + rho(S) + sigma(R) != S^2 + R",
         "P4": "first quadratic identity fails at ((0, 0), (0, 0))"}),
-    ("twisted_demazure", 3, (0, 0, 0), lambda p: unit_poly(p, 3), {
+    ("affine_hecke", "twisted_demazure", 3, (0, 0, 0), lambda p: unit_poly(p, 3), {
         "P5": "sigma/rho braid identity fails at ((0, 0, 0), (0, 0, 0)) (i=1,j=2)",
         "P6": "f=((0, 0, 0), (0, 0, 0)), i=1, j=2",
         "P7": "f=((0, 0, 0), (0, 0, 0))",
         "P8": "rho_1sigma_2(S_1) != 0",
         "P9": "first cubic identity fails (i=1,j=2)"}),
-    ("place_permute_simple", 3, (0, 0, 0), lambda p: x_var(p, 3, 2), {
+    ("affine_hecke", "place_permute_simple", 3, (0, 0, 0), lambda p: x_var(p, 3, 2), {
         "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 0, 0))",
         "P7": "f=((0, 0, 0), (0, 0, 0))",
         "P8": "S_1 != sigma_2sigma_1(S_2)"}),
+    ("affine_hecke", "place_permute_simple", 2, (0, 0), lambda p: unit_poly(p, 2), {
+        "P1": "sigma(1) != 1",
+        "P2": "sigma not multiplicative at ((0, 0), (0, 0)),((0, 0), (0, 0))",
+        "P3": "sigma(S)S + rho(S) + sigma(R) != S^2 + R",
+        "P4": "first quadratic identity fails at ((0, 0), (0, 0))"}),
+    # S = 0 and R = 1: only the second identity of P3 reads rho(R)
+    ("degenerate", "twisted_demazure", 2, (0, 0), lambda p: unit_poly(p, 2), {
+        "P1": "rho(1) != 0",
+        "P2": "twisted Leibniz fails at ((0, 0), (0, 0)),((0, 0), (0, 0))",
+        "P3": "rho(R) + sigma(S)R != SR",
+        "P4": "first quadratic identity fails at ((0, 0), (0, 0))"}),
+    # S = 0, so P8's rows on S hold and its rows on R fail
+    ("degenerate", "place_permute_simple", 3, (0, 0, 0), lambda p: x_var(p, 3, 2), {
+        "P5": "braid identity for sigma fails at ((0, 0, 0), (0, 0, 0))",
+        "P6": "f=((0, 0, 0), (0, 0, 1)), i=2, j=1",
+        "P7": "f=((0, 0, 0), (0, 0, 0))",
+        "P8": "R_1 != sigma_2sigma_1(R_2)"}),
+    ("degenerate", "twisted_demazure", 3, (0, 0, 0), lambda p: unit_poly(p, 3), {
+        "P5": "sigma/rho braid identity fails at ((0, 0, 0), (0, 0, 0)) (i=1,j=2)",
+        "P6": "f=((0, 0, 0), (0, 0, 0)), i=1, j=2",
+        "P7": "f=((0, 0, 0), (0, 0, 0))",
+        "P8": "rho_1sigma_2(R_1) != 0",
+        "P9": "first cubic identity fails (i=1,j=2)"}),
+    (CUBE_ROOT_GF7, "twisted_demazure", 3, (0, 0, 0), lambda p: unit_poly(p, 3), {
+        "P5": "sigma/rho braid identity fails at ((0, 0, 0), (0, 0, 0)) (i=1,j=2)",
+        "P7": "f=((0, 0, 0), (0, 0, 0))",
+        "P8": "rho_1sigma_2(S_1) != 0",
+        "P9": "second cubic identity fails (i=1,j=2)"}),
 ), ids=("rho_d2_x1^2", "sigma_d2_x1", "rho_d3_x1x3^2", "sigma_d3_x1",
-        "rho_d2_1", "rho_d3_1", "sigma_d3_1"))
-def test_pbw_rows_see_a_map_wrong_on_one_monomial(monkeypatch, method, d, exps,
-                                                  error, failures):
-    """Each row that loops over the family fails, with its first witness,
-    when sigma_1 or rho_1 is wrong on one monomial of affine_hecke."""
+        "rho_d2_1", "rho_d3_1", "sigma_d3_1",
+        "sigma_d2_1", "degenerate_rho_d2_1", "degenerate_sigma_d3_1",
+        "degenerate_rho_d3_1", "cube_root_gf7_rho_d3_1"))
+def test_pbw_rows_see_a_map_wrong_on_one_monomial(monkeypatch, tmp_path, pack, method,
+                                                  d, exps, error, failures):
+    """Each row fails, with its first witness, when sigma_1 or rho_1 is
+    wrong on one monomial.  Most rows fail on affine_hecke; the rows on 1,
+    S and R that it leaves passing fail on packs whose S or R vanishes or
+    whose R is -S^2, a shipped preset or a preset file."""
+    if isinstance(pack, str):
+        params = preset(pack)
+    else:
+        path = tmp_path / "pack.json"
+        path.write_text(json.dumps(pack))
+        params = load_preset_file(str(path))
+        assert verify_pbw_conditions(params, 2).passed
     wrong = _one_monomial_wrong(getattr(TensorPoly, method), d, exps, error)
     monkeypatch.setattr(TensorPoly, method, wrong)
-    rep = verify_pbw_conditions(preset("affine_hecke"), 2)
+    rep = verify_pbw_conditions(params, 2)
     assert {e["rule"]: e["witness"] for e in rep.failures()} == failures
 
 

@@ -106,6 +106,8 @@ def test_specialize_examples():
     f = (q ** 2 - 1) / (q - 1)
     assert specialize(f, {"q": 2}) == Fraction(3)
     assert specialize(Fraction(7, 3), {}) == Fraction(7, 3)
+    # an int becomes a Fraction too
+    assert type(specialize(3, {})) is Fraction and specialize(3, {}) == 3
     assert specialize(q - 1, {"q": 1}) == Fraction(0)
 
 

@@ -1,13 +1,16 @@
 import random
+from math import factorial
+from pathlib import Path
 
 import pytest
 
 from qwreath import convolution
-from qwreath.base_algebra import preset, rebase_field, shipped_presets
+from qwreath.base_algebra import (load_preset_file, preset, rebase_field,
+                                  shipped_presets)
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
     BlockMismatch, CharacteristicTooSmall, ConvBlock, SchurElement,
-    _e_localized, coil_basis_element, crossing, diagonal_element,
+    _detecting_family, _e_localized, coil_basis_element, crossing, diagonal_element,
     dumb_vs_smart_identity, elements_equal, h_tilde, k_block,
     laurel_basis_element, merge_apply, phi_embed, poly_rep_apply, poly_value,
     poly_vector, split_merge, zero_test_via_poly_rep,
@@ -20,12 +23,13 @@ from qwreath.symcomb import (
     mul, refines, simple, young_subgroup,
 )
 from qwreath.tensor_poly import (
-    InvarianceViolation, LocalizedElement, alpha_ij, monomial, p_ij, unit_poly,
-    x_var, zero_poly,
+    InvarianceViolation, LocalizedElement, abar_ij, alpha_ij, monomial, p_ij,
+    unit_poly, x_var, zero_poly,
 )
 
 PRESETS = shipped_presets()
 FAST = ("affine_hecke", "degenerate", "zigzag_a1", "pro_p")
+WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
 
 
 def random_poly(params, d, rng, deg=2):
@@ -521,6 +525,30 @@ def test_zero_test_characteristic_guard():
     assert zero_test_via_poly_rep(S - S) is True
 
 
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_detecting_family_has_all_staircase_monomials(d):
+    """On a one-dimensional F the (1^d) family is one vector per staircase
+    monomial, x_j^e with e <= d - j: d! of them, the rank of the regular
+    representation of S_d."""
+    p = preset("affine_hecke")
+    assert p.algebra.dim == 1
+    assert len(_detecting_family(p, d, (1,) * d)) == factorial(d)
+
+
+def test_zero_test_sees_elements_a_short_family_misses():
+    """Nonzero elements that a family one staircase step short calls zero:
+    H_1 and q differ on affine_hecke at d = 2, and the crossing on nil at
+    d = 3 has two nonzero values in its (2,1)/(1,2) block."""
+    p = preset("affine_hecke")
+    h1 = phi_embed(PqwpElement.h_gen(p, 2, 0))
+    q = phi_embed(PqwpElement.of_poly(abar_ij(p, 2, 0, 1)))
+    assert h1 != q
+    assert elements_equal(h1, q) is False
+    nil_crossing = crossing(preset("nil"), 3, (2, 1))
+    assert len(nil_crossing.block((2, 1), (1, 2)).terms) == 2
+    assert zero_test_via_poly_rep(nil_crossing) is False
+
+
 # crossings ---------------------------------------------------------------------
 
 
@@ -623,6 +651,41 @@ def test_dumb_vs_smart_reports_a_failed_oracle(monkeypatch):
     assert dumb_vs_smart_identity(p, 2, (1, 1), oracle="values")["terms"] == 2
     with pytest.raises(IdentityFailed, match="on the detecting family for"):
         dumb_vs_smart_identity(p, 2, (1, 1), oracle="both")
+
+
+def crossing_sides(p, d, lam):
+    """Split-after-merge and the crossing sum for the two-part lam, built as
+    dumb_vs_smart_identity builds them."""
+    full = (d,)
+    left = split_merge(p, d, full, lam, kind="partial_split") * \
+        split_merge(p, d, full, lam[::-1], kind="partial_merge")
+    return left, crossing(p, d, lam)
+
+
+def differs_on_detecting_family(p, d, lam, left, right):
+    """Whether the (lam, mu) blocks of left and right act differently on a
+    column of the detecting family of mu = lam reversed."""
+    mu = lam[::-1]
+    assert set(left.terms) | set(right.terms) <= {(lam, mu)}
+    a, b = left.block(lam, mu), right.block(lam, mu)
+    return any(a.mul(c) != b.mul(c) for c in _detecting_family(p, d, mu))
+
+
+CROSSING_CASES = [("affine_hecke", 3, (2, 1)), ("affine_hecke", 4, (2, 2)),
+                  ("pro_p", 3, (2, 1)), ("zigzag_a1", 3, (2, 1)),
+                  ("nil", 3, (2, 1)), ("wreath_s3", 3, (2, 1))]
+
+
+@pytest.mark.parametrize("name,d,lam", CROSSING_CASES,
+                         ids=[f"{n}-{lam}" for n, _, lam in CROSSING_CASES])
+def test_crossing_agrees_on_the_detecting_family(name, d, lam):
+    """The crossing identity checked through the action on the detecting
+    family rather than by comparing stored values; a crossing sum off by a
+    factor 2 fails the same check."""
+    p = load_preset_file(WREATH_S3) if name == "wreath_s3" else preset(name)
+    left, right = crossing_sides(p, d, lam)
+    assert not differs_on_detecting_family(p, d, lam, left, right)
+    assert differs_on_detecting_family(p, d, lam, left, right.scale(2))
 
 
 @pytest.mark.parametrize("name", ("affine_hecke", "pro_p"))

@@ -51,6 +51,16 @@ def test_g_for_spec_matrix():
     assert sc.coset_shapes(lam, g, mu) == ((1, 1, 2), (1, 2, 1))
 
 
+def test_theta_matrix_hash_agrees_with_equality():
+    """Integral floats and bools read as ints, so equal matrices hash alike
+    and a set keeps one of them."""
+    A = sc.ThetaMatrix([[1, 0], [2, 1]])
+    B = sc.ThetaMatrix([[True, 0.0], [2.0, 1]])
+    assert A == B and hash(A) == hash(B)
+    assert len({A, B, sc.ThetaMatrix([[1, 0], [1, 2]])}) == 2
+    assert A != A.rows
+
+
 def test_matrix_perm_roundtrip():
     for A in sc.theta_matrices(2, 4):
         lam, g, mu = A.lam, sc.matrix_to_perm(A), A.mu

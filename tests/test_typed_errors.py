@@ -15,11 +15,14 @@ from qwreath.base_algebra import (
 from qwreath.coeff_ring import (
     DivisionByZero, Field, RatFun, UnboundParameter, scalar_str, specialize,
 )
-from qwreath.convolution import crossing, split_merge
-from qwreath.pqwp import ParamMismatch, pqwp_mul
+from qwreath.convolution import (BlockMismatch, ConvBlock, SchurElement, crossing,
+                                 split_merge)
+from qwreath.pqwp import ParamMismatch, PqwpElement, k_lambda, pqwp_mul
 from qwreath.symcomb import ThetaMatrix
-from qwreath.tensor_module import theta_family_rank
-from qwreath.tensor_poly import SizeMismatch, factor_value, of_ftensor, x_var
+from qwreath.tensor_module import (ModuleMismatch, TensorVector, ThetaMap, act_pqwp,
+                                   theta_apply, theta_family_rank, theta_on_tensor)
+from qwreath.tensor_poly import (SizeMismatch, factor_value, of_ftensor, unit_poly,
+                                 x_var)
 
 Q = Field.rationals()
 K = FAlgebra.ground(Q)
@@ -37,6 +40,11 @@ def load_spec(**entries):
 
 def pack():
     return preset("degenerate")
+
+
+def other():
+    """A second pack: data over it does not mix with data over pack()."""
+    return preset("nil")
 
 
 # (id, call, exception type, message fragment)
@@ -57,6 +65,9 @@ ERRORS = [
      ArityMismatch, "position count"),
     ("weak_frobenius_arity", lambda: is_weak_frobenius(FTensor.unit(K, 3)),
      ArityMismatch, "needs arity 2"),
+    ("unit_fails_on_the_right_only",
+     lambda: FAlgebra(Q, ("1", "a"), [[((0, 1),), ((1, 1),)], [(), ()]]),
+     ValueError, "unit fails on the right of basis 1"),
     ("delta_in_wrong_space",
      lambda: PqwpParams(K, "polynomial", {(1, 0): FTensor.unit(K, 3)}, FTensor.unit(K, 2)),
      InvalidConfig, r"delta \(1, 0\) lives in the wrong space"),
@@ -77,6 +88,10 @@ ERRORS = [
     ("as_fraction_with_parameter",
      lambda: Field.rational_functions().parse("q + 1").as_fraction(),
      UnboundParameter, "q"),
+    ("zero_ratfun_to_a_negative_power", lambda: RatFun(0) ** -1,
+     DivisionByZero, "inverse of zero scalar"),
+    ("prime_field_of_one", lambda: Field.prime(1),
+     ValueError, "characteristic must be prime, got 1"),
     # convolution
     ("partial_split_without_refinement",
      lambda: split_merge(pack(), 3, (3,), kind="partial_split"),
@@ -86,6 +101,25 @@ ERRORS = [
      ValueError, "take no refinement"),
     ("crossing_on_three_parts", lambda: crossing(pack(), 3, (1, 1, 1)),
      ValueError, "need a two-part composition"),
+    ("blocks_over_two_packs_add",
+     lambda: (ConvBlock.zero(pack(), 2, (2,), (2,))
+              + ConvBlock.zero(other(), 2, (2,), (2,))),
+     BlockMismatch, "mixed parameter sets"),
+    ("blocks_over_two_packs_multiply",
+     lambda: ConvBlock.zero(pack(), 2, (2,), (2,)).mul(
+         ConvBlock.zero(other(), 2, (2,), (2,))),
+     BlockMismatch, "mixed parameter sets"),
+    ("blocks_that_do_not_compose",
+     lambda: ConvBlock.zero(pack(), 3, (2, 1), (2, 1)).mul(
+         ConvBlock.zero(pack(), 3, (1, 2), (1, 2))),
+     BlockMismatch, r"cannot compose \(\(2, 1\),\(2, 1\)\) with"),
+    ("block_filed_under_another_key",
+     lambda: SchurElement(pack(), 2,
+                          {((1, 1), (1, 1)): ConvBlock.zero(pack(), 2, (2,), (2,))}),
+     ValueError, "block filed under"),
+    ("schur_element_times_an_int",
+     lambda: SchurElement.idempotent(pack(), 2, (2,)) * 2,
+     TypeError, "unsupported operand"),
     # tensor_poly
     ("negative_power", lambda: x_var(pack(), 2, 0) ** -1,
      ValueError, "negative power"),
@@ -98,10 +132,31 @@ ERRORS = [
     # symcomb, pqwp, tensor_module
     ("negative_theta_entry", lambda: ThetaMatrix([[1, -1], [0, 2]]),
      ValueError, "negative entry"),
+    ("non_integral_theta_entry", lambda: ThetaMatrix([[1.5, 0], [0, 2]]),
+     ValueError, r"non-integral entry 1.5 in \(1.5, 0\)"),
+    ("ragged_theta_rows", lambda: ThetaMap(pack(), ThetaMatrix([[1, 0], [1]])),
+     ValueError, r"rows of unequal lengths \[2, 1\]"),
+    ("non_integral_composition_part", lambda: k_lambda(pack(), 2, (1.5, 1.5)),
+     ValueError, r"non-integral part 1.5 in \(1.5, 1.5\)"),
     ("pqwp_mul_of_ints", lambda: pqwp_mul(1, 2),
      ParamMismatch, "needs two algebra elements"),
     ("theta_rank_unequal_sizes", lambda: theta_family_rank(pack(), (2, 1), (1, 1), 1),
      ValueError, "equal size"),
+    ("act_pqwp_over_two_packs",
+     lambda: act_pqwp(TensorVector.basis(pack(), 2, 2, (1, 2)),
+                      PqwpElement.h_gen(other(), 2, 0)),
+     ModuleMismatch, "element and vector live over different data"),
+    ("theta_coefficient_over_another_pack",
+     lambda: ThetaMap(pack(), ThetaMatrix([[1, 0], [0, 1]]), unit_poly(other(), 2)),
+     ModuleMismatch, "coefficient lives over different data"),
+    ("theta_apply_off_a_shortest_representative",
+     lambda: theta_apply(ThetaMap(pack(), ThetaMatrix([[2]])),
+                         {(1, 0): unit_poly(pack(), 2)}),
+     ModuleMismatch, r"\|2 1\| is not a shortest representative"),
+    ("theta_on_tensor_over_another_pack",
+     lambda: theta_on_tensor(ThetaMap(pack(), ThetaMatrix([[1, 0], [0, 1]])),
+                             TensorVector.basis(other(), 2, 2, (1, 2))),
+     ModuleMismatch, "vector and block map live over different data"),
 ]
 
 
