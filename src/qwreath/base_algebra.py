@@ -316,10 +316,6 @@ class FTensor(SparseSum):
         return out
 
     @staticmethod
-    def zero(algebra, arity) -> "FTensor":
-        return FTensor(algebra, arity)
-
-    @staticmethod
     def unit(algebra, arity) -> "FTensor":
         key = (algebra.unit_index,) * arity
         return FTensor(algebra, arity, {key: algebra.field.one()})
@@ -473,7 +469,7 @@ class PqwpParams:
         for key in DELTA_KEYS:
             d = deltas.get(key)
             if d is None:
-                d = FTensor.zero(algebra, 2)
+                d = FTensor(algebra, 2)
             if d.algebra is not algebra or d.arity != 2:
                 raise InvalidConfig(f"delta {key} lives in the wrong space")
             packed[key] = d

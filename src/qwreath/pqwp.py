@@ -34,8 +34,6 @@ from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
 )
 
-import json
-
 
 class ParamMismatch(ValueError):
     pass
@@ -150,32 +148,16 @@ class PqwpElement(SparseSum, _Frozen):
         if not self.terms:
             return "0"
         chunks = []
-        order = sorted(self.terms, key=lambda w: (-length(w), w))
-        for w in order:
+        for w in sorted(self.terms, key=lambda w: (-length(w), w)):
             c = self.terms[w]
             word = reduced_word(w)
             if not word:
                 chunks.append(str(c))
                 continue
             hname = "H[" + ",".join(str(i + 1) for i in word) + "]"
-            cs = str(c)
-            if c == unit_poly(self.params, self.d):
-                chunks.append(hname)
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = "(" + cs + ")"
-                chunks.append(f"{cs}*{hname}")
+            cs = c.factor_str()
+            chunks.append(hname if cs is None else f"{cs}*{hname}")
         return " + ".join(chunks)
-
-    def to_json(self) -> str:
-        rows = []
-        for w in self.support():
-            rows.append({
-                "word": [i + 1 for i in reduced_word(w)],
-                "one_line": to_one_line(w),
-                "coeff": json.loads(self.terms[w].to_json()),
-            })
-        return json.dumps({"d": self.d, "terms": rows})
 
 
 # rewriting core ------------------------------------------------------------

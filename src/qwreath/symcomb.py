@@ -52,13 +52,6 @@ def mul(u: Perm, v: Perm) -> Perm:
     return tuple(map(u.__getitem__, v))
 
 
-def mul_many(*ws: Perm) -> Perm:
-    out = ws[0]
-    for w in ws[1:]:
-        out = mul(out, w)
-    return out
-
-
 def inverse(w: Perm) -> Perm:
     out = [0] * len(w)
     for k, img in enumerate(w):
@@ -109,14 +102,6 @@ def from_word(d: int, letters) -> Perm:
     for i in letters:
         w = mul(w, simple(d, i))
     return w
-
-
-def all_perms(d: int):
-    return itertools.permutations(range(d))
-
-
-def longest_element(d: int) -> Perm:
-    return tuple(reversed(range(d)))
 
 
 def from_one_line(text: str) -> Perm:
@@ -402,7 +387,7 @@ def bijection_kappa(lam: Composition, g: Perm, mu: Composition) -> dict:
     for x in young_subgroup(lam):
         lx = length(x)
         for y in coset_reps(delta_c, "left", mu):
-            z = mul_many(x, g, y)
+            z = mul(mul(x, g), y)
             if length(z) != lx + lg + length(y):
                 raise LengthAdditivityViolation(
                     f"l({to_one_line(x)}*{to_one_line(g)}*{to_one_line(y)}) "

@@ -98,14 +98,8 @@ class TensorVector(SparseSum):
         chunks = []
         for idx in self.support():
             tag = "v[" + ",".join(map(str, idx)) + "]"
-            c = self.terms[idx]
-            cs = str(c)
-            if c == unit_poly(self.params, self.d):
-                chunks.append(tag)
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = "(" + cs + ")"
-                chunks.append(f"{tag}*{cs}")
+            cs = self.terms[idx].factor_str()
+            chunks.append(tag if cs is None else f"{tag}*{cs}")
         return " + ".join(chunks)
 
 

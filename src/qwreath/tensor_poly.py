@@ -11,7 +11,6 @@ with no TensorPoly product per call."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import product as iproduct
 from operator import add
@@ -223,12 +222,14 @@ class TensorPoly(SparseSum):
         return signed_join([self._term_str(k)
                             for k in sorted(self.terms, reverse=True)])
 
-    def to_json(self) -> str:
-        rows = []
-        for (exps, fkey) in sorted(self.terms, reverse=True):
-            rows.append({"exps": list(exps), "fslots": list(fkey),
-                         "coeff": scalar_str(self.terms[(exps, fkey)])})
-        return json.dumps({"terms": rows})
+    def factor_str(self):
+        """self as the coefficient of a basis element H_w or v[idx]: None
+        for the unit, else str(self), bracketed when it holds " + " or " - "."""
+        c = self._unit_coeff()
+        if c is not None and self.params.field.is_one(c):
+            return None
+        s = str(self)
+        return f"({s})" if " + " in s or " - " in s else s
 
 
 # constructors ------------------------------------------------------------------

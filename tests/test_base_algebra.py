@@ -579,7 +579,7 @@ def test_zero_divisor_is_reported():
     # beta = c⊗c with alpha = 0 makes P = c1*c2, annihilated by c in one slot
     alg = dual_numbers()
     cc = FTensor.basis(alg, (1, 1))
-    params = PqwpParams(alg, "polynomial", {(0, 0): cc}, FTensor.zero(alg, 2),
+    params = PqwpParams(alg, "polynomial", {(0, 0): cc}, FTensor(alg, 2),
                         name="cc_test")
     rep = validate_pqwp(params, degree_bound=2)
     entries = {e["rule"]: e for e in rep.entries}

@@ -11,14 +11,14 @@ from qwreath.coeff_ring import Field
 from qwreath.convolution import (
     BlockMismatch, CharacteristicTooSmall, ConvBlock, SchurElement,
     _detecting_family, _e_localized, coil_basis_element, crossing, diagonal_element,
-    dumb_vs_smart_identity, elements_equal, h_tilde, k_block,
+    dumb_vs_smart_identity, h_tilde, k_block,
     laurel_basis_element, merge_apply, phi_embed, poly_rep_apply, poly_value,
     poly_vector, split_merge, zero_test_via_poly_rep,
 )
 from qwreath.pqwp import (IdentityFailed, ParamMismatch, PqwpElement, k_lambda,
                           m_lambda, multinomial, pqwp_mul)
 from qwreath.symcomb import (
-    NotARefinement, all_perms, compositions, coset_shapes,
+    NotARefinement, compositions, coset_shapes,
     double_coset_decompose, double_coset_reps, identity, inverse,
     mul, refines, simple, young_subgroup,
 )
@@ -155,7 +155,7 @@ def test_xi_product_rule(name):
     p = preset(name)
     d = 3
     rng = random.Random(11)
-    perms = tuple(all_perms(d))
+    perms = young_subgroup((d,))
     for _ in range(4):
         g, g2 = rng.choice(perms), rng.choice(perms)
         r, r2 = random_poly(p, d, rng), random_poly(p, d, rng)
@@ -283,10 +283,10 @@ def test_multinomial_corner_pro_p_deviates():
         assert scalar_corner(p, d, lam) == LocalizedElement(multinomial(p, d, lam))
     for lam in ((1, 2), (2, 1)):
         got = scalar_corner(p, d, lam)
-        for w in all_perms(d):
+        for w in young_subgroup((d,)):
             assert got.place_permute(w) == got
         mono = LocalizedElement(multinomial(p, d, lam))
-        assert any(mono.place_permute(w) != mono for w in all_perms(d))
+        assert any(mono.place_permute(w) != mono for w in young_subgroup((d,)))
         assert got != mono
     # order sensitivity survives in the formula itself
     assert (LocalizedElement(multinomial(p, d, (1, 2)))
@@ -312,7 +312,7 @@ def test_phi_is_multiplicative(name):
     p = preset(name)
     d = 3
     rng = random.Random(23)
-    perms = tuple(all_perms(d))
+    perms = young_subgroup((d,))
     for _ in range(3):
         a = PqwpElement.h_of_perm(p, d, rng.choice(perms)).poly_left(
             random_poly(p, d, rng))
@@ -464,7 +464,7 @@ def test_poly_rep_is_a_module_map():
         p = preset(name)
         d = 3
         omega = (1,) * d
-        perms = tuple(all_perms(d))
+        perms = young_subgroup((d,))
         pool = [split_merge(p, d, (2, 1), kind="merge"),
                 split_merge(p, d, (3,), kind="merge"),
                 phi_embed(PqwpElement.h_of_perm(p, d, rng.choice(perms))),
@@ -509,10 +509,10 @@ def test_zero_test(name):
     rng = random.Random(13)
     for _ in range(2):
         b = random_poly(p, d, rng)
-        w = rng.choice(tuple(all_perms(d)))
+        w = rng.choice(young_subgroup((d,)))
         sample = phi_embed(PqwpElement.h_of_perm(p, d, w).poly_left(b))
         assert zero_test_via_poly_rep(sample) is False
-    assert elements_equal(S * SchurElement.idempotent(p, d, (2, 1)), S)
+    assert zero_test_via_poly_rep(S * SchurElement.idempotent(p, d, (2, 1)) - S)
 
 
 def test_zero_test_characteristic_guard():
@@ -543,7 +543,7 @@ def test_zero_test_sees_elements_a_short_family_misses():
     h1 = phi_embed(PqwpElement.h_gen(p, 2, 0))
     q = phi_embed(PqwpElement.of_poly(abar_ij(p, 2, 0, 1)))
     assert h1 != q
-    assert elements_equal(h1, q) is False
+    assert zero_test_via_poly_rep(h1 - q) is False
     nil_crossing = crossing(preset("nil"), 3, (2, 1))
     assert len(nil_crossing.block((2, 1), (1, 2)).terms) == 2
     assert zero_test_via_poly_rep(nil_crossing) is False
@@ -637,8 +637,8 @@ def test_dumb_vs_smart_rejects_an_unknown_oracle():
 
 
 def test_dumb_vs_smart_reports_a_failed_oracle(monkeypatch):
-    """A crossing sum that is off by a factor 2 fails the stored values; a
-    detecting family that reports a difference fails oracle='both' only."""
+    """A crossing sum that is off by a factor 2 fails the stored values,
+    under either oracle value."""
     p = preset("affine_hecke")
     true_crossing = convolution.crossing
     monkeypatch.setattr(convolution, "crossing",
@@ -646,11 +646,6 @@ def test_dumb_vs_smart_reports_a_failed_oracle(monkeypatch):
     for oracle in ("values", "both"):
         with pytest.raises(IdentityFailed, match=r"failed for \(1, 1\): "):
             dumb_vs_smart_identity(p, 2, (1, 1), oracle=oracle)
-    monkeypatch.setattr(convolution, "crossing", true_crossing)
-    monkeypatch.setattr(convolution, "elements_equal", lambda x, y: False)
-    assert dumb_vs_smart_identity(p, 2, (1, 1), oracle="values")["terms"] == 2
-    with pytest.raises(IdentityFailed, match="on the detecting family for"):
-        dumb_vs_smart_identity(p, 2, (1, 1), oracle="both")
 
 
 def crossing_sides(p, d, lam):
@@ -766,7 +761,7 @@ def test_conv_mul_associativity(name):
     p = preset(name)
     d = 3
     rng = random.Random(17)
-    perms = tuple(all_perms(d))
+    perms = young_subgroup((d,))
     for lam, mu in (((2, 1), (1, 2)), ((3,), (1, 1, 1))):
         for _ in range(2):
             a = (split_merge(p, d, lam, kind="merge")
@@ -784,7 +779,7 @@ def test_left_action_commutes_with_right_translation():
     p = preset("zigzag_a1")
     d = 3
     rng = random.Random(19)
-    perms = tuple(all_perms(d))
+    perms = young_subgroup((d,))
     lam, mu = (2, 1), (1, 2)
     col = (split_merge(p, d, mu, kind="merge")
            * phi_embed(PqwpElement.h_of_perm(p, d, rng.choice(perms))))

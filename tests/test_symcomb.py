@@ -22,13 +22,13 @@ def test_inverse_and_length():
 
 
 def test_one_line_roundtrip():
-    for w in sc.all_perms(4):
+    for w in sc.young_subgroup((4,)):
         assert sc.from_one_line(sc.to_one_line(w)) == w
 
 
 def test_reduced_word_rebuilds():
     for d in (2, 3, 4):
-        for w in sc.all_perms(d):
+        for w in sc.young_subgroup((d,)):
             word = sc.reduced_word(w)
             assert len(word) == sc.length(w)
             assert sc.from_word(d, word) == w
@@ -87,9 +87,9 @@ def test_conjugation_identities():
                 for g in sc.double_coset_reps(lam, mu):
                     delta_r, delta_c = sc.coset_shapes(lam, g, mu)
                     gi = sc.inverse(g)
-                    conj_c = {sc.mul_many(gi, x, g) for x in sc.young_subgroup(lam)}
+                    conj_c = {sc.mul(sc.mul(gi, x), g) for x in sc.young_subgroup(lam)}
                     assert set(sc.young_subgroup(delta_c)) == conj_c & set(sc.young_subgroup(mu))
-                    conj_r = {sc.mul_many(g, y, gi) for y in sc.young_subgroup(mu)}
+                    conj_r = {sc.mul(sc.mul(g, y), gi) for y in sc.young_subgroup(mu)}
                     assert set(sc.young_subgroup(delta_r)) == conj_r & set(sc.young_subgroup(lam))
 
 
@@ -98,7 +98,7 @@ def test_kappa_counts_and_lengths():
     g = sc.from_one_line("|1 3 4 2|")
     kappa = sc.bijection_kappa(lam, g, mu)
     assert len(kappa) == 4 * 3
-    coset = {sc.mul_many(x, g, y) for x in sc.young_subgroup(lam)
+    coset = {sc.mul(sc.mul(x, g), y) for x in sc.young_subgroup(lam)
              for y in sc.young_subgroup(mu)}
     assert set(kappa.values()) == coset
 
@@ -114,14 +114,14 @@ def test_decompose_double_coset():
     m = x^{-1} z is the shortest element of S_lam z, so its inverse
     increases on the lam-blocks and l(z) = l(x) + l(m)."""
     for d in range(1, 6):
-        perms = list(sc.all_perms(d))
+        perms = list(sc.young_subgroup((d,)))
         for lam in sc.compositions(d):
             for mu in sc.compositions(d):
                 s_lam, s_mu = set(sc.young_subgroup(lam)), set(sc.young_subgroup(mu))
                 reps = set(sc.double_coset_reps(lam, mu))
                 for z in perms:
                     x, g0, y = sc.double_coset_decompose(z, lam, mu)
-                    assert z == sc.mul_many(x, g0, y)
+                    assert z == sc.mul(sc.mul(x, g0), y)
                     assert x in s_lam
                     assert y in s_mu
                     assert g0 in reps
@@ -191,7 +191,7 @@ def test_coset_reps_counts():
 def test_inv_set_growth():
     # appending an ascent letter adds exactly the new pair after twisting
     for d in (3, 4):
-        for u in sc.all_perms(d):
+        for u in sc.young_subgroup((d,)):
             for i in range(d - 1):
                 if u[i] < u[i + 1]:
                     w = sc.mul(u, sc.simple(d, i))

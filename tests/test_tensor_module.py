@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -8,10 +9,10 @@ import pytest
 from qwreath import tensor_module
 from qwreath.base_algebra import load_preset_file, preset, shipped_presets
 from qwreath.pqwp import IdentityFailed, PqwpElement, k_lambda, pqwp_mul
-from qwreath.symcomb import (ThetaMatrix, all_perms, coset_reps, coset_shapes,
+from qwreath.symcomb import (ThetaMatrix, coset_reps, coset_shapes,
                              double_coset_reps, matrix_from_triple,
                              reduced_word, sort_index, strip_zeros,
-                             theta_matrices)
+                             theta_matrices, young_subgroup)
 from qwreath.tensor_module import (
     ModuleMismatch, SpanViolation, TensorVector, ThetaMap, act_H, act_pqwp, act_word,
     add_batch, invariant_basis, is_module_map, plus_vector,
@@ -296,7 +297,7 @@ def test_theta_map_commutes_with_generators():
 def test_pqwp_action_is_the_word_action():
     p = preset("zigzag_a1")
     for v in basis_vectors(p, 2, 3):
-        for w in all_perms(3):
+        for w in young_subgroup((3,)):
             h = PqwpElement.h_of_perm(p, 3, w)
             assert act_pqwp(v, h) == act_word(v, reduced_word(w))
 
@@ -537,7 +538,7 @@ def test_plus_vector_times_a_shortest_representative_is_a_basis_vector():
 
 
 def random_element(p, d, rng, terms=3):
-    perms = list(all_perms(d))
+    perms = list(young_subgroup((d,)))
     return PqwpElement(p, d, {rng.choice(perms): random_poly(p, d, rng, terms=1)
                               for _ in range(terms)})
 
@@ -590,3 +591,34 @@ def test_vector_rendering():
          + TensorVector.basis(p, 2, d, (2, 1), x1 + unit_poly(p, d))
          + TensorVector.basis(p, 2, d, (2, 2), x1))
     assert str(v) == "v[1,2] + v[2,1]*((1⊗1)*x1 + (1⊗1)) + v[2,2]*(1⊗1)*x1"
+
+
+# (coefficient builder, rendering beside H_{s_1}, rendering beside v[1,2]);
+# the builders take the pack, d and a unit built apart from unit_poly
+COEFFICIENT_RENDERINGS = [
+    (lambda p, d, one: one, "H[1]", "v[1,2]"),
+    (lambda p, d, one: one.scale(2), "2*(1⊗1)*H[1]", "v[1,2]*2*(1⊗1)"),
+    (lambda p, d, one: one.scale(Fraction(2, 3)), "(2/3)*(1⊗1)*H[1]",
+     "v[1,2]*(2/3)*(1⊗1)"),
+    (lambda p, d, one: -x_var(p, d, 0), "-(1⊗1)*x1*H[1]", "v[1,2]*-(1⊗1)*x1"),
+    (lambda p, d, one: x_var(p, d, 0) + x_var(p, d, 1),
+     "((1⊗1)*x1 + (1⊗1)*x2)*H[1]", "v[1,2]*((1⊗1)*x1 + (1⊗1)*x2)"),
+    (lambda p, d, one: x_var(p, d, 0) - one,
+     "((1⊗1)*x1 - (1⊗1))*H[1]", "v[1,2]*((1⊗1)*x1 - (1⊗1))"),
+]
+
+
+@pytest.mark.parametrize("build, element, vector", COEFFICIENT_RENDERINGS)
+def test_coefficient_beside_a_basis_element(build, element, vector):
+    """An algebra element and a tensor vector show a coefficient beside
+    H_w or v[idx] by one rule: the unit, even one built apart from
+    unit_poly, is left out; a single term (an int or Fraction multiple of
+    1, a negative monomial) is shown bare; a sum is bracketed.  pro_p_q3's
+    rational scalars are ints and Fractions."""
+    p = pack("pro_p_q3.toml")
+    d = 2
+    u = p.algebra.unit_index
+    one = TensorPoly(p, d, {((0, 0), (u, u)): Fraction(1)})
+    c = build(p, d, one)
+    assert str(PqwpElement(p, d, {(1, 0): c})) == element
+    assert str(TensorVector.basis(p, 2, d, (1, 2), c)) == vector

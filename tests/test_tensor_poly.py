@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +13,7 @@ from qwreath.base_algebra import (
 )
 from qwreath.coeff_ring import Field
 from qwreath.pqwp import PqwpElement
-from qwreath.symcomb import all_perms, inverse, mul, simple
+from qwreath.symcomb import inverse, mul, simple, young_subgroup
 from qwreath.tensor_poly import (
     LocalizedElement, SizeMismatch, TensorPoly, abar_ij, alpha_ij,
     annihilator_certificate, beta_ij, divide_exact_linear, factor_value,
@@ -76,8 +75,8 @@ def test_place_permute_is_action():
     params = preset("savage_frobenius")
     rng = random.Random(23)
     p = random_poly(params, 3, rng, nterms=4)
-    for u in all_perms(3):
-        for v in all_perms(3):
+    for u in young_subgroup((3,)):
+        for v in young_subgroup((3,)):
             assert p.place_permute(v).place_permute(u) == p.place_permute(mul(u, v))
 
 
@@ -445,21 +444,18 @@ def test_annihilator_found_for_zero_divisor():
     from qwreath.coeff_ring import Field
     alg = FAlgebra.truncated(Field.rationals(), "c", 2)
     cc = FTensor.basis(alg, (1, 1))
-    params = PqwpParams(alg, "polynomial", {(0, 0): cc}, FTensor.zero(alg, 2),
+    params = PqwpParams(alg, "polynomial", {(0, 0): cc}, FTensor(alg, 2),
                         name="cc_test")
     ok, witness = annihilator_certificate(params, degree_bound=1)
     assert not ok
     assert witness == "left annihilator of P found: (1⊗c)"
 
 
-def test_rendering_and_json():
+def test_rendering():
     params = preset("zigzag_a1")
     p = monomial(params, 2, (1, 0), (2, -1)) + 2 * unit_poly(params, 2)
     assert str(p) == "(c⊗1)*x1^2*x2^-1 + 2*(1⊗1)"
     assert str(zero_poly(params, 2)) == "0"
-    payload = json.loads(p.to_json())
-    assert {"exps", "fslots", "coeff"} <= set(payload["terms"][0])
-    assert len(payload["terms"]) == 2
 
 
 @pytest.mark.parametrize("name", ("degenerate", "affine_hecke", "zigzag_a1"))

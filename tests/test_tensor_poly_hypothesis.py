@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qwreath.base_algebra import load_preset_file, preset
-from qwreath.symcomb import all_perms, mul
+from qwreath.symcomb import mul, young_subgroup
 from qwreath.tensor_poly import monomial, unit_poly, zero_poly
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,7 +78,7 @@ def test_sigma_is_a_ring_map(abci):
 @hypothesis.given(triples(), st.data())
 def test_place_permutations_act_by_ring_maps(abci, data):
     a, b, _, _ = abci
-    u, v = (data.draw(st.sampled_from(list(all_perms(a.d)))) for _ in range(2))
+    u, v = (data.draw(st.sampled_from(young_subgroup((a.d,)))) for _ in range(2))
     assert a.place_permute(v).place_permute(u) == a.place_permute(mul(u, v))
     assert (a * b).place_permute(u) == a.place_permute(u) * b.place_permute(u)
 
