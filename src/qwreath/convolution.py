@@ -190,10 +190,6 @@ class SchurElement(SparseSum, _Frozen):
         return SchurElement._make(self.params, self.d, terms)
 
     @staticmethod
-    def zero(params, d) -> "SchurElement":
-        return SchurElement(params, d, {})
-
-    @staticmethod
     def from_block(blk: ConvBlock) -> "SchurElement":
         return SchurElement(blk.params, blk.d, {(blk.lam, blk.mu): blk})
 

@@ -13,14 +13,21 @@ form over a tree of the weak order, one generator step per tree edge.
 
 Two kinds of work are skipped because their result is known.  A central
 coefficient c·1 (c a field scalar) commutes with every H_w, so ``pqwp_mul``
-never straightens it: a right-operand term c·1 H_v contributes c·a to X_v,
-and a quadratic step whose S_i or R_i is central scales instead of
-multiplying.  ``_push_left`` moves any x-free coefficient past H_w at once.
-Coefficients are summed in an accumulator (``_add_term``) that borrows the
-first TensorPoly for a key and adds every later one into its own copy of
-that term dict in place; ``_finished`` turns it back into nonzero
-TensorPolys.  No TensorPoly's terms are ever changed, so results may share
-term dicts with their operands.
+never straightens it: a right-operand term c·1 H_v contributes c·a to X_v.
+``_push_left`` moves any x-free coefficient past H_w at once.
+
+Inside ``pqwp_mul`` and ``_times_word`` a central coefficient travels as its
+field scalar c, and every other one as a TensorPoly: the operands'
+coefficients from entry on, the factors S_i and R_i of the quadratic steps
+(``_factor``) and the partial sums.  Scalars multiply and add as scalars,
+and a scalar c times a TensorPoly e is e.scale(c).  The accumulator
+(``_add_term``) borrows the first coefficient for a key; later TensorPolys
+at that key are added in place into one term dict it owns, and a scalar
+enters such a dict, under the unit key, only when it meets a TensorPoly at
+the same key.  ``_finished`` drops the zeros.  At the exits ``_as_polys``
+turns each scalar c back into c·1, so both walks hand out nonzero
+TensorPolys only.  No TensorPoly's terms are ever changed, so results may
+share term dicts with their operands.
 """
 
 from .symcomb import (
@@ -31,7 +38,7 @@ from .symcomb import (
 from .base_algebra import SparseSum, _Frozen, pack_cached
 from .coeff_ring import SCALARS
 from .tensor_poly import (
-    TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_poly, zero_poly,
+    TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_key, unit_poly, zero_poly,
 )
 
 
@@ -172,6 +179,13 @@ def _factor(params, e: TensorPoly):
     return None if params.field.is_one(c) else c
 
 
+def _carried(p: TensorPoly):
+    """p as the walk carries a coefficient: the field scalar c for a central
+    p = c·1, else p itself."""
+    c = p._unit_coeff()
+    return p if c is None else c
+
+
 @pack_cached
 def _right_step(params, d, z: Perm, i: int):
     """H_z * H_i in normal form, as a tuple of (perm, factor) pairs, each
@@ -195,31 +209,56 @@ def _left_step(params, d, i: int, z: Perm):
                  ((z, s_ij(params, d, i, i + 1)), (iz, r_ij(params, d, i, i + 1))) if e)
 
 
-def _add_term(acc, w, c, scale=None):
-    """Add c (times the field scalar scale, if given) into the coefficient
-    of w in the accumulator acc.
+def _add_term(acc, w, c, unit):
+    """Add the coefficient c, a field scalar or a TensorPoly, into the
+    coefficient of w in the accumulator acc.
 
-    acc maps a key to a TensorPoly it borrows, or to a term dict it owns.
-    The first term for a key is kept as it is (scaled terms go into a new
-    dict); a second one copies that term dict once, and every later one
-    adds into the copy in place.  No TensorPoly's terms are changed, and
-    the owned dicts may hold zeros until ``_finished``."""
+    acc maps a key to a scalar or a TensorPoly it borrows, or to a term
+    dict it owns.  Two scalars add as scalars.  When a TensorPoly takes
+    part, the key gets an owned dict, a copy of the borrowed TensorPoly's
+    terms or {unit: c} for a scalar c, and the newcomer and every later
+    coefficient add into it in place, a scalar under the unit key unit.  No
+    TensorPoly's terms are changed, and acc may hold zeros until
+    ``_finished``."""
     cur = acc.get(w)
     if cur is None:
-        acc[w] = c if scale is None else {k: v * scale for k, v in c.terms.items()}
+        acc[w] = c
         return
+    poly = type(c) is TensorPoly
     if type(cur) is not dict:
-        cur = acc[w] = dict(cur.terms)
+        if type(cur) is TensorPoly:
+            cur = dict(cur.terms)
+        elif poly:
+            cur = {unit: cur}
+        else:
+            acc[w] = cur + c
+            return
+        acc[w] = cur
     get = cur.get
-    for k, v in c.terms.items():
-        if scale is not None:
-            v = v * scale
+    for k, v in (c.terms.items() if poly else ((unit, c),)):
         x = get(k)
         cur[k] = v if x is None else x + v
 
 
+def _add_step(acc, c, step, unit):
+    """Add c * (the normal form in step) into acc, for a coefficient c, a
+    field scalar or a TensorPoly, and factors as ``_factor`` gives them.  A
+    scalar c stands for the central c·1, so c times a TensorPoly e is
+    e.scale(c), and e itself when c is 1."""
+    poly = type(c) is TensorPoly
+    for y, e in step:
+        if e is None:
+            e = c
+        elif poly or type(e) is not TensorPoly:
+            e = c * e
+        elif not e.params.field.is_one(c):
+            e = e.scale(c)
+        _add_term(acc, y, e, unit)
+
+
 def _finished(params, d, acc) -> dict:
-    """The accumulator acc as {key: nonzero TensorPoly}."""
+    """The accumulator acc as {key: nonzero coefficient}: scalars stay
+    scalars, owned term dicts become TensorPolys."""
     like = zero_poly(params, d)._like
     out = {}
     for w, c in acc.items():
@@ -230,30 +269,32 @@ def _finished(params, d, acc) -> dict:
     return out
 
 
-def _add_step(acc, c, step):
-    """Add c * (the normal form in step) into acc."""
-    for y, e in step:
-        if type(e) is TensorPoly:
-            _add_term(acc, y, c * e)
-        else:
-            _add_term(acc, y, c, e)
+def _as_polys(params, d, terms) -> dict:
+    """{key: nonzero coefficient} as {key: TensorPoly}, each scalar c as c·1."""
+    unit = unit_key(params, d)
+    kept = zero_poly(params, d)._kept
+    return {w: c if type(c) is TensorPoly else kept({unit: c})
+            for w, c in terms.items()}
 
 
 def _times_letter(params, d, acc: dict, terms: dict, i: int) -> None:
     """Add (sum_z c_z H_z) * H_i into the accumulator acc, for terms =
-    {z: c_z} with nonzero TensorPolys c_z."""
+    {z: c_z} with nonzero coefficients c_z, field scalars or TensorPolys."""
+    unit = unit_key(params, d)
     for z, c in terms.items():
-        _add_step(acc, c, _right_step(params, d, z, i))
+        _add_step(acc, c, _right_step(params, d, z, i), unit)
 
 
 def _times_word(params, d, terms: dict, letters) -> dict:
-    """(sum_z c_z H_z) * H_{i_1} ... H_{i_N} for terms = {z: c_z}, one
-    letter at a time; the word need not be reduced."""
+    """(sum_z c_z H_z) * H_{i_1} ... H_{i_N} for terms = {z: c_z} with
+    nonzero TensorPolys c_z, one letter at a time; the word need not be
+    reduced."""
+    terms = {z: _carried(c) for z, c in terms.items()}
     for i in letters:
         nxt = {}
         _times_letter(params, d, nxt, terms, i)
         terms = _finished(params, d, nxt)
-    return terms
+    return _as_polys(params, d, terms)
 
 
 def _push_left(params, d, w: Perm, q: TensorPoly):
@@ -262,16 +303,17 @@ def _push_left(params, d, w: Perm, q: TensorPoly):
     term has equal exponents, so H_w * q = sigma_w(q) H_w."""
     if _is_xfree(q):
         return {w: q.place_permute(w)}
+    unit = unit_key(params, d)
     cur = {identity(d): q}
     for i in reversed(reduced_word(w)):
         nxt = {}
         for z, c in cur.items():
             rho = c.twisted_demazure(i)
             if rho:
-                _add_term(nxt, z, rho)
+                _add_term(nxt, z, rho, unit)
             sig = c.place_permute_simple(i)
             if sig:
-                _add_step(nxt, sig, _left_step(params, d, i, z))
+                _add_step(nxt, sig, _left_step(params, d, i, z), unit)
         cur = _finished(params, d, nxt)
     return cur
 
@@ -306,13 +348,16 @@ def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
     walked depth first, so at most one partial sum per length is alive.
 
     A central q = c·1 is not pushed: X_v is c·a, added term by term into
-    the partial sum.  Each partial sum is built in the in-place accumulator
-    of ``_add_term``, and neither operand's coefficients are changed."""
+    the partial sum.  Central coefficients of a, of b and of the steps go
+    through the walk as field scalars (see ``_add_term``); the result holds
+    TensorPolys only, and neither operand's coefficients are changed."""
     if not isinstance(a, PqwpElement) or not isinstance(b, PqwpElement):
         raise ParamMismatch("pqwp_mul needs two algebra elements")
     a._same_space(b)
     params, d = a.params, a.d
     kids = _weak_order_tree(d, b.terms)
+    left = {w: _carried(p) for w, p in a.terms.items()}
+    unit = unit_key(params, d)
 
     def partial_sum(u):
         acc = {}
@@ -321,16 +366,13 @@ def pqwp_mul(a: PqwpElement, b: PqwpElement) -> PqwpElement:
         q = b.terms.get(u)
         if q is not None:
             c = _factor(params, q)
-            if type(c) is TensorPoly:
-                for w, p in a.terms.items():
-                    for z, e in _push_left(params, d, w, q).items():
-                        _add_term(acc, z, p * e)
-            else:
-                for w, p in a.terms.items():
-                    _add_term(acc, w, p, c)
+            for w, p in left.items():
+                pushed = (_push_left(params, d, w, q).items()
+                          if type(c) is TensorPoly else ((w, c),))
+                _add_step(acc, p, pushed, unit)
         return _finished(params, d, acc)
 
-    return a._kept(partial_sum(identity(d)))
+    return a._kept(_as_polys(params, d, partial_sum(identity(d))))
 
 
 def right_coefficient_form(elt: PqwpElement) -> dict:

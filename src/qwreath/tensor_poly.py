@@ -238,9 +238,13 @@ def zero_poly(params, d) -> TensorPoly:
     return TensorPoly(params, d)
 
 
+def unit_key(params, d):
+    """The key of (1⊗…⊗1)·x⁰."""
+    return (0,) * d, (params.algebra.unit_index,) * d
+
+
 def unit_poly(params, d) -> TensorPoly:
-    key = ((0,) * d, (params.algebra.unit_index,) * d)
-    return TensorPoly(params, d, {key: params.field.one()})
+    return TensorPoly(params, d, {unit_key(params, d): params.field.one()})
 
 
 def x_var(params, d, i) -> TensorPoly:

@@ -801,4 +801,4 @@ def test_block_and_schur_renderings():
     assert str(split_merge(p, 2, (2,), kind="split")) == \
         "[(1, 1)|(2,)] |1 2| -> [(1⊗1)]*P12/(x1-x2)"
     assert str(ConvBlock.zero(p, 2, (1, 1), (2,))) == "0[(1, 1)|(2,)]"
-    assert str(SchurElement.zero(p, 2)) == "0"
+    assert str(SchurElement(p, 2)) == "0"

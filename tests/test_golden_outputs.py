@@ -3,9 +3,10 @@
 The fixture ``data/golden_outputs.txt`` holds one JSON record per line,
 ``[label, value]``: the rows (rule, status, witness, detail; not millis) of
 the axiom and PBW reports at degree 2, and ``str()`` of the convolution
-generators, the K elements and block-map images.  A change that alters any
-of them, or makes one depend on hash or set order, fails here.  After an
-intended change of output, rewrite the fixture with
+generators, the K elements, products of K elements and block-map images.
+A change that alters any of them, or makes one depend on hash or set
+order, fails here.  After an intended change of output, rewrite the fixture
+with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -18,7 +19,7 @@ from qwreath.base_algebra import (corrupted_beta_params, load_preset_file, prese
                                   shipped_presets, validate_pqwp,
                                   verify_pbw_conditions)
 from qwreath.convolution import crossing, phi_embed, split_merge
-from qwreath.pqwp import PqwpElement, k_lambda
+from qwreath.pqwp import PqwpElement, k_lambda, pqwp_mul
 from qwreath.symcomb import ThetaMatrix
 from qwreath.tensor_module import ThetaMap, invariant_basis
 
@@ -70,8 +71,20 @@ def element_records():
         yield f"theta_z[{name}]", str(ThetaMap(p, A, P).z)
 
 
+def product_records():
+    for name in (*shipped_presets(), *FILE_PACKS):
+        p = _pack(name)
+        k = k_lambda(p, 3, (3,))
+        yield f"k_lambda(3,)^2[{name}]", str(pqwp_mul(k, k))
+    # pro_p's K mixes central and non-central coefficients
+    p = preset("pro_p")
+    upper = k_lambda(p, 3, (3,), "upper", (2, 1))
+    yield "k_upper(3,)/(2,1)*k_lambda(3,)[pro_p]", str(pqwp_mul(upper, k_lambda(p, 3, (3,))))
+
+
 def golden_lines():
-    records = [*report_records(), *convolution_records(), *element_records()]
+    records = [*report_records(), *convolution_records(), *element_records(),
+               *product_records()]
     return [json.dumps(r, ensure_ascii=False) for r in records]
 
 

@@ -18,8 +18,8 @@ from qwreath.symcomb import (
     young_subgroup,
 )
 from qwreath.tensor_poly import (
-    abar_ij, alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly, x_var,
-    zero_poly,
+    TensorPoly, abar_ij, alpha_ij, monomial, of_ftensor, r_ij, s_ij, unit_poly,
+    x_var, zero_poly,
 )
 
 WORKING = shipped_presets()
@@ -269,6 +269,15 @@ def test_k_squared_d4():
     for lam in ((4,), (2, 2), (1, 3)):
         k = k_lambda(p, 4, lam)
         assert pqwp_mul(k, k) == k.poly_left(m_lambda(p, 4, lam))
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "qt_hecke", "degenerate", "zigzag_a1"))
+def test_k_squared_d5(name):
+    """K_(5)^2 = m_(5) K_(5), with 5! = 120 terms in K_(5)."""
+    p = preset(name)
+    k = k_lambda(p, 5, (5,))
+    assert len(k.terms) == 120
+    assert pqwp_mul(k, k) == k.poly_left(m_lambda(p, 5, (5,)))
 
 
 def test_m_closed_forms():
@@ -825,3 +834,115 @@ def test_products_leave_their_operands_unchanged(name):
         product = pqwp_mul(a, b)
         assert all(c.terms == terms for c, terms in before)
         assert pqwp_mul(a, b) == product
+
+
+# central coefficients through the walk ----------------------------------------
+
+CENTRAL_PACKS = ("affine_hecke", "qt_hecke", "zero_hecke", "zigzag_a1", "wreath_s3")
+
+
+def assert_poly_coefficients(p, d, terms):
+    """Every coefficient handed out by the walk is a nonzero TensorPoly over
+    the pack, whatever form it took inside."""
+    for w, c in terms.items():
+        assert type(c) is TensorPoly and c.params is p and c.d == d, w
+        assert c, w
+
+
+@pytest.mark.parametrize("name", CENTRAL_PACKS)
+def test_central_products_match_the_definition(name):
+    """K_(4) has only central coefficients on these packs, and so does every
+    quadratic step; K^2 and K times words, against straightening by definition."""
+    p = walk_pack(name)
+    k = k_lambda(p, 4, (4,))
+    assert all(c._unit_coeff() is not None for c in k.terms.values())
+    words = [(0,), (1, 0), (2, 1, 0, 2), (0, 0, 1), (1, 2, 1, 0, 1)]
+    pairs = [(k, k)] + [(k, PqwpElement.of_word(p, 4, w)) for w in words]
+    pairs += [(PqwpElement.of_word(p, 4, w), k) for w in words[:2]]
+    for a, b in pairs:
+        product = pqwp_mul(a, b)
+        assert_poly_coefficients(p, 4, product.terms)
+        assert product == product_by_definition(a, b)
+    assert pqwp_mul(k, k) == k.poly_left(m_lambda(p, 4, (4,)))
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS + ("qt_hecke", "wreath_s3"))
+@pytest.mark.parametrize("d", (3, 4))
+def test_central_left_coefficients_mixed_with_others(name, d):
+    """A left operand whose coefficients mix c·1 with non-central ones,
+    times a mixed, a central and a random right operand."""
+    p = walk_pack(name)
+    rng = random.Random(500 * d + len(name))
+    scalars = central_scalars(p, name)
+    perms = list(young_subgroup((d,)))
+    for _ in range(2):
+        keys = rng.sample(perms, len(scalars) + 2)
+        terms = {w: scaled_unit(p, d, c) for w, c in zip(keys, scalars)}
+        for w in keys[len(scalars):]:
+            terms[w] = random_coeff(p, d, rng) * x_var(p, d, rng.randrange(d))
+        a = PqwpElement(p, d, terms)
+        assert {c._unit_coeff() is None for c in a.terms.values()} == {True, False}
+        central = PqwpElement(p, d, {w: scaled_unit(p, d, c) for w, c in zip(
+            rng.sample(perms, len(scalars)), scalars)})
+        for b in (a, central, random_element(p, d, rng, 3)):
+            product = pqwp_mul(a, b)
+            assert_poly_coefficients(p, d, product.terms)
+            assert product == product_by_definition(a, b)
+        assert_matches_per_term_walk(a, central, rng)
+
+
+@pytest.mark.parametrize("name", ("affine_hecke", "qt_hecke", "zero_hecke"))
+def test_central_contributions_cancel_at_one_key(name):
+    """H_1 (H_1 - S·1) = R·1: the S·1 H_1 of the quadratic step and the
+    -S·1 H_1 of the right operand's central term cancel at H_1 (and on
+    zero_hecke, with R = 0, the whole product is 0)."""
+    p = preset(name)
+    for d in (2, 3):
+        s_c = s_ij(p, d, 0, 1)
+        assert s_c and s_c._unit_coeff() is not None
+        h = PqwpElement.h_gen(p, d, 0)
+        b = h - PqwpElement.of_poly(s_c)
+        product = pqwp_mul(h, b)
+        assert simple(d, 0) not in product.terms
+        assert product == PqwpElement(p, d, {identity(d): r_ij(p, d, 0, 1)})
+        assert product == product_by_definition(h, b)
+        assert_poly_coefficients(p, d, product.terms)
+
+
+@pytest.mark.parametrize("name", ("graded_affine", "degenerate"))
+def test_central_and_straightened_contributions_cancel_at_one_key(name):
+    """H_1 (H_1 + t x_1) with rho_1(t x_1) = -R: the central R·1 of the
+    quadratic step meets the TensorPoly rho_1(t x_1) pushed past H_1 at the
+    identity, and they cancel."""
+    p = preset(name)
+    for d in (2, 3):
+        rho = x_var(p, d, 0).twisted_demazure(0)._unit_coeff()
+        R = r_ij(p, d, 0, 1)._unit_coeff()
+        assert rho is not None and R is not None
+        t = -R / rho
+        h = PqwpElement.h_gen(p, d, 0)
+        b = h + PqwpElement.of_poly(x_var(p, d, 0).scale(t))
+        product = pqwp_mul(h, b)
+        assert identity(d) not in product.terms and product.terms
+        assert product == product_by_definition(h, b)
+        assert_poly_coefficients(p, d, product.terms)
+
+
+@pytest.mark.parametrize("name", WALK_PRESETS + ("qt_hecke", "wreath_s3"))
+def test_walk_results_hold_nonzero_tensor_polys(name):
+    """pqwp_mul, of_word and _times_word return nonzero TensorPolys over the
+    pack on central, mixed and cancelling inputs."""
+    p = walk_pack(name)
+    rng = random.Random(23)
+    for d in (3, 4):
+        k = k_lambda(p, d, (d,))
+        upper = k_lambda(p, d, (d,), "upper", (d - 1, 1))
+        a = random_element(p, d, rng, 3)
+        for x, y in ((k, k), (upper, k), (k, upper), (a, k), (k, a), (a, a),
+                     (k, k - k), (a - a, k)):
+            assert_poly_coefficients(p, d, pqwp_mul(x, y).terms)
+        for _ in range(4):
+            letters = tuple(rng.randrange(d - 1) for _ in range(rng.randint(0, 6)))
+            assert_poly_coefficients(p, d, PqwpElement.of_word(p, d, letters).terms)
+            for x in (k, a):
+                assert_poly_coefficients(p, d, pqwp._times_word(p, d, x.terms, letters))
