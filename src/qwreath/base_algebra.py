@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str, signed_join
+from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str, signed_join, term_str
 
 
 class ArityMismatch(ValueError):
@@ -226,7 +226,12 @@ class SparseSum:
     constructor of a result in the same space, which takes ownership of a
     dict whose coefficients are all nonzero.  ``_like(terms)`` drops zero
     coefficients first.  An operand of another type is left to Python
-    (NotImplemented)."""
+    (NotImplemented).
+
+    A subclass prints a coefficient beside a basis element by one rule,
+    ``coeff_ring.term_str`` (one is left out, a lone leading minus moves to
+    the front, any other sign or a slash outside brackets is bracketed), and
+    joins the terms with ``signed_join``, which writes " - " before "-"."""
 
     __slots__ = ()
 
@@ -329,9 +334,21 @@ class FTensor(SparseSum):
             raise ArityMismatch("operands live in different tensor powers")
 
     def __mul__(self, other):
-        if isinstance(other, FTensor):
-            return ftensor_mul(self, other)
-        return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
+        """Componentwise product in F^{tensor r}, or self scaled by a
+        scalar."""
+        if not isinstance(other, FTensor):
+            return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
+        self._same_space(other)
+        slot_product = self.algebra.slot_product
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c12 = c1 * c2
+                for key, sc in slot_product(k1, k2):
+                    c = c12 if sc is None else c12 * sc
+                    v = out.get(key)
+                    out[key] = c if v is None else v + c
+        return self._like(out)
 
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
@@ -378,33 +395,9 @@ class FTensor(SparseSum):
         labels = self.algebra.labels
         parts = []
         for key in sorted(self.terms):
-            c = self.terms[key]
             body = "⊗".join(labels[i] for i in key)
-            cs = scalar_str(c)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                if any(ch in cs for ch in "+-") and not cs.lstrip("-").isdigit():
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{body}")
+            parts.append(term_str(scalar_str(self.terms[key]), body))
         return signed_join(parts)
-
-
-def ftensor_mul(a: FTensor, b: FTensor) -> FTensor:
-    """Componentwise product in F^{tensor r}."""
-    a._same_space(b)
-    alg = a.algebra
-    out = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            c12 = c1 * c2
-            for key, sc in alg.slot_product(k1, k2):
-                c = c12 if sc is None else c12 * sc
-                v = out.get(key)
-                out[key] = c if v is None else v + c
-    return a._like(out)
 
 
 def is_weak_frobenius(delta: FTensor) -> bool:

@@ -925,6 +925,32 @@ def scalar_str(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def term_str(coeff, body, right=False) -> str:
+    """The term coeff times body, coeff written before body, or after it if
+    right; coeff is a string, None meaning one.  A coefficient of one is
+    left out.  A leading minus that is coeff's only sign outside brackets
+    moves to the front of the term, where signed_join reads it; otherwise
+    coeff is bracketed when it has a sign or a slash outside brackets.  The
+    sign of an exponent, as in ``x1^-1``, does not count."""
+    if coeff is None or coeff == "1":
+        return body
+    depth, signs, slash = 0, [], False
+    for i, ch in enumerate(coeff):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in "+-" and coeff[i - 1:i] != "^":
+            signs.append(i)
+        elif depth == 0 and ch == "/":
+            slash = True
+    if signs == [0]:
+        return "-" + term_str(coeff[1:], body, right)
+    if signs or slash:
+        coeff = f"({coeff})"
+    return f"{body}*{coeff}" if right else f"{coeff}*{body}"
+
+
 def signed_join(parts) -> str:
     """Term strings as one sum: " + " before a later term, " - " before one
     that starts with "-"; "0" for no term."""

@@ -32,12 +32,13 @@ from collections import Counter
 from itertools import product as iproduct
 
 from .base_algebra import SparseSum, _Frozen, pack_cached
+from .coeff_ring import signed_join
 from .pqwp import IdentityFailed, PqwpElement, _alpha_over_pairs, pqwp_mul
 from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_to_perm, mul,
                       region_L, region_N, region_P, simple, ThetaMatrix,
-                      young_subgroup)
+                      to_one_line, young_subgroup)
 from .tensor_poly import (LocalizedElement, TensorPoly, beta_ij, monomial,
                           require_invariant, unit_poly, zero_poly)
 
@@ -162,10 +163,8 @@ class ConvBlock(SparseSum, _Frozen):
     def __str__(self):
         if not self.terms:
             return f"0[{self.lam}|{self.mu}]"
-        bits = []
-        for g in sorted(self.terms, key=lambda w: (length(w), w)):
-            one_line = " ".join(str(i + 1) for i in g)
-            bits.append(f"|{one_line}| -> {self.terms[g]}")
+        bits = [f"{to_one_line(g)} -> {self.terms[g]}"
+                for g in sorted(self.terms, key=lambda w: (length(w), w))]
         return f"[{self.lam}|{self.mu}] " + "; ".join(bits)
 
 
@@ -233,9 +232,7 @@ class SchurElement(SparseSum, _Frozen):
         return self._like(out)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(str(self.terms[k]) for k in sorted(self.terms))
+        return signed_join([str(self.terms[k]) for k in sorted(self.terms)])
 
 
 # generators ------------------------------------------------------------------

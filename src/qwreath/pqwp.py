@@ -36,7 +36,7 @@ from .symcomb import (
     reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
 from .base_algebra import SparseSum, _Frozen, pack_cached
-from .coeff_ring import SCALARS
+from .coeff_ring import SCALARS, signed_join, term_str
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_key, unit_poly, zero_poly,
 )
@@ -152,8 +152,6 @@ class PqwpElement(SparseSum, _Frozen):
     # rendering -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         chunks = []
         for w in sorted(self.terms, key=lambda w: (-length(w), w)):
             c = self.terms[w]
@@ -162,9 +160,8 @@ class PqwpElement(SparseSum, _Frozen):
                 chunks.append(str(c))
                 continue
             hname = "H[" + ",".join(str(i + 1) for i in word) + "]"
-            cs = c.factor_str()
-            chunks.append(hname if cs is None else f"{cs}*{hname}")
-        return " + ".join(chunks)
+            chunks.append(term_str(c.factor_str(), hname))
+        return signed_join(chunks)
 
 
 # rewriting core ------------------------------------------------------------

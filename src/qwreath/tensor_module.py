@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product
 
 from .base_algebra import _UNSEEN, SparseSum, _add_terms, add_batch
-from .coeff_ring import echelon_pivots
+from .coeff_ring import echelon_pivots, signed_join, term_str
 from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement, _check_letter,
                    k_lambda, pqwp_mul)
 from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
@@ -93,14 +93,11 @@ class TensorVector(SparseSum):
         return sorted(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         chunks = []
         for idx in self.support():
             tag = "v[" + ",".join(map(str, idx)) + "]"
-            cs = self.terms[idx].factor_str()
-            chunks.append(tag if cs is None else f"{tag}*{cs}")
-        return " + ".join(chunks)
+            chunks.append(term_str(self.terms[idx].factor_str(), tag, right=True))
+        return signed_join(chunks)
 
 
 def times_poly_batch(vectors, q: TensorPoly) -> list:

@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import product as iproduct
 from operator import add
 
-from .coeff_ring import SCALARS, echelon_pivots, power, scalar_str, signed_join
+from .coeff_ring import SCALARS, echelon_pivots, power, scalar_str, signed_join, term_str
 from .base_algebra import FTensor, SparseSum, _Frozen, pack_cached
 from .symcomb import blocks, simple
 
@@ -208,28 +208,19 @@ class TensorPoly(SparseSum):
                 xs.append(f"x{i + 1}")
             elif e != 0:
                 xs.append(f"x{i + 1}^{e}")
-        body = "*".join([fpart] + xs)
-        cs = scalar_str(c)
-        if cs == "1":
-            return body
-        if cs == "-1":
-            return f"-{body}"
-        if any(ch in cs[1:] for ch in "+-") or "/" in cs:
-            cs = f"({cs})"
-        return f"{cs}*{body}"
+        return term_str(scalar_str(c), "*".join([fpart] + xs))
 
     def __str__(self):
         return signed_join([self._term_str(k)
                             for k in sorted(self.terms, reverse=True)])
 
     def factor_str(self):
-        """self as the coefficient of a basis element H_w or v[idx]: None
-        for the unit, else str(self), bracketed when it holds " + " or " - "."""
+        """self as the coefficient of a basis element H_w or v[idx], for
+        term_str: None for the unit, else str(self)."""
         c = self._unit_coeff()
         if c is not None and self.params.field.is_one(c):
             return None
-        s = str(self)
-        return f"({s})" if " + " in s or " - " in s else s
+        return str(self)
 
 
 # constructors ------------------------------------------------------------------
@@ -525,9 +516,6 @@ class LocalizedElement(_Frozen):
 
     def numerator(self) -> TensorPoly:
         return _times_factors(self.core, self.nfac)
-
-    def denominator(self) -> TensorPoly:
-        return _times_factors(unit_poly(self.params, self.d), self.dfac)
 
     def as_tensor_poly(self) -> TensorPoly:
         if self.dfac:

@@ -6,7 +6,7 @@ import pytest
 
 from qwreath.base_algebra import (
     ArityMismatch, FAlgebra, FTensor, InvalidConfig, PqwpParams, PresetNotFound,
-    ValidationReport, corrupted_beta_params, ftensor_mul, is_weak_frobenius,
+    ValidationReport, corrupted_beta_params, is_weak_frobenius,
     load_preset_file, preset, rebase_field, shipped_presets,
     two_frobs_commute_check, validate_pqwp, verify_pbw_conditions,
 )
@@ -17,7 +17,8 @@ from qwreath.tensor_poly import (
     TensorPoly, annihilator_certificate, monomial, unit_poly, x_var,
 )
 
-WREATH_S3 = str(Path(__file__).resolve().parent / "data" / "wreath_s3.toml")
+DATA = Path(__file__).resolve().parent / "data"
+WREATH_S3 = str(DATA / "wreath_s3.toml")
 
 
 def dual_numbers():
@@ -28,7 +29,7 @@ def test_ftensor_componentwise_product():
     alg = dual_numbers()
     c1 = FTensor.basis(alg, (1, 0))
     c2 = FTensor.basis(alg, (0, 1))
-    assert ftensor_mul(c1, c2) == FTensor.basis(alg, (1, 1))
+    assert c1 * c2 == FTensor.basis(alg, (1, 1))
     delta = c1 + c2
     # (c⊗1 + 1⊗c)^2 with c^2 = 0
     two_cc = FTensor.basis(alg, (1, 1)).scale(Field.rationals().from_int(2))
@@ -37,6 +38,29 @@ def test_ftensor_componentwise_product():
     for x in (c1, c2, delta, one):
         assert one * x == x
         assert x * one == x
+
+
+# (coefficient strings by key, rendering); over pro_p_q3 (labels 1, t, Q) and
+# affine_hecke (label 1, the rational functions of q)
+FTENSOR_RENDERINGS = [
+    pytest.param("pro_p_q3.toml", {(0, 0): "1"}, "1⊗1", id="unit"),
+    pytest.param("pro_p_q3.toml", {(0, 0): "2", (1, 1): "-1"}, "2*1⊗1 - t⊗t", id="2,-1"),
+    pytest.param("pro_p_q3.toml", {(0, 1): "1/3"}, "(1/3)*1⊗t", id="1/3"),
+    pytest.param("pro_p_q3.toml", {(0, 0): "1", (1, 1): "-1/3"},
+                 "1⊗1 - (1/3)*t⊗t", id="-1/3"),
+    pytest.param("affine_hecke", {(0, 0): "q - 1"}, "(q-1)*1⊗1", id="q-1"),
+    pytest.param("affine_hecke", {(0, 0): "-q"}, "-q*1⊗1", id="-q"),
+    pytest.param("affine_hecke", {(0, 0): "-q^-1"}, "-(1/q)*1⊗1", id="-1/q"),
+]
+
+
+@pytest.mark.parametrize("name, coeffs, rendering", FTENSOR_RENDERINGS)
+def test_ftensor_rendering(name, coeffs, rendering):
+    """A coefficient of one is left out, a leading minus joins the sum as
+    " - ", and any other sign or a slash brackets the coefficient."""
+    p = load_preset_file(str(DATA / name)) if name.endswith(".toml") else preset(name)
+    terms = {k: p.field.parse(c) for k, c in coeffs.items()}
+    assert str(FTensor(p.algebra, 2, terms)) == rendering
 
 
 def test_ftensor_scales_only_by_scalars():
@@ -55,7 +79,7 @@ def test_ftensor_scales_only_by_scalars():
 def test_ftensor_arity_mismatch():
     alg = dual_numbers()
     with pytest.raises(ArityMismatch):
-        ftensor_mul(FTensor.unit(alg, 2), FTensor.unit(alg, 3))
+        FTensor.unit(alg, 2) * FTensor.unit(alg, 3)
     with pytest.raises(ArityMismatch):
         FTensor.unit(alg, 3).flip()
 
@@ -611,8 +635,8 @@ def test_noncommutative_centrality_detection():
     n1 = FTensor.basis(alg, (1, 0))
     assert not n1.is_central()
     assert FTensor.unit(alg, 2).is_central()
-    np_prod = ftensor_mul(n1, FTensor.basis(alg, (2, 0)))
-    pn_prod = ftensor_mul(FTensor.basis(alg, (2, 0)), n1)
+    np_prod = n1 * FTensor.basis(alg, (2, 0))
+    pn_prod = FTensor.basis(alg, (2, 0)) * n1
     assert np_prod == n1
     assert not pn_prod
 

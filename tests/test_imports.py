@@ -459,3 +459,43 @@ def test_true_division_guard_sees_each_form():
         "op = ast.Div",
     ])
     assert true_divisions(source) == [1, 2, 3, 4, 5]
+
+
+# A sum of terms renders through coeff_ring.signed_join alone, which writes
+# " - " before a negative term.
+PLUS_SEPARATOR = " + "
+
+
+def plus_joins(source):
+    """Line numbers where source joins strings with " + ": a call of
+    ``" + ".join`` or of ``str.join`` with " + " as its separator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Name) and owner.id == "str" and node.args:
+            owner = node.args[0]
+        if isinstance(owner, ast.Constant) and owner.value == PLUS_SEPARATOR:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sums_render_through_signed_join(path):
+    assert plus_joins(path.read_text(encoding="utf-8")) == []
+
+
+def test_plus_join_guard_sees_each_form():
+    source = "\n".join([
+        "s = ' + '.join(parts)",
+        "s = \" + \".join(str(t) for t in terms)",
+        "s = str.join(' + ', parts)",
+        "s = signed_join(parts)",
+        "s = ', '.join(parts)",
+        "s = '+'.join(parts)",
+        "s = sep.join(parts)",
+        "s = f'{a} + {b}'",
+    ])
+    assert plus_joins(source) == [1, 2, 3]

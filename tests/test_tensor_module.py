@@ -593,32 +593,84 @@ def test_vector_rendering():
     assert str(v) == "v[1,2] + v[2,1]*((1⊗1)*x1 + (1⊗1)) + v[2,2]*(1⊗1)*x1"
 
 
-# (coefficient builder, rendering beside H_{s_1}, rendering beside v[1,2]);
-# the builders take the pack, d and a unit built apart from unit_poly
+def _laurent(p, d, exps, c):
+    u = p.algebra.unit_index
+    return TensorPoly(p, d, {(exps, (u,) * d): c})
+
+
+# (coefficient builder, its own rendering, rendering beside H_{s_1},
+# rendering beside v[1,2]); the builders take the pack, d and a unit built
+# apart from unit_poly
 COEFFICIENT_RENDERINGS = [
-    (lambda p, d, one: one, "H[1]", "v[1,2]"),
-    (lambda p, d, one: one.scale(2), "2*(1⊗1)*H[1]", "v[1,2]*2*(1⊗1)"),
-    (lambda p, d, one: one.scale(Fraction(2, 3)), "(2/3)*(1⊗1)*H[1]",
-     "v[1,2]*(2/3)*(1⊗1)"),
-    (lambda p, d, one: -x_var(p, d, 0), "-(1⊗1)*x1*H[1]", "v[1,2]*-(1⊗1)*x1"),
-    (lambda p, d, one: x_var(p, d, 0) + x_var(p, d, 1),
-     "((1⊗1)*x1 + (1⊗1)*x2)*H[1]", "v[1,2]*((1⊗1)*x1 + (1⊗1)*x2)"),
-    (lambda p, d, one: x_var(p, d, 0) - one,
-     "((1⊗1)*x1 - (1⊗1))*H[1]", "v[1,2]*((1⊗1)*x1 - (1⊗1))"),
+    pytest.param(lambda p, d, one: one, "(1⊗1)", "H[1]", "v[1,2]", id="unit"),
+    pytest.param(lambda p, d, one: one.scale(2), "2*(1⊗1)", "2*(1⊗1)*H[1]",
+                 "v[1,2]*2*(1⊗1)", id="2"),
+    pytest.param(lambda p, d, one: one.scale(Fraction(2, 3)), "(2/3)*(1⊗1)",
+                 "(2/3)*(1⊗1)*H[1]", "v[1,2]*(2/3)*(1⊗1)", id="2/3"),
+    pytest.param(lambda p, d, one: one.scale(Fraction(-1, 3)), "-(1/3)*(1⊗1)",
+                 "-(1/3)*(1⊗1)*H[1]", "-v[1,2]*(1/3)*(1⊗1)", id="-1/3"),
+    pytest.param(lambda p, d, one: -x_var(p, d, 0), "-(1⊗1)*x1", "-(1⊗1)*x1*H[1]",
+                 "-v[1,2]*(1⊗1)*x1", id="-x1"),
+    pytest.param(lambda p, d, one: x_var(p, d, 0) + x_var(p, d, 1),
+                 "(1⊗1)*x1 + (1⊗1)*x2", "((1⊗1)*x1 + (1⊗1)*x2)*H[1]",
+                 "v[1,2]*((1⊗1)*x1 + (1⊗1)*x2)", id="x1+x2"),
+    pytest.param(lambda p, d, one: x_var(p, d, 0) - one, "(1⊗1)*x1 - (1⊗1)",
+                 "((1⊗1)*x1 - (1⊗1))*H[1]", "v[1,2]*((1⊗1)*x1 - (1⊗1))", id="x1-1"),
+    pytest.param(lambda p, d, one: x_var(p, d, 0) - one.scale(Fraction(1, 3)),
+                 "(1⊗1)*x1 - (1/3)*(1⊗1)", "((1⊗1)*x1 - (1/3)*(1⊗1))*H[1]",
+                 "v[1,2]*((1⊗1)*x1 - (1/3)*(1⊗1))", id="x1-1/3"),
+    pytest.param(lambda p, d, one: _laurent(p, d, (-1, 0), 3), "3*(1⊗1)*x1^-1",
+                 "3*(1⊗1)*x1^-1*H[1]", "v[1,2]*3*(1⊗1)*x1^-1", id="3/x1"),
+    pytest.param(lambda p, d, one: _laurent(p, d, (-1, 0), -1), "-(1⊗1)*x1^-1",
+                 "-(1⊗1)*x1^-1*H[1]", "-v[1,2]*(1⊗1)*x1^-1", id="-1/x1"),
 ]
 
 
-@pytest.mark.parametrize("build, element, vector", COEFFICIENT_RENDERINGS)
-def test_coefficient_beside_a_basis_element(build, element, vector):
-    """An algebra element and a tensor vector show a coefficient beside
-    H_w or v[idx] by one rule: the unit, even one built apart from
-    unit_poly, is left out; a single term (an int or Fraction multiple of
-    1, a negative monomial) is shown bare; a sum is bracketed.  pro_p_q3's
-    rational scalars are ints and Fractions."""
+@pytest.mark.parametrize("build, poly, element, vector", COEFFICIENT_RENDERINGS)
+def test_coefficient_beside_a_basis_element(build, poly, element, vector):
+    """A tensor polynomial, an algebra element and a tensor vector show a
+    coefficient beside its basis element by one rule: the unit, even one
+    built apart from unit_poly, is left out; a leading minus, the only sign
+    outside brackets, moves to the front of the term; any other sign or a
+    slash outside brackets brackets the coefficient (the sign of an
+    exponent does not count).  pro_p_q3's rational scalars are ints and
+    Fractions."""
     p = pack("pro_p_q3.toml")
     d = 2
     u = p.algebra.unit_index
     one = TensorPoly(p, d, {((0, 0), (u, u)): Fraction(1)})
     c = build(p, d, one)
+    assert str(c) == poly
     assert str(PqwpElement(p, d, {(1, 0): c})) == element
     assert str(TensorVector.basis(p, 2, d, (1, 2), c)) == vector
+
+
+def test_rational_function_coefficient_rendering():
+    """A rational-function scalar follows the same rule: a sum or a quotient
+    is bracketed, a leading minus moves to the front."""
+    p = preset("affine_hecke")
+    d = 2
+    q = p.algebra.field.param("q")
+    one = unit_poly(p, d)
+    for c, poly, element, vector in [
+        (q - 1, "(q-1)*(1⊗1)", "(q-1)*(1⊗1)*H[1]", "v[1,2]*(q-1)*(1⊗1)"),
+        (-q, "-q*(1⊗1)", "-q*(1⊗1)*H[1]", "-v[1,2]*q*(1⊗1)"),
+        (-1 / q, "-(1/q)*(1⊗1)", "-(1/q)*(1⊗1)*H[1]", "-v[1,2]*(1/q)*(1⊗1)"),
+    ]:
+        cp = one.scale(c)
+        assert str(cp) == poly
+        assert str(PqwpElement(p, d, {(1, 0): cp})) == element
+        assert str(TensorVector.basis(p, 2, d, (1, 2), cp)) == vector
+
+
+def test_signed_sums_of_basis_elements():
+    """A negative term of an algebra element or a tensor vector is joined
+    with " - "."""
+    p = pack("pro_p_q3.toml")
+    d = 2
+    third = unit_poly(p, d).scale(Fraction(-1, 3))
+    assert str(PqwpElement(p, d, {(1, 0): -x_var(p, d, 1), (0, 1): third})) \
+        == "-(1⊗1)*x2*H[1] - (1/3)*(1⊗1)"
+    assert str(TensorVector.basis(p, 2, d, (1, 2))
+               + TensorVector.basis(p, 2, d, (2, 1), third)) \
+        == "v[1,2] - v[2,1]*(1/3)*(1⊗1)"

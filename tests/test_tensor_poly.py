@@ -234,9 +234,14 @@ def test_divide_exact_linear_inverts_the_product(name):
                 assert divide_exact_linear(q * lin + top, i, j) is None, (d, i, j)
 
 
+def _denominator(el):
+    """The product of el's denominator factors, multiplied out."""
+    return LocalizedElement(unit_poly(el.params, el.d), el.dfac).numerator()
+
+
 def _cross_equal(a, b):
     """Equality by multiplying out every factor of both sides."""
-    return a.numerator() * b.denominator() == b.numerator() * a.denominator()
+    return a.numerator() * _denominator(b) == b.numerator() * _denominator(a)
 
 
 def _times(el, *tags):
