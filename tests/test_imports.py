@@ -221,7 +221,15 @@ def test_test_only_guard_sees_each_form():
 
 # A cache keyed by a parameter pack lives in the pack's memo (pack_cached),
 # so it is freed with the pack; module-level caches take pack-free keys only.
+# A module cache over scalars must also be bounded: a long run keeps
+# producing new scalars, so an unbounded one grows for as long as it runs.
 MODULE_CACHES = {"lru_cache", "cache"}
+
+
+def decorator_name(dec):
+    """The name of a decorator, bare or called, plain or an attribute."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
 
 def pack_keyed_module_caches(source):
@@ -236,10 +244,7 @@ def pack_keyed_module_caches(source):
         if not args or args[0].arg != "params":
             continue
         for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            name = target.attr if isinstance(target, ast.Attribute) else \
-                getattr(target, "id", None)
-            if name in MODULE_CACHES:
+            if decorator_name(dec) in MODULE_CACHES:
                 out.append(node.name)
     return sorted(out)
 
@@ -261,6 +266,44 @@ def test_pack_cache_guard_sees_each_form():
         "class K:\n    @lru_cache\n    def m(self, params): pass",
     ])
     assert pack_keyed_module_caches(source) == ["a", "b", "c", "e"]
+
+
+def unbounded_module_caches(source):
+    """Names of the functions decorated with ``cache`` or
+    ``functools.cache``, or with ``lru_cache`` called with ``maxsize=None``
+    or a first argument ``None``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            name = decorator_name(dec)
+            sizes = []
+            if isinstance(dec, ast.Call):
+                sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+            if name == "cache" or (name == "lru_cache" and any(
+                    isinstance(v, ast.Constant) and v.value is None for v in sizes)):
+                out.append(node.name)
+    return sorted(out)
+
+
+def test_scalar_caches_are_bounded():
+    assert unbounded_module_caches((SRC / "coeff_ring.py").read_text(encoding="utf-8")) == []
+
+
+def test_unbounded_cache_guard_sees_each_form():
+    source = "\n".join([
+        "@cache\ndef a(x, y): pass",
+        "@functools.cache\ndef b(x, y): pass",
+        "@lru_cache(maxsize=None)\ndef c(x, y): pass",
+        "@functools.lru_cache(None)\ndef e(x, y): pass",
+        "@lru_cache(None, typed=True)\ndef f(x, y): pass",
+        "@lru_cache(maxsize=4096)\ndef g(x, y): pass",
+        "@lru_cache\ndef h(x, y): pass",
+        "@functools.lru_cache(128)\ndef k(x, y): pass",
+        "def m(x, y): pass",
+    ])
+    assert unbounded_module_caches(source) == ["a", "b", "c", "e", "f"]
 
 
 # Every parameter pack comes from preset-file data through _pack_from_spec,
