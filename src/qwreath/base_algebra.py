@@ -26,6 +26,19 @@ class InvalidConfig(ValueError):
     pass
 
 
+class IdentityFailed(ValueError):
+    """A check found a counterexample: the message says where, and
+    ``.witness`` may hold it as data.  Every check in the library fails by
+    raising it, the report rules here and the certified identities of the
+    other modules alike, so ``ValidationReport.timed`` turns any of them
+    into a report row: a raised IdentityFailed becomes a fail row whose
+    witness is its message."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 # algebras --------------------------------------------------------------------
 
 def _power_label(gen, i):
@@ -353,22 +366,10 @@ class FTensor(SparseSum):
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, SCALARS) else NotImplemented
 
-    def place(self, w) -> "FTensor":
-        """Move slot i to slot w[i]."""
-        if len(w) != self.arity:
-            raise ArityMismatch("permutation size differs from arity")
-        out = {}
-        for key, c in self.terms.items():
-            nk = [0] * self.arity
-            for i, v in enumerate(key):
-                nk[w[i]] = v
-            out[tuple(nk)] = c
-        return self._kept(out)
-
     def flip(self) -> "FTensor":
         if self.arity != 2:
             raise ArityMismatch("flip needs arity 2")
-        return self.place((1, 0))
+        return self.embed((1, 0), 2)
 
     def embed(self, positions, d) -> "FTensor":
         """Include into F^{tensor d}, legs landing at the given slots
@@ -519,15 +520,17 @@ class ValidationReport:
         self.entries.append({"rule": rule, "status": status, "witness": witness,
                              "millis": round(millis, 3), "detail": detail})
 
-    def timed(self, rule, thunk):
-        """Run thunk() -> (ok, witness, detail) and record it; ok=None
-        records a skipped check."""
+    def timed(self, rule, check):
+        """Run check() and record its row with the time it took: a pass row
+        whose detail is what check() returned, or, when it raised
+        IdentityFailed, a fail row whose witness is the message.  Any other
+        exception propagates and records no row."""
         t0 = time.perf_counter()
-        ok, witness, detail = thunk()
-        ms = (time.perf_counter() - t0) * 1000.0
-        status = "skip" if ok is None else "pass" if ok else "fail"
-        self.add(rule, status, witness, ms, detail)
-        return ok
+        try:
+            status, witness, detail = "pass", None, check()
+        except IdentityFailed as exc:
+            status, witness, detail = "fail", str(exc), None
+        self.add(rule, status, witness, (time.perf_counter() - t0) * 1000.0, detail)
 
     @property
     def passed(self) -> bool:
@@ -613,79 +616,73 @@ class _Images:
 
 def validate_pqwp(params: PqwpParams, degree_bound: int = 3) -> ValidationReport:
     """Check the structural conditions A1-A3 and C1-C3 for one parameter
-    pack.  C3 is a bounded certificate: absence of annihilators of
-    P = alpha*(x1-x2) + beta up to the given x-degree.  A negative
-    degree_bound is a ValueError."""
+    pack.  C1 compares alpha*alpha_bar with the R the pack states; a pack
+    that states none gets a skip row for C1.  C3 is a bounded certificate:
+    absence of annihilators of P = alpha*(x1-x2) + beta up to the given
+    x-degree.  A negative degree_bound is a ValueError."""
+    from . import tensor_poly as tp
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be non-negative, got degree_bound={degree_bound}")
     rep = ValidationReport(f"pqwp axioms [{params.name}]")
 
     def a1():
-        ok = params.r_elt.is_central()
-        return ok, None if ok else f"R = {params.r_elt} not central", None
+        if not params.r_elt.is_central():
+            raise IdentityFailed(f"R = {params.r_elt} not central")
 
     def a2():
         for key in DELTA_KEYS:
             d = params.deltas[key]
             if not is_weak_frobenius(d):
-                return False, f"delta{key[0]}{key[1]} = {d} not weak Frobenius", None
+                raise IdentityFailed(f"delta{key[0]}{key[1]} = {d} not weak Frobenius")
             if d.flip() != d:
-                return False, f"delta{key[0]}{key[1]} = {d} not flip-symmetric", None
+                raise IdentityFailed(f"delta{key[0]}{key[1]} = {d} not flip-symmetric")
         lhs = params.deltas[(0, 0)].embed((0, 1), 3) * params.deltas[(1, 1)].embed((1, 2), 3)
         rhs = params.deltas[(0, 1)].embed((0, 1), 3) * params.deltas[(1, 0)].embed((1, 2), 3)
-        ok = lhs == rhs
-        return ok, None if ok else f"d00_1*d11_2 = {lhs} but d01_1*d10_2 = {rhs}", None
+        if lhs != rhs:
+            raise IdentityFailed(f"d00_1*d11_2 = {lhs} but d01_1*d10_2 = {rhs}")
 
     def a3():
-        from . import tensor_poly as tp
         im = _Images(2)
         s, r = im.s, im.r
         if r(0, tp.unit_poly(params, 2)) != tp.zero_poly(params, 2):
-            return False, "rho(1) nonzero", None
+            raise IdentityFailed("rho(1) nonzero")
         x1 = tp.x_var(params, 2, 0)
         beta = tp.beta_ij(params, 2, 0, 1)
         if r(0, x1) != beta:
-            return False, "rho(x1) differs from beta", None
+            raise IdentityFailed("rho(x1) differs from beta")
         s12 = tp.s_ij(params, 2, 0, 1)
         lin = x1 - tp.x_var(params, 2, 1)
         if beta - s(0, beta) != s12 * lin:
-            return False, "beta - flip(beta) differs from S*(x1-x2)", None
+            raise IdentityFailed("beta - flip(beta) differs from S*(x1-x2)")
         # rho of each monomial once: sigma of a monomial is again one of them
         units = (params.algebra.unit_index,) * 2
         monos = [(e, im.keep(tp.monomial(params, 2, units, e)))
                  for e in iproduct(range(degree_bound + 1), repeat=2)]
         for (e1, e2), m in monos:
             if r(0, s(0, m)) != -r(0, m):
-                return False, f"rho(sigma(x^({e1},{e2}))) != -rho(x^({e1},{e2}))", None
-        return True, None, None
+                raise IdentityFailed(f"rho(sigma(x^({e1},{e2}))) != -rho(x^({e1},{e2}))")
 
     def c1():
-        derived = params.r_elt
-        stated = params.stated_r
-        if stated is None:
-            return None, None, "no R stated"
-        ok = derived == stated
-        return ok, None if ok else f"alpha*alpha_bar = {derived} but stated R = {stated}", None
+        if params.r_elt != params.stated_r:
+            raise IdentityFailed(
+                f"alpha*alpha_bar = {params.r_elt} but stated R = {params.stated_r}")
 
     def c2():
         if not params.alpha.is_central():
-            return False, f"alpha = {params.alpha} not central", None
+            raise IdentityFailed(f"alpha = {params.alpha} not central")
         for key in DELTA_KEYS:
             if not params.deltas[key].is_central():
-                return False, f"delta{key[0]}{key[1]} not central", None
-        return True, None, None
-
-    def c3():
-        from . import tensor_poly as tp
-        ok, info = tp.annihilator_certificate(params, degree_bound)
-        return ok, None if ok else info, info if ok else None
+                raise IdentityFailed(f"delta{key[0]}{key[1]} not central")
 
     rep.timed("A1", a1)
     rep.timed("A2", a2)
     rep.timed("A3", a3)
-    rep.timed("C1", c1)
+    if params.stated_r is None:
+        rep.add("C1", "skip", detail="no R stated")
+    else:
+        rep.timed("C1", c1)
     rep.timed("C2", c2)
-    rep.timed("C3", c3)
+    rep.timed("C3", lambda: tp.annihilator_certificate(params, degree_bound))
     return rep
 
 
@@ -721,10 +718,9 @@ def _pbw_on_two_slots(params, degree, rep):
     def p1():
         one = tp.unit_poly(params, 2)
         if s(0, one) != one:
-            return False, "sigma(1) != 1", None
+            raise IdentityFailed("sigma(1) != 1")
         if r(0, one) != tp.zero_poly(params, 2):
-            return False, "rho(1) != 0", None
-        return True, None, None
+            raise IdentityFailed("rho(1) != 0")
 
     def p2():
         rows = [(k, a, s(0, a), r(0, a)) for k, a in fam]
@@ -732,26 +728,23 @@ def _pbw_on_two_slots(params, degree, rep):
             for (kb, b, sb, rb) in rows:
                 ab = keep(a * b)
                 if s(0, ab) != sa * sb:
-                    return False, f"sigma not multiplicative at {ka},{kb}", None
+                    raise IdentityFailed(f"sigma not multiplicative at {ka},{kb}")
                 if r(0, ab) != sa * rb + ra * b:
-                    return False, f"twisted Leibniz fails at {ka},{kb}", None
-        return True, None, None
+                    raise IdentityFailed(f"twisted Leibniz fails at {ka},{kb}")
 
     def p3():
         if s(0, S) * S + r(0, S) + s(0, R) != S * S + R:
-            return False, "sigma(S)S + rho(S) + sigma(R) != S^2 + R", None
+            raise IdentityFailed("sigma(S)S + rho(S) + sigma(R) != S^2 + R")
         if r(0, R) + s(0, S) * R != S * R:
-            return False, "rho(R) + sigma(S)R != SR", None
-        return True, None, None
+            raise IdentityFailed("rho(R) + sigma(S)R != SR")
 
     def p4():
         for (k, f) in fam:
             sf, rf = s(0, f), r(0, f)
             if s(0, sf) * S + r(0, sf) + s(0, rf) != S * sf:
-                return False, f"first quadratic identity fails at {k}", None
+                raise IdentityFailed(f"first quadratic identity fails at {k}")
             if s(0, sf) * R + r(0, rf) != S * rf + R * f:
-                return False, f"second quadratic identity fails at {k}", None
-        return True, None, None
+                raise IdentityFailed(f"second quadratic identity fails at {k}")
 
     rep.timed("P1", p1)
     rep.timed("P2", p2)
@@ -772,10 +765,9 @@ def _pbw_on_three_slots(params, degree, rep):
         for (k, f) in fam:
             for (i, j) in orders:
                 if s(i, s(j, s(i, f))) != s(j, s(i, s(j, f))):
-                    return False, f"braid identity for sigma fails at {k}", None
+                    raise IdentityFailed(f"braid identity for sigma fails at {k}")
                 if r(i, s(j, s(i, f))) != s(j, s(i, r(j, f))):
-                    return False, f"sigma/rho braid identity fails at {k} (i={i+1},j={j+1})", None
-        return True, None, None
+                    raise IdentityFailed(f"sigma/rho braid identity fails at {k} (i={i+1},j={j+1})")
 
     def p6():
         for (k, f) in fam:
@@ -784,38 +776,34 @@ def _pbw_on_three_slots(params, degree, rep):
                 lhs = r(i, s(j, r(i, f)))
                 rhs = s(j, risjf) * S[j] + r(j, risjf) + s(j, r(i, r(j, f)))
                 if lhs != rhs:
-                    return False, f"f={k}, i={i+1}, j={j+1}", None
-        return True, None, None
+                    raise IdentityFailed(f"f={k}, i={i+1}, j={j+1}")
 
     def p7():
         for (k, f) in fam:
             lhs = r(0, r(1, r(0, f))) + s(0, r(1, s(0, f))) * R[0]
             rhs = r(1, r(0, r(1, f))) + s(1, r(0, s(1, f))) * R[1]
             if lhs != rhs:
-                return False, f"f={k}", None
-        return True, None, None
+                raise IdentityFailed(f"f={k}")
 
     def p8():
         zero = tp.zero_poly(params, 3)
         for (i, j) in orders:
             if S[i] != s(j, s(i, S[j])):
-                return False, f"S_{i+1} != sigma_{j+1}sigma_{i+1}(S_{j+1})", None
+                raise IdentityFailed(f"S_{i+1} != sigma_{j+1}sigma_{i+1}(S_{j+1})")
             if R[i] != s(j, s(i, R[j])):
-                return False, f"R_{i+1} != sigma_{j+1}sigma_{i+1}(R_{j+1})", None
+                raise IdentityFailed(f"R_{i+1} != sigma_{j+1}sigma_{i+1}(R_{j+1})")
             if r(j, s(i, S[j])) != zero:
-                return False, f"rho_{j+1}sigma_{i+1}(S_{j+1}) != 0", None
+                raise IdentityFailed(f"rho_{j+1}sigma_{i+1}(S_{j+1}) != 0")
             if r(j, s(i, R[j])) != zero:
-                return False, f"rho_{j+1}sigma_{i+1}(R_{j+1}) != 0", None
-        return True, None, None
+                raise IdentityFailed(f"rho_{j+1}sigma_{i+1}(R_{j+1}) != 0")
 
     def p9():
         zero = tp.zero_poly(params, 3)
         for (i, j) in orders:
             if s(j, r(i, S[j])) * S[j] + r(j, r(i, S[j])) + s(j, r(i, R[j])) != zero:
-                return False, f"first cubic identity fails (i={i+1},j={j+1})", None
+                raise IdentityFailed(f"first cubic identity fails (i={i+1},j={j+1})")
             if r(j, r(i, R[j])) + s(j, r(i, S[j])) * R[j] != zero:
-                return False, f"second cubic identity fails (i={i+1},j={j+1})", None
-        return True, None, None
+                raise IdentityFailed(f"second cubic identity fails (i={i+1},j={j+1})")
 
     rep.timed("P5", p5)
     rep.timed("P6", p6)

@@ -902,24 +902,23 @@ def _quoted(text: str) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
-def parse_scalar(text: str, p: int | None = None):
+def parse_scalar(text: str):
     """Parse the canonical string form back into a scalar.
 
     The grammar is Python's, restricted to integer literals of digits only,
     parameter names, parentheses, unary minus, ``+ - * /`` and ``^`` with
     an integer literal, optionally negated, as exponent: ``-q^2`` is
     -(q^2) and ``^`` does not chain.  Other text, and text nested too deeply
-    to parse, raises ValueError; a zero divisor, also a
-    denominator divisible by ``p``, raises DivisionByZero naming the text.
-    Messages quote at most the first 60 characters of the text.
+    to parse, raises ValueError; a zero divisor raises DivisionByZero
+    naming the text.  Messages quote at most the first 60 characters of the
+    text.
 
-    With ``p`` the result is a prime-field element and a parameter name
-    raises MixedVariant.  Otherwise the result is a Fraction when
-    parameter-free and a RatFun when names occur.  Literals are read as
-    Fractions, so ``2^-1`` is exact; ``Field.parse`` of the rational field
-    turns an integral result into an int.
+    The result is a Fraction when parameter-free and a RatFun when names
+    occur.  Literals are read as Fractions, so ``2^-1`` is exact;
+    ``Field.parse`` of the rational field turns an integral result into an
+    int, and that of a prime field reads the same grammar without names.
     """
-    val = _parse(text, p, names_allowed=p is None)
+    val = _parse(text, None, names_allowed=True)
     if isinstance(val, RatFun) and not val.parameters():
         return val.as_fraction()
     return val
@@ -927,8 +926,9 @@ def parse_scalar(text: str, p: int | None = None):
 
 def _parse(text: str, p: int | None, names_allowed: bool):
     """The value of text as ``parse_scalar`` reads it, a parameter-free
-    RatFun left as it is; a parameter name raises MixedVariant unless
-    names_allowed."""
+    RatFun left as it is, or its element of GF(p) when p is given (a
+    denominator divisible by p raises DivisionByZero); a parameter name
+    raises MixedVariant unless names_allowed."""
     # Python would read ** as a power and # as a comment; joining the text
     # into one line keeps line breaks and continuations from Python too
     if "**" in text or "#" in text:

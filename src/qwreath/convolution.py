@@ -31,9 +31,9 @@ the convolution product.
 from collections import Counter
 from itertools import product as iproduct
 
-from .base_algebra import SparseSum, _Frozen, pack_cached
+from .base_algebra import IdentityFailed, SparseSum, _Frozen, pack_cached
 from .coeff_ring import signed_join
-from .pqwp import IdentityFailed, PqwpElement, _alpha_over_pairs, pqwp_mul
+from .pqwp import PqwpElement, _alpha_over_pairs, pqwp_mul
 from .symcomb import (block_of, blocks, check_comp, check_refines, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       identity, inverse, length, matrix_to_perm, mul,

@@ -35,7 +35,7 @@ from .symcomb import (
     identity, inv_set, inverse, length, matrix_from_triple, mul,
     reduced_word, region_L, region_N, simple, to_one_line, young_subgroup,
 )
-from .base_algebra import SparseSum, _Frozen, pack_cached
+from .base_algebra import IdentityFailed, SparseSum, _Frozen, pack_cached
 from .coeff_ring import SCALARS, signed_join, term_str
 from .tensor_poly import (
     TensorPoly, abar_ij, alpha_ij, r_ij, s_ij, unit_key, unit_poly, zero_poly,
@@ -44,14 +44,6 @@ from .tensor_poly import (
 
 class ParamMismatch(ValueError):
     pass
-
-
-class IdentityFailed(ValueError):
-    """A certified identity check found a counterexample; see .witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _check_letter(d, i):

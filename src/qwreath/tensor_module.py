@@ -13,10 +13,9 @@ v_mu+: it sends v_{mu+ . w} * c to z * H_w * c."""
 from functools import cached_property
 from itertools import product
 
-from .base_algebra import _UNSEEN, SparseSum, _add_terms, add_batch
+from .base_algebra import _UNSEEN, IdentityFailed, SparseSum, _add_terms, add_batch
 from .coeff_ring import echelon_pivots, signed_join, term_str
-from .pqwp import (IdentityFailed, ParamMismatch, PqwpElement, _check_letter,
-                   k_lambda, pqwp_mul)
+from .pqwp import ParamMismatch, PqwpElement, _check_letter, k_lambda, pqwp_mul
 from .symcomb import (ThetaMatrix, blocks, check_comp, coset_reps,
                       coset_shapes, double_coset_decompose, double_coset_reps,
                       length, longest_in_young, matrix_from_triple,

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from operator import add
 
 from .coeff_ring import SCALARS, echelon_pivots, power, scalar_str, signed_join, term_str
-from .base_algebra import FTensor, SparseSum, _Frozen, pack_cached
+from .base_algebra import FTensor, IdentityFailed, SparseSum, _Frozen, pack_cached
 from .symcomb import blocks, simple
 
 
@@ -574,15 +574,16 @@ def require_invariant(value, lam):
 
 def annihilator_certificate(params, degree_bound: int = 3):
     """Look for a nonzero zeta of x-degree at most degree_bound with
-    zeta*P = 0 or P*zeta = 0 where P = alpha*(x1-x2) + beta.  Returns
-    (True, rank note) if none exists in the window, else (False, witness).
-    A negative degree_bound is a ValueError."""
+    zeta*P = 0 or P*zeta = 0 where P = alpha*(x1-x2) + beta.  Returns a
+    rank note when none exists in the window; raises IdentityFailed naming
+    the first annihilator found, or when P itself is zero.  A negative
+    degree_bound is a ValueError."""
     if degree_bound < 0:
         raise ValueError(f"degree_bound must be non-negative, got degree_bound={degree_bound}")
     d = 2
     P = p_ij(params, d, 0, 1)
     if not P:
-        return False, "P = alpha*(x1-x2) + beta is itself zero"
+        raise IdentityFailed("P = alpha*(x1-x2) + beta is itself zero")
     unknowns = [zeta for _, zeta in monomial_box(params, d, degree_bound)]
     one = params.field.one()
     for side in ("left", "right"):
@@ -601,5 +602,5 @@ def annihilator_certificate(params, degree_bound: int = 3):
             zeta = zero_poly(params, d)
             for (_, idx), coeff in witness.items():
                 zeta = zeta + unknowns[idx].scale(coeff)
-            return False, f"{side} annihilator of P found: {zeta}"
-    return True, f"no annihilator up to x-degree {degree_bound} (both sides full rank)"
+            raise IdentityFailed(f"{side} annihilator of P found: {zeta}")
+    return f"no annihilator up to x-degree {degree_bound} (both sides full rank)"

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from qwreath.base_algebra import (
-    ArityMismatch, FAlgebra, FTensor, InvalidConfig, PqwpParams, PresetNotFound,
-    ValidationReport, corrupted_beta_params, is_weak_frobenius,
+    ArityMismatch, FAlgebra, FTensor, IdentityFailed, InvalidConfig, PqwpParams,
+    PresetNotFound, ValidationReport, corrupted_beta_params, is_weak_frobenius,
     load_preset_file, preset, rebase_field, shipped_presets,
     two_frobs_commute_check, validate_pqwp, verify_pbw_conditions,
 )
@@ -95,7 +95,7 @@ def test_ftensor_place_and_embed():
     emb_rev = t.embed((2, 0), 3)
     assert emb_rev == FTensor.basis(alg, (0, 0, 1))
     w = (1, 2, 0)
-    moved = FTensor.basis(alg, (1, 0, 0)).place(w)
+    moved = FTensor.basis(alg, (1, 0, 0)).embed(w, 3)
     assert moved == FTensor.basis(alg, (0, 1, 0))
 
 
@@ -215,6 +215,34 @@ def _text_rows(report):
     assert lines[0] == report.title
     return {line.split()[0]: (line.split()[1], line.split(" ms)")[1])
             for line in lines[1:]}
+
+
+def test_timed_records_a_returned_note_and_a_raised_witness():
+    """A check that returns passes with what it returned as the detail; one
+    that raises IdentityFailed fails with the message as the witness."""
+    rep = ValidationReport("protocol")
+
+    def fails():
+        raise IdentityFailed("f=(0, 1) breaks it", witness={"f": (0, 1)})
+    rep.timed("ok", lambda: "rank 4 of 4")
+    rep.timed("bad", fails)
+    rep.timed("bare", lambda: None)
+    assert [(e["rule"], e["status"], e["witness"], e["detail"]) for e in rep.entries] == [
+        ("ok", "pass", None, "rank 4 of 4"),
+        ("bad", "fail", "f=(0, 1) breaks it", None),
+        ("bare", "pass", None, None),
+    ]
+    assert not rep.passed
+    assert [e["rule"] for e in rep.failures()] == ["bad"]
+
+
+def test_timed_lets_any_other_exception_out():
+    """Only IdentityFailed is a failed check: a rule with a bug raises out
+    of the report and leaves no row."""
+    rep = ValidationReport("protocol")
+    with pytest.raises(ZeroDivisionError):
+        rep.timed("bug", lambda: 1 // 0)
+    assert rep.entries == []
 
 
 def test_text_report_shows_details_and_witnesses(tmp_path):

@@ -146,7 +146,7 @@ def test_str_forms():
     ("q^(2)", None, q ** 2),  # Python's grammar drops the parentheses
 ])
 def test_parse_roundtrip_examples(text, p, value):
-    got = parse_scalar(text, p=p)
+    got = parse_scalar(text) if p is None else Field.prime(p).parse(text)
     assert got == value
     assert type(got) is type(value)
 
@@ -173,7 +173,7 @@ def test_parse_names_the_text_of_a_zero_divisor(text):
 
 def test_parse_names_the_text_of_a_denominator_divisible_by_p():
     with pytest.raises(DivisionByZero, match=re.escape("'1/5'")):
-        parse_scalar("1/5", p=5)
+        Field.prime(5).parse("1/5")
 
 
 @pytest.mark.parametrize("depth", [5000, 50000])
@@ -202,7 +202,7 @@ def test_parse_errors_quote_a_short_scalar_whole(text):
 
 def test_parse_rejects_names_in_prime_field():
     with pytest.raises(MixedVariant):
-        parse_scalar("q+1", p=5)
+        Field.prime(5).parse("q+1")
 
 
 def _random_ratfun(rng):

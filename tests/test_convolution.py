@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from qwreath import convolution
-from qwreath.base_algebra import (load_preset_file, preset, rebase_field,
-                                  shipped_presets)
+from qwreath.base_algebra import (ValidationReport, load_preset_file, preset,
+                                  rebase_field, shipped_presets)
 from qwreath.coeff_ring import Field
 from qwreath.convolution import (
     BlockMismatch, CharacteristicTooSmall, ConvBlock, SchurElement,
@@ -646,6 +646,26 @@ def test_dumb_vs_smart_reports_a_failed_oracle(monkeypatch):
     for oracle in ("values", "both"):
         with pytest.raises(IdentityFailed, match=r"failed for \(1, 1\): "):
             dumb_vs_smart_identity(p, 2, (1, 1), oracle=oracle)
+
+
+def test_a_certified_identity_is_timed_as_a_report_row(monkeypatch):
+    """dumb_vs_smart_identity needs no adapter to be a report row: its
+    summary is the pass row's detail, and under the doubled crossing sum its
+    IdentityFailed message is the fail row's witness."""
+    p = preset("affine_hecke")
+    rep = ValidationReport("crossings")
+    rep.timed("X1", lambda: dumb_vs_smart_identity(p, 3, (2, 1)))
+    true_crossing = convolution.crossing
+    monkeypatch.setattr(convolution, "crossing",
+                        lambda *args: true_crossing(*args).scale(2))
+    with pytest.raises(IdentityFailed) as caught:
+        dumb_vs_smart_identity(p, 2, (1, 1))
+    rep.timed("X2", lambda: dumb_vs_smart_identity(p, 2, (1, 1)))
+    assert [(e["rule"], e["status"], e["witness"], e["detail"]) for e in rep.entries] == [
+        ("X1", "pass", None, {"lam": (2, 1), "mu": (1, 2), "terms": 2, "oracle": "values"}),
+        ("X2", "fail", str(caught.value), None),
+    ]
+    assert str(caught.value).startswith("crossing decomposition failed for (1, 1): ")
 
 
 def crossing_sides(p, d, lam):

@@ -8,7 +8,7 @@ import pytest
 
 from qwreath import tensor_poly
 from qwreath.base_algebra import (
-    FAlgebra, FTensor, PqwpParams, preset, rebase_field, shipped_presets,
+    FAlgebra, FTensor, IdentityFailed, PqwpParams, preset, rebase_field, shipped_presets,
     validate_pqwp,
 )
 from qwreath.coeff_ring import Field
@@ -440,8 +440,8 @@ def test_localized_results_in_reduced_form_divide_nothing(monkeypatch):
 
 @pytest.mark.parametrize("name", ["degenerate", "affine_hecke", "pro_p", "zigzag_a1"])
 def test_no_annihilators_for_good_packs(name):
-    ok, witness = annihilator_certificate(preset(name), degree_bound=2)
-    assert ok, witness
+    note = annihilator_certificate(preset(name), degree_bound=2)
+    assert note == "no annihilator up to x-degree 2 (both sides full rank)"
 
 
 def test_annihilator_found_for_zero_divisor():
@@ -451,9 +451,9 @@ def test_annihilator_found_for_zero_divisor():
     cc = FTensor.basis(alg, (1, 1))
     params = PqwpParams(alg, "polynomial", {(0, 0): cc}, FTensor(alg, 2),
                         name="cc_test")
-    ok, witness = annihilator_certificate(params, degree_bound=1)
-    assert not ok
-    assert witness == "left annihilator of P found: (1⊗c)"
+    with pytest.raises(IdentityFailed) as caught:
+        annihilator_certificate(params, degree_bound=1)
+    assert str(caught.value) == "left annihilator of P found: (1⊗c)"
 
 
 def test_rendering():

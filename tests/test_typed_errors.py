@@ -59,8 +59,6 @@ ERRORS = [
      ValueError, "order must be positive"),
     ("ftensor_key_arity", lambda: FTensor(K, 2, {(0,): 1}),
      ArityMismatch, "has arity 1, expected 2"),
-    ("place_size", lambda: FTensor.unit(K, 2).place((0, 1, 2)),
-     ArityMismatch, "permutation size"),
     ("embed_position_count", lambda: FTensor.unit(K, 2).embed((0,), 3),
      ArityMismatch, "position count"),
     ("weak_frobenius_arity", lambda: is_weak_frobenius(FTensor.unit(K, 3)),
