@@ -7,11 +7,10 @@ from __future__ import annotations
 import json
 import time
 import weakref
-from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 
-from .coeff_ring import SCALARS, Field, _quoted, _rational, scalar_str, signed_join, term_str
+from .coeff_ring import SCALARS, Field, _quoted, scalar_str, signed_join, term_str
 
 
 class ArityMismatch(ValueError):
@@ -93,13 +92,11 @@ class FAlgebra:
 
     def slot_product(self, k1, k2):
         """e_{k1} * e_{k2} in F^{tensor r} for basis index tuples k1, k2, as
-        ((key, coeff), ...); computed once per key pair.  A coefficient equal
-        to 1 is stored as None, so that product loops skip the scalar
-        multiplication without comparing scalars to one."""
+        ((key, coeff), ...) like a cell of ``table``; computed once per key
+        pair."""
         hit = self._slot_products.get((k1, k2))
         if hit is None:
-            one = self.field.one()
-            partial = {(): one}
+            partial = {(): self.field.one()}
             for a, b in zip(k1, k2):
                 nxt = {}
                 for pk, pc in partial.items():
@@ -108,8 +105,7 @@ class FAlgebra:
                         v = nxt.get(key)
                         nxt[key] = pc * sc if v is None else v + pc * sc
                 partial = nxt
-            hit = tuple((k, None if c == one else c)
-                        for k, c in partial.items() if c)
+            hit = tuple((k, c) for k, c in partial.items() if c)
             self._slot_products[(k1, k2)] = hit
         return hit
 
@@ -310,7 +306,9 @@ class _Frozen:
 
 
 class FTensor(SparseSum):
-    """Element of F^{tensor r}, sparse over tuples of basis indices."""
+    """Element of F^{tensor r}, sparse over tuples of basis indices.  Every
+    stored coefficient is a nonzero scalar of the pack's field: the public
+    constructor stores ``field.coerce(c)`` for each c and drops zeros."""
 
     __slots__ = ("algebra", "arity", "terms")
 
@@ -319,9 +317,11 @@ class FTensor(SparseSum):
         self.arity = arity
         clean = {}
         if terms:
+            coerce = algebra.field.coerce
             for key, c in terms.items():
                 if len(key) != arity:
                     raise ArityMismatch(f"key {key} has arity {len(key)}, expected {arity}")
+                c = coerce(c)
                 if c:
                     clean[tuple(key)] = c
         self.terms = clean
@@ -358,7 +358,7 @@ class FTensor(SparseSum):
             for k2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for key, sc in slot_product(k1, k2):
-                    c = c12 if sc is None else c12 * sc
+                    c = c12 * sc
                     v = out.get(key)
                     out[key] = c if v is None else v + c
         return self._like(out)
@@ -472,9 +472,10 @@ class PqwpParams:
             raise InvalidConfig("alpha lives in the wrong space")
         self.alpha = alpha
         self.name = name
-        self.s_elt = _ints_when_integral(packed[(1, 0)] - packed[(0, 1)])
-        self.alpha_bar = _ints_when_integral(alpha.flip() + self.s_elt)
-        self.r_elt = _ints_when_integral(alpha * self.alpha_bar)
+        # rebuilt by the constructor, which stores an integral Fraction as an int
+        self.s_elt = FTensor(algebra, 2, (packed[(1, 0)] - packed[(0, 1)]).terms)
+        self.alpha_bar = FTensor(algebra, 2, (alpha.flip() + self.s_elt).terms)
+        self.r_elt = FTensor(algebra, 2, (alpha * self.alpha_bar).terms)
         self.stated_r = stated_r
         self.memo = {}
         self.spec = None
@@ -485,14 +486,6 @@ class PqwpParams:
 
     def __repr__(self):
         return f"PqwpParams({self.name})"
-
-
-def _ints_when_integral(t: FTensor) -> FTensor:
-    """t with each integral Fraction coefficient as an int, as the rational
-    field builds its scalars; Fraction arithmetic keeps an integral result
-    a Fraction."""
-    return t._kept({k: _rational(c) if type(c) is Fraction else c
-                    for k, c in t.terms.items()})
 
 
 def pack_cached(fn):

@@ -26,7 +26,10 @@ Ints embed into every variant and Fractions into RatFun; every other
 cross-variant combination raises :class:`MixedVariant`.  An integral
 rational is an int, so it is also a valid prime-field operand: elements
 over packs of different fields are kept apart by the packs, whose elements
-refuse to combine with those of another pack.
+refuse to combine with those of another pack.  Every stored coefficient
+is a nonzero scalar of the pack's field: the sparse sums' public
+constructors store what :meth:`Field.coerce` makes of each coefficient,
+and drop the zeros.
 """
 
 from __future__ import annotations
@@ -769,8 +772,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _rational(c: Fraction):
-    """c as an int when it is integral, else c itself."""
+def _rational(c: int | Fraction):
+    """The rational c as an int when it is integral, else c itself."""
     return c.numerator if c.denominator == 1 else c
 
 
@@ -795,8 +798,8 @@ class Field:
                 raise ValueError(f"characteristic must be prime, got {p!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_zero", self.from_int(0))
-        object.__setattr__(self, "_one", self.from_int(1))
+        object.__setattr__(self, "_zero", self.coerce(0))
+        object.__setattr__(self, "_one", self.coerce(1))
         # is_one(c): whether the scalar c is one
         object.__setattr__(self, "is_one", partial(eq, self._one))
 
@@ -823,19 +826,17 @@ class Field:
         """The field's one, one shared immutable constant."""
         return self._one
 
-    def from_int(self, n: int):
-        if self.kind == self.RATIONAL:
-            return int(n)
-        if self.kind == self.RATFUN:
-            return RatFun._coerce(n)
-        return GFElement(self.p, n)
-
-    def from_fraction(self, c: Fraction):
-        if self.kind == self.RATIONAL:
-            return _rational(Fraction(c))
-        if self.kind == self.RATFUN:
-            return RatFun._coerce(Fraction(c))
-        return GFElement(self.p, Fraction(c))
+    def coerce(self, x):
+        """x as a scalar of this field: an int or a Fraction maps into the
+        field, a scalar of the field's own variant is kept, and anything
+        else raises MixedVariant."""
+        if isinstance(x, (int, Fraction)):
+            if self.kind == self.RATIONAL:
+                return _rational(x)
+            return RatFun._coerce(x) if self.p is None else GFElement(self.p, x)
+        if type(x) is type(self._one) and getattr(x, "p", None) == self.p:
+            return x
+        raise MixedVariant(f"{_quoted(repr(x))} is not a scalar of {self!r}")
 
     def param(self, name: str):
         if self.kind != self.RATFUN:
@@ -847,9 +848,8 @@ class Field:
         unless the field is the rational function field, also where it
         cancels, as in ``q/q``."""
         if self.kind == self.RATFUN:
-            return RatFun._coerce(parse_scalar(text))
-        val = _parse(text, self.p, names_allowed=False)
-        return val if self.kind == self.PRIME else _rational(val)
+            return self.coerce(parse_scalar(text))
+        return self.coerce(_parse(text, self.p, names_allowed=False))
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)

@@ -31,8 +31,9 @@ class InvarianceViolation(ValueError):
 class TensorPoly(SparseSum):
     """Element of F^{tensor d}[x_1..x_d]; keys are pairs (exponent vector,
     F-basis index vector).  Laurent variant admits negative exponents,
-    polynomial variant rejects them.  The public constructor checks every
-    key, a zero coefficient's too, before it drops the zero coefficients.
+    polynomial variant rejects them.  Every stored coefficient is a nonzero
+    scalar of the pack's field: the public constructor checks every key,
+    then keeps each ``field.coerce(c)`` that is not zero.
 
     No operation changes ``terms`` after construction, so results may
     share their term dict with an operand (a product by the unit returns
@@ -46,11 +47,13 @@ class TensorPoly(SparseSum):
         clean = {}
         if terms:
             laurent = params.variant == "laurent"
+            coerce = params.field.coerce
             for (exps, fkey), c in terms.items():
                 if len(exps) != d or len(fkey) != d:
                     raise SizeMismatch(f"term arity differs from d={d}")
                 if not laurent and any(e < 0 for e in exps):
                     raise ValueError("negative exponent in polynomial variant")
+                c = coerce(c)
                 if c:
                     clean[(tuple(exps), tuple(fkey))] = c
         self.terms = clean
@@ -98,17 +101,16 @@ class TensorPoly(SparseSum):
         c = self._unit_coeff()
         if c is not None:
             return other if is_one(c) else other.scale(c)
-        # right-hand terms once per call: None stands for x⁰ and for c = 1
-        right = [(e2 if any(e2) else None, f2, None if is_one(c2) else c2)
-                 for (e2, f2), c2 in other.terms.items()]
+        # right-hand terms once per call: None stands for x⁰
+        right = [(e2 if any(e2) else None, f2, c2) for (e2, f2), c2 in other.terms.items()]
         slot_product = self.params.algebra.slot_product
         out = {}
         for (e1, f1), c1 in self.terms.items():
             for e2, f2, c2 in right:
                 exps = e1 if e2 is None else tuple(map(add, e1, e2))
-                c12 = c1 if c2 is None else c1 * c2
+                c12 = c1 * c2
                 for fkey, sc in slot_product(f1, f2):
-                    c = c12 if sc is None else c12 * sc
+                    c = c12 * sc
                     k = (exps, fkey)
                     v = out.get(k)
                     out[k] = c if v is None else v + c
@@ -191,7 +193,7 @@ class TensorPoly(SparseSum):
                 ne[i], ne[j] = ke, le
                 nf[i], nf[j] = a, b
                 key = (tuple(ne), tuple(nf))
-                c12 = c if c2 is None else c * c2
+                c12 = c * c2
                 v = out.get(key)
                 out[key] = c12 if v is None else v + c12
         return self._like(out)
@@ -305,12 +307,10 @@ def beta_ij(params, d, a, b) -> TensorPoly:
 def _two_slot_rho(params, k, l, a, b):
     """rho_1 of (e_a x1^k) ⊗ (e_b x2^l) at d = 2, from the definition: flip
     the legs, take the divided difference, multiply by beta_12.  The terms
-    as ((k', l'), (a', b'), coeff) triples, a coefficient 1 stored as None."""
+    as ((k', l'), (a', b'), coeff) triples."""
     legs = monomial(params, 2, (b, a), (k, l))
     image = legs.demazure(0) * beta_ij(params, 2, 0, 1)
-    is_one = params.field.is_one
-    return tuple((exps, fkey, None if is_one(c) else c)
-                 for (exps, fkey), c in image.terms.items())
+    return tuple((exps, fkey, c) for (exps, fkey), c in image.terms.items())
 
 
 @pack_cached

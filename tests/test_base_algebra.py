@@ -32,7 +32,7 @@ def test_ftensor_componentwise_product():
     assert c1 * c2 == FTensor.basis(alg, (1, 1))
     delta = c1 + c2
     # (c⊗1 + 1⊗c)^2 with c^2 = 0
-    two_cc = FTensor.basis(alg, (1, 1)).scale(Field.rationals().from_int(2))
+    two_cc = FTensor.basis(alg, (1, 1)).scale(Field.rationals().coerce(2))
     assert delta * delta == two_cc
     one = FTensor.unit(alg, 2)
     for x in (c1, c2, delta, one):
@@ -71,7 +71,7 @@ def test_ftensor_scales_only_by_scalars():
             one * other
         with pytest.raises(TypeError):
             other * one
-    two = p.field.from_int(2)
+    two = p.field.coerce(2)
     assert one * two == two * one == one.scale(two)
     assert one * 2 == 2 * one == one.scale(two)
 
@@ -377,7 +377,7 @@ def test_preset_table_row_data():
     assert ah.r_elt == one.scale(q)
     zh = preset("zero_hecke")
     assert not zh.r_elt
-    assert zh.s_elt == FTensor.unit(zh.algebra, 2).scale(zh.field.from_int(-1))
+    assert zh.s_elt == FTensor.unit(zh.algebra, 2).scale(zh.field.coerce(-1))
     qt = preset("qt_hecke")
     q2, t2 = qt.field.param("q"), qt.field.param("t")
     assert qt.r_elt == FTensor.unit(qt.algebra, 2).scale(q2 * t2)

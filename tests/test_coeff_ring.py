@@ -260,7 +260,7 @@ def test_field_handles():
     kf = Field.rational_functions()
     assert kf.param("q") == q
     kp = Field.prime(5)
-    assert kp.from_fraction(Fraction(3, 2)) == GFElement(5, 4)
+    assert kp.coerce(Fraction(3, 2)) == GFElement(5, 4)
     with pytest.raises(MixedVariant):
         k2 = Field.rationals()
         k2.param("q")
@@ -268,11 +268,32 @@ def test_field_handles():
         Field.prime(6)
 
 
+def test_coerce_maps_ints_and_fractions_in_and_keeps_the_fields_own_scalars():
+    k, kf, kp = Field.rationals(), Field.rational_functions(), Field.prime(5)
+    assert [type(k.coerce(x)) for x in (3, Fraction(6, 3), Fraction(1, 2))] == [int, int, Fraction]
+    assert kf.coerce(Fraction(1, 2)) == RatFun(Fraction(1, 2)) and type(kf.coerce(2)) is RatFun
+    assert kf.coerce(q) is q
+    assert kp.coerce(7) == kp.coerce(Fraction(4, 2)) == GFElement(5, 2)
+    x = GFElement(5, 3)
+    assert kp.coerce(x) is x
+    with pytest.raises(DenominatorVanishes):
+        kp.coerce(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("field, x", [
+    (Field.rationals(), q), (Field.rationals(), GFElement(5, 1)),
+    (Field.rational_functions(), GFElement(5, 1)), (Field.prime(5), q),
+    (Field.prime(5), GFElement(3, 1)), (Field.prime(5), 0.5), (Field.rationals(), "1")])
+def test_coerce_refuses_anything_else(field, x):
+    with pytest.raises(MixedVariant, match="is not a scalar of Field"):
+        field.coerce(x)
+
+
 @pytest.mark.parametrize("field", (Field.rationals(), Field.rational_functions(),
                                    Field.prime(5)))
 def test_is_one_agrees_with_equality_to_one(field):
-    values = [field.from_int(n) for n in (-1, 0, 1, 2, 6)]
-    values += [field.from_fraction(Fraction(n, 3)) for n in (1, 3, -3)]
+    values = [field.coerce(n) for n in (-1, 0, 1, 2, 6)]
+    values += [field.coerce(Fraction(n, 3)) for n in (1, 3, -3)]
     if field.kind == Field.RATFUN:
         values += [q, q / q, (q + 1) / (q + 1), q / (q + 1)]
     for c in values:

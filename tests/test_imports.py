@@ -171,7 +171,6 @@ def test_dead_definition_guard_sees_each_form():
 TEST_ONLY_DEFINITIONS = {
     "ValidationReport.failures": "the failing rows of a report, for callers that act on them",
     "rebase_field": "a pack carried to Q or GF(p), to compare a report across fields",
-    "Field.from_fraction": "the field's scalar for a Fraction, beside from_int",
     "Field.param": "the formal parameter q of a rational-function field",
     "specialize": "a rational function at rational values of its parameters",
     "ConvBlock.leading": "the top-length term of a block, for unitriangularity checks",
@@ -542,3 +541,48 @@ def test_plus_join_guard_sees_each_form():
         "s = f'{a} + {b}'",
     ])
     assert plus_joins(source) == [1, 2, 3]
+
+
+# A scalar enters a field through Field.coerce, and rationals are built and
+# read in coeff_ring alone: no other module names Fraction, the fractions
+# module or coeff_ring's _rational.
+SCALAR_CONVERSIONS = {"Fraction", "fractions", "_rational"}
+
+
+def scalar_conversions(source):
+    """Line numbers where source references Fraction, the fractions module
+    or _rational: by name, as an attribute or in an import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id in SCALAR_CONVERSIONS
+                or isinstance(node, ast.Attribute) and node.attr in SCALAR_CONVERSIONS):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) in SCALAR_CONVERSIONS
+                or any(alias.name in SCALAR_CONVERSIONS for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "coeff_ring.py"], ids=lambda p: p.name)
+def test_scalars_are_converted_in_coeff_ring_alone(path):
+    assert scalar_conversions(path.read_text(encoding="utf-8")) == []
+
+
+def test_scalar_conversion_guard_sees_each_form():
+    source = "\n".join([
+        "from fractions import Fraction",
+        "import fractions",
+        "from .coeff_ring import Field, _rational",
+        "c = Fraction(1, 2)",
+        "c = fractions.Fraction(1, 2)",
+        "ok = isinstance(c, coeff_ring.Fraction)",
+        "c = coeff_ring._rational(x)",
+        "from fractions import Fraction as F",
+        "c = field.coerce(x)",
+        "'''Fraction-free'''",
+        "rational = Fractional(x)",
+        "s = 'Fraction'",
+    ])
+    assert scalar_conversions(source) == list(range(1, 9))

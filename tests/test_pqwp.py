@@ -287,7 +287,7 @@ def test_m_closed_forms():
     deg = preset("degenerate")
     for d in (2, 3, 4):
         for lam in compositions(d):
-            expect = deg.field.from_int(math.prod(math.factorial(a) for a in lam))
+            expect = deg.field.coerce(math.prod(math.factorial(a) for a in lam))
             assert m_lambda(deg, d, lam) == scaled_unit(deg, d, expect)
     aff = preset("affine_hecke")
     q = aff.field.param("q")
@@ -523,7 +523,7 @@ def test_support_order_and_scale():
     k = k_lambda(p, 3, (3,))
     lengths = [length(w) for w in k.support()]
     assert lengths == sorted(lengths)
-    two = p.field.from_int(2)
+    two = p.field.coerce(2)
     assert k.scale(two) - k == k
     assert not (k - k)
 
@@ -542,7 +542,7 @@ def random_coeff(params, d, rng):
         exps[rng.randrange(d)] = rng.randint(0, 1)
         fkey = tuple(rng.randrange(dim) for _ in range(d))
         out = out + monomial(params, d, fkey, exps,
-                             params.field.from_int(rng.choice((-2, -1, 1, 3))))
+                             params.field.coerce(rng.choice((-2, -1, 1, 3))))
     return out
 
 
@@ -781,7 +781,7 @@ def product_by_definition(a, b):
 
 
 def central_scalars(p, name):
-    scalars = [p.field.from_int(c) for c in (1, -1, 2)]
+    scalars = [p.field.coerce(c) for c in (1, -1, 2)]
     return scalars + [p.field.param("q")] if name == "qt_hecke" else scalars
 
 

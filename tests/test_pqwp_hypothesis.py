@@ -29,7 +29,7 @@ def coefficients(draw, p, d):
         exps[draw(st.integers(0, d - 1))] = draw(st.integers(low, 1))
         fkey = draw(st.tuples(*[st.integers(0, p.algebra.dim - 1)] * d))
         c = draw(st.sampled_from((-2, -1, 1, 3)))
-        out = out + monomial(p, d, fkey, exps, p.field.from_int(c))
+        out = out + monomial(p, d, fkey, exps, p.field.coerce(c))
     return out
 
 

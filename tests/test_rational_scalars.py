@@ -1,8 +1,9 @@
 """Rational scalars are ints when integral and Fractions otherwise: the
 field's constructors, exact elimination over int rows, a pack whose
 structure constants mix the two (pro_p at q = 3) checked against the
-specialization of the rational-function pack, and the pack checks that keep
-elements over different fields apart."""
+specialization of the rational-function pack, the pack checks that keep
+elements over different fields apart, and the sparse sums' constructors,
+which store every coefficient as a scalar of the pack's field."""
 
 from fractions import Fraction
 from operator import add, mul, sub
@@ -11,26 +12,28 @@ from pathlib import Path
 import pytest
 
 from qwreath.base_algebra import (
-    ArityMismatch, load_preset_file, preset, rebase_field, validate_pqwp,
-    verify_pbw_conditions,
+    ArityMismatch, FTensor, load_preset_file, preset, rebase_field, shipped_presets,
+    validate_pqwp, verify_pbw_conditions,
 )
-from qwreath.coeff_ring import Field, GFElement, MixedVariant, echelon_pivots, specialize
+from qwreath.coeff_ring import (Field, GFElement, MixedVariant, declare_param, echelon_pivots,
+                                specialize)
 from qwreath.pqwp import ParamMismatch, PqwpElement, k_lambda, m_lambda, pqwp_mul
-from qwreath.tensor_poly import SizeMismatch, abar_ij, r_ij, unit_poly, x_var
+from qwreath.tensor_poly import (SizeMismatch, TensorPoly, abar_ij, monomial, r_ij, unit_poly,
+                                 x_var)
 
 PRO_P_Q3 = str(Path(__file__).resolve().parent / "data" / "pro_p_q3.toml")
 
 
 def test_rational_field_builds_ints_when_integral():
     field = Field.rationals()
-    for value in (field.one(), field.zero(), field.from_int(-4),
-                  field.from_fraction(Fraction(6, 3)), field.parse("4/2"),
+    for value in (field.one(), field.zero(), field.coerce(-4),
+                  field.coerce(Fraction(6, 3)), field.parse("4/2"),
                   field.parse("2^-1 * 6"), field.parse("-7")):
         assert type(value) is int
     assert (field.one(), field.zero(), field.parse("4/2")) == (1, 0, 2)
     for text, value in (("2^-1", Fraction(1, 2)), ("1/3 + 1", Fraction(4, 3))):
         assert type(field.parse(text)) is Fraction and field.parse(text) == value
-    assert type(field.from_fraction(Fraction(-2, 6))) is Fraction
+    assert type(field.coerce(Fraction(-2, 6))) is Fraction
     # equal values compare, hash and print alike in either type
     assert field.parse("3") == Fraction(3) and hash(field.parse("3")) == hash(Fraction(3))
     assert str(field.parse("6/2")) == str(Fraction(3)) == "3"
@@ -132,4 +135,43 @@ def test_prime_field_refuses_fractions_but_takes_ints():
     with pytest.raises(MixedVariant):
         Fraction(1, 2) + x
     # an integral rational is an int, which a prime field reads mod p
-    assert x + Field.rationals().from_int(2) == GFElement(5, 0)
+    assert x + Field.rationals().coerce(2) == GFElement(5, 0)
+
+
+# the constructors store scalars of the pack's field ---------------------------------
+
+def test_constructors_map_ints_into_a_prime_field():
+    p = rebase_field(preset("zigzag_a1"), Field.prime(3))
+    assert not monomial(p, 2, (1, 0), (2, 1), 3)
+    assert monomial(p, 2, (1, 0), (2, 1), 4) == monomial(p, 2, (1, 0), (2, 1), 1)
+    assert monomial(p, 2, (1, 0), (2, 1), -2).terms == {((2, 1), (1, 0)): GFElement(3, 1)}
+    assert FTensor(p.algebra, 2, {(1, 0): 4, (0, 1): 6}).terms == {(1, 0): GFElement(3, 1)}
+
+
+@pytest.mark.parametrize("field, alien", [(Field.prime(3), GFElement(5, 1)),
+                                          (Field.rationals(), declare_param("q"))],
+                         ids=["gf5_on_gf3", "ratfun_on_q"])
+def test_constructors_refuse_a_scalar_of_another_field(field, alien):
+    p = rebase_field(preset("zigzag_a1"), field)
+    with pytest.raises(MixedVariant):
+        TensorPoly(p, 2, {((0, 0), (1, 0)): alien})
+    with pytest.raises(MixedVariant):
+        FTensor(p.algebra, 2, {(1, 0): alien})
+
+
+def test_rational_constructors_store_integral_fractions_as_ints():
+    p = preset("zigzag_a1")
+    poly = monomial(p, 2, (1, 0), (2, 1), Fraction(4, 2))
+    tensor = FTensor(p.algebra, 2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(-2, 6)})
+    assert list(poly.terms.values()) == [2] and type(poly.terms[((2, 1), (1, 0))]) is int
+    assert [type(c) for c in tensor.terms.values()] == [int, Fraction]
+
+
+@pytest.mark.parametrize("name", [n for n in shipped_presets()
+                                  if preset(n).field == Field.rationals()] + [PRO_P_Q3],
+                         ids=lambda n: Path(n).name)
+def test_derived_constants_of_rational_packs_are_ints_where_integral(name):
+    p = load_preset_file(name) if name.endswith(".toml") else preset(name)
+    for t in (p.s_elt, p.alpha_bar, p.r_elt):
+        for c in t.terms.values():
+            assert type(c) is int or c.denominator > 1

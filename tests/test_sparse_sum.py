@@ -18,7 +18,7 @@ from qwreath.tensor_poly import LocalizedElement, SizeMismatch, p_ij, unit_poly,
 
 
 def _poly(p, d):
-    return x_var(p, d, 0) - x_var(p, d, 1).scale(p.field.from_int(2))
+    return x_var(p, d, 0) - x_var(p, d, 1).scale(p.field.coerce(2))
 
 
 def _block(p, d=2, lam=(1, 1)):
@@ -57,7 +57,7 @@ def test_linear_operations(kind):
     assert -(-a) == a
     assert not (a + (-a))
     field = a.algebra.field if isinstance(a, FTensor) else a.params.field
-    assert a + a == a.scale(field.from_int(2))
+    assert a + a == a.scale(field.coerce(2))
     assert not a.scale(field.zero())
 
 
@@ -95,7 +95,7 @@ def test_batched_sum_adds_each_pair(kind):
     field = a.algebra.field if isinstance(a, FTensor) else a.params.field
     zero = a.scale(field.zero())
     out = add_batch([a, a, -a, zero], [a, -a, zero, -a])
-    assert out == [a.scale(field.from_int(2)), zero, -a, -a]
+    assert out == [a.scale(field.coerce(2)), zero, -a, -a]
     assert out[1].terms == {}
     with pytest.raises(error):
         add_batch([a, a], [a, other])

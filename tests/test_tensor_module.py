@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from qwreath import tensor_module
-from qwreath.base_algebra import load_preset_file, preset, shipped_presets
-from qwreath.pqwp import IdentityFailed, PqwpElement, k_lambda, pqwp_mul
+from qwreath.base_algebra import load_preset_file, preset, rebase_field, shipped_presets
+from qwreath.coeff_ring import Field, GFElement
+from qwreath.pqwp import IdentityFailed, PqwpElement, eigenvector_check, k_lambda, pqwp_mul
 from qwreath.symcomb import (ThetaMatrix, coset_reps, coset_shapes,
                              double_coset_reps, matrix_from_triple,
                              reduced_word, sort_index, strip_zeros,
@@ -28,6 +29,10 @@ DATA = Path(__file__).resolve().parent / "data"
 # the two test-data packs: wreath_s3's F = k[S_3] is not commutative, and
 # pro_p_q3's rational scalars mix ints and Fractions
 DATA_PACKS = ["wreath_s3.toml", "pro_p_q3.toml"]
+# the shipped presets over Q, whose structure constants rebase_field carries
+# to any prime field
+REBASABLE = ["wreath", "degenerate", "nil", "opposite_nil", "zero_hecke", "zigzag_a1",
+             "savage_frobenius"]
 
 
 def pack(name):
@@ -55,6 +60,16 @@ def test_tensor_relations_hold_on_every_preset(name):
     so every coefficient product the check forms has a central factor and
     cannot tell b * q from q * b; the batched product's own test does."""
     p = pack(name)
+    assert tensor_relations_check(p, n=2, d=3, rng=random.Random(0)) == 404
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", REBASABLE)
+def test_tensor_relations_hold_over_small_prime_fields(name, q):
+    """The random coefficients are ints drawn from 1..4, which the
+    TensorPoly constructor maps into GF(q); a draw divisible by q is zero
+    there and is dropped."""
+    p = rebase_field(preset(name), Field.prime(q))
     assert tensor_relations_check(p, n=2, d=3, rng=random.Random(0)) == 404
 
 
@@ -286,6 +301,27 @@ def test_tensor_relations_catch_a_batched_sum_that_reuses_one_pair(monkeypatch):
 def test_theta_family_is_full_rank():
     p = preset("zigzag_a1")
     assert theta_family_rank(p, (2, 1), (1, 2), 1) == {"count": 52, "rank": 52}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name, count", [("degenerate", 7), ("nil", 7), ("zigzag_a1", 52)])
+def test_prime_field_rows_reach_elimination_as_field_scalars(monkeypatch, name, count, q):
+    """Over GF(2) and GF(3) the theta family has the rank it has over Q,
+    every entry that reaches echelon_pivots is a GF(q) element, and K_lam
+    is an eigenvector as over Q."""
+    p = rebase_field(preset(name), Field.prime(q))
+    entries = set()
+
+    def spy(rows, _true=tensor_module.echelon_pivots):
+        rows = list(rows)
+        entries.update((type(c), getattr(c, "p", None)) for row in rows for c in row.values())
+        return _true(rows)
+
+    monkeypatch.setattr(tensor_module, "echelon_pivots", spy)
+    assert theta_family_rank(p, (2, 1), (1, 2), 1) == {"count": count, "rank": count}
+    assert entries == {(GFElement, q)}
+    for lam in ((3,), (2, 1)):
+        eigenvector_check(p, 3, lam)
 
 
 def test_theta_map_commutes_with_generators():

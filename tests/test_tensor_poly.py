@@ -27,7 +27,7 @@ def random_poly(params, d, rng, nterms=3, max_deg=3):
     for _ in range(nterms):
         exps = tuple(rng.randint(lo, max_deg) for _ in range(d))
         fkey = tuple(rng.randrange(params.algebra.dim) for _ in range(d))
-        c = params.field.from_int(rng.randint(-4, 4))
+        c = params.field.coerce(rng.randint(-4, 4))
         key = (exps, fkey)
         terms[key] = terms.get(key, params.field.zero()) + c
     return TensorPoly(params, d, {k: v for k, v in terms.items() if v})
@@ -428,7 +428,7 @@ def test_localized_results_in_reduced_form_divide_nothing(monkeypatch):
 
     monkeypatch.setattr(tensor_poly, "divide_exact_linear", counting)
     w = (2, 0, 1)
-    neg, moved, tripled = -el, el.place_permute(w), el.scale(params.field.from_int(3))
+    neg, moved, tripled = -el, el.place_permute(w), el.scale(params.field.coerce(3))
     assert calls == []
     assert str(neg) == str(LocalizedElement(-el.core, el.nfac, el.dfac))
     assert moved.place_permute(inverse(w)) == el
@@ -544,7 +544,7 @@ def kernel_packs():
 
 def test_rescaled_pack_is_a_pack_with_other_structure_constants():
     params = kernel_packs()["pro_p_rescaled"]
-    assert params.algebra.table[1][1] == ((0, params.field.from_int(4)),)
+    assert params.algebra.table[1][1] == ((0, params.field.coerce(4)),)
     assert validate_pqwp(params, 1).passed
 
 
@@ -559,7 +559,7 @@ def test_product_kernel_matches_generic_pair_loop(name):
     q_coeff = max(p_ij(params, d, 0, 1).terms.items())[1]
     operands = ([random_poly(params, d, rng) for _ in range(3)]
                 + [zero_poly(params, d), unit,
-                   unit.scale(params.field.from_int(3)), unit.scale(q_coeff),
+                   unit.scale(params.field.coerce(3)), unit.scale(q_coeff),
                    -unit]
                 + structure)
     for a in operands:
@@ -637,7 +637,7 @@ def triangular_pack():
              [((1, one),), (), ((1, one),)],
              [((2, one),), (), ((2, one),)]]
     alg = FAlgebra(field, ("1", "n", "p"), table, name="triangular")
-    two = field.from_int(2)
+    two = field.coerce(2)
     deltas = {(1, 0): FTensor(alg, 2, {(1, 2): one, (2, 0): two}),
               (0, 1): FTensor(alg, 2, {(0, 1): one}),
               (0, 0): FTensor(alg, 2, {(2, 2): -one})}
@@ -668,7 +668,7 @@ def test_twisted_demazure_matches_its_definition(name, d):
                 exps[i], exps[i + 1] = k, l
                 fkey = [rng.randrange(dim) for _ in range(d)]
                 fkey[i], fkey[i + 1] = a, b
-                terms[(tuple(exps), tuple(fkey))] = params.field.from_int(rng.randint(1, 5))
+                terms[(tuple(exps), tuple(fkey))] = params.field.coerce(rng.randint(1, 5))
         for f in polys + [TensorPoly(params, d, terms)]:
             assert f.twisted_demazure(i).terms == rho_by_definition(f, i).terms
 

@@ -31,7 +31,7 @@ def polys(draw, p, d):
         exps = draw(st.tuples(*[st.integers(low, 2)] * d))
         fkey = draw(st.tuples(*[st.integers(0, p.algebra.dim - 1)] * d))
         c = draw(st.sampled_from((-3, -1, 1, 2)))
-        out = out + monomial(p, d, fkey, exps, p.field.from_int(c))
+        out = out + monomial(p, d, fkey, exps, p.field.coerce(c))
     return out
 
 
