@@ -567,7 +567,11 @@ class _Images:
     ``place_permute_simple`` and ``twisted_demazure``, and are kept in turn,
     so a chain such as r(i, s(j, r(i, f))) is computed once however many
     members reach it.  The image of a value never kept is computed afresh
-    and not stored."""
+    and not stored.
+
+    A kept object is the one object of its value and lives as long as the
+    table, so P2 files its products under the ids of kept operands, in
+    lookups of its own that die with the rule."""
 
     __slots__ = ("count", "kept", "sigma", "rho")
 
@@ -691,7 +695,16 @@ def verify_pbw_conditions(params: PqwpParams, degree: int = 3) -> ValidationRepo
     members, S_i and R_i; the images of kept values are kept too.  So each
     sigma_i and rho_i of a value the rules reach from a member, S or R is
     computed once per report, and P7 reads the images of images that P6
-    computed."""
+    computed.
+
+    P2 forms each product of two kept operands once, in lookups that die
+    with the rule.  sigma permutes the family, so sigma(a)sigma(b) is the
+    kept product of the pair (sigma a, sigma b); the Leibniz products
+    sigma(a)*rho(b), looked up within the row of a, and rho(a)*b repeat
+    because rho takes few distinct values on the family.  Each operand is
+    the one kept object of its value, so a shared product is the product
+    of exactly these operands in this order, and both comparisons of every
+    pair still run."""
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got degree={degree}")
     rep = ValidationReport(f"pbw conditions [{params.name}]")
@@ -717,12 +730,28 @@ def _pbw_on_two_slots(params, degree, rep):
 
     def p2():
         rows = [(k, a, s(0, a), r(0, a)) for k, a in fam]
+        # f*g of kept f and g, filed as table[id(f)][id(g)]: a*b kept, so
+        # sigma(a)sigma(b) is the entry of (sigma a, sigma b), and rho(a)*b
+        # as formed; sigma(a)*rho(b) is filed per row of a and freed with it,
+        # since no two rows share sigma(a)
+        kept_products, rho_products = {}, {}
+
+        def times(row, f, g, kept=False):
+            fg = row.get(id(g))
+            if fg is None:
+                fg = row[id(g)] = keep(f * g) if kept else f * g
+            return fg
+
         for (ka, a, sa, ra) in rows:
+            a_row = kept_products.setdefault(id(a), {})
+            sa_row = kept_products.setdefault(id(sa), {})
+            ra_row = rho_products.setdefault(id(ra), {})
+            sa_rho_row = {}
             for (kb, b, sb, rb) in rows:
-                ab = keep(a * b)
-                if s(0, ab) != sa * sb:
+                ab = times(a_row, a, b, True)
+                if s(0, ab) != times(sa_row, sa, sb, True):
                     raise IdentityFailed(f"sigma not multiplicative at {ka},{kb}")
-                if r(0, ab) != sa * rb + ra * b:
+                if r(0, ab) != times(sa_rho_row, sa, rb) + times(ra_row, ra, b):
                     raise IdentityFailed(f"twisted Leibniz fails at {ka},{kb}")
 
     def p3():

@@ -6,8 +6,8 @@ import pytest
 
 from qwreath.base_algebra import (
     ArityMismatch, FAlgebra, FTensor, IdentityFailed, InvalidConfig, PqwpParams,
-    PresetNotFound, ValidationReport, corrupted_beta_params, is_weak_frobenius,
-    load_preset_file, preset, rebase_field, shipped_presets,
+    PresetNotFound, SparseSum, ValidationReport, corrupted_beta_params,
+    is_weak_frobenius, load_preset_file, preset, rebase_field, shipped_presets,
     two_frobs_commute_check, validate_pqwp, verify_pbw_conditions,
 )
 from qwreath.coeff_ring import Field
@@ -554,9 +554,9 @@ def test_a3_sees_rho_wrong_on_one_monomial(monkeypatch, exps, failure):
 
 
 def _pbw_calls_per_rule(monkeypatch, params, degree):
-    """Calls of sigma_i, rho_i and the product, per PBW rule, in one report
-    that passes.  A first report fills the pack's tables of two-slot
-    images, which are not the rules' own work."""
+    """Calls of sigma_i, rho_i, the product and the comparison of sums, per
+    PBW rule, in one report that passes.  A first report fills the pack's
+    tables of two-slot images, which are not the rules' own work."""
     verify_pbw_conditions(params, degree)
     calls = {}
     rule = [None]
@@ -566,14 +566,15 @@ def _pbw_calls_per_rule(monkeypatch, params, degree):
         rule[0] = rule_name
         return true_timed(self, rule_name, thunk)
     monkeypatch.setattr(ValidationReport, "timed", timed)
-    for method in ("place_permute_simple", "twisted_demazure", "__mul__"):
-        true = getattr(TensorPoly, method)
+    for cls, method in ((TensorPoly, "place_permute_simple"), (TensorPoly, "twisted_demazure"),
+                        (TensorPoly, "__mul__"), (SparseSum, "__eq__")):
+        true = getattr(cls, method)
 
         def counted(self, arg, true=true, method=method):
             key = (rule[0], method)
             calls[key] = calls.get(key, 0) + 1
             return true(self, arg)
-        monkeypatch.setattr(TensorPoly, method, counted)
+        monkeypatch.setattr(cls, method, counted)
     assert verify_pbw_conditions(params, degree).passed
     return calls
 
@@ -584,6 +585,10 @@ def _family(params, d, degree):
             for exps in iproduct(range(degree + 1), repeat=d)]
 
 
+def _value(f):
+    return frozenset(f.terms.items())
+
+
 COUNTED_PACKS = (("affine_hecke", 2), ("pro_p", 1), ("wreath_s3", 1))
 
 
@@ -592,19 +597,66 @@ def _counted_pack(name):
 
 
 @pytest.mark.parametrize("name, degree", COUNTED_PACKS)
-def test_pbw_p2_checks_every_pair_with_one_image_per_product(monkeypatch, name, degree):
-    """P2 forms four products for each of the |family|^2 pairs (so checks
-    every pair), and computes sigma_1 and rho_1 once for each distinct value
+def test_pbw_p2_compares_every_pair_and_forms_each_product_once(monkeypatch, name, degree):
+    """P2 makes both comparisons for each of the |family|^2 pairs, so checks
+    every pair, and computes sigma_1 and rho_1 once for each distinct value
     among the members and the products a*b.  The family holds 1, so every
-    member is also a product: 25, 36 and 324 values on these packs."""
+    member is also a product: 25, 36 and 324 values on these packs.  It
+    forms one product per distinct pair of operand values: a*b, which also
+    serves sigma(a)sigma(b) as the product of the pair (sigma a, sigma b),
+    sigma(a)*rho(b) and rho(a)*b, the last two each in a table of their own."""
     params = _counted_pack(name)
     fam = _family(params, 2, degree)
-    values = {frozenset(f.terms.items()) for f in fam}
-    values |= {frozenset((a * b).terms.items()) for a in fam for b in fam}
+    sigma = [_value(f.place_permute_simple(0)) for f in fam]
+    rho = [_value(f.twisted_demazure(0)) for f in fam]
+    members = [_value(f) for f in fam]
+    values = set(members) | {_value(a * b) for a in fam for b in fam}
+    kept_pairs = {(a, b) for a in members for b in members} | {
+        (a, b) for a in sigma for b in sigma}
+    left_leibniz = {(a, b) for a in sigma for b in rho}
+    right_leibniz = {(a, b) for a in rho for b in members}
     calls = _pbw_calls_per_rule(monkeypatch, params, degree)
-    assert calls[("P2", "__mul__")] == 4 * len(fam) ** 2
+    assert calls[("P2", "__eq__")] == 2 * len(fam) ** 2
     assert calls[("P2", "twisted_demazure")] == len(values)
     assert calls[("P2", "place_permute_simple")] == len(values)
+    assert calls[("P2", "__mul__")] == (
+        len(kept_pairs) + len(left_leibniz) + len(right_leibniz))
+
+
+def _one_pair_wrong(true, a, b, wrong):
+    """The product, given as true, made wrong only on the ordered pair of
+    values (a, b): there it returns wrong(true, a, b)."""
+    def product(self, other):
+        if (isinstance(other, TensorPoly) and self.terms == a.terms
+                and other.terms == b.terms):
+            return wrong(true, self, other)
+        return true(self, other)
+    return product
+
+
+@pytest.mark.parametrize("name, degree, a, b, wrong, failure", (
+    # 1 added to x1*x2, which P2 reads first as sigma(x2)sigma(x1)
+    ("affine_hecke", 2, ((0, 0), (1, 0)), ((0, 0), (0, 1)),
+     lambda true, f, g: true(f, g) + unit_poly(f.params, 2),
+     "sigma not multiplicative at ((0, 0), (0, 1)),((0, 0), (1, 0))"),
+    # (s⊗1)(t⊗1) formed as (t⊗1)(s⊗1), and st != ts in k[S_3]; P2 reads it
+    # first as sigma(1⊗s)sigma(1⊗t)
+    ("wreath_s3", 0, ((1, 0), (0, 0)), ((2, 0), (0, 0)),
+     lambda true, f, g: true(g, f),
+     "sigma not multiplicative at ((0, 1), (0, 0)),((0, 2), (0, 0))"),
+), ids=("affine_hecke_plus_1", "wreath_s3_swapped"))
+def test_p2_sees_a_product_wrong_on_one_pair(monkeypatch, name, degree, a, b, wrong,
+                                             failure):
+    """P2 fails when the product of two two-slot monomials is wrong on one
+    ordered pair, at the first pair that forming every product afresh also
+    fails at: a shared product neither hides the wrong product nor swaps the
+    order of the operands on a non-commutative F."""
+    params = _counted_pack(name)
+    a, b = (monomial(params, 2, fkey, exps) for fkey, exps in (a, b))
+    product = _one_pair_wrong(TensorPoly.__mul__, a, b, wrong)
+    monkeypatch.setattr(TensorPoly, "__mul__", product)
+    rep = verify_pbw_conditions(params, degree)
+    assert {e["rule"]: e["witness"] for e in rep.failures()} == {"P2": failure}
 
 
 @pytest.mark.parametrize("name, degree", COUNTED_PACKS)
